@@ -7,7 +7,9 @@ Three subcommands:
 * ``verify``  run the internal consistency battery over a range of d.
 
 Exit codes: 0 on success, 1 on a usage problem (bad flags, d out of range),
-2 when a verification or cross-method agreement check fails.
+2 when a verification or cross-method agreement check fails or the engine
+detects an internal inconsistency (an ``ArithmeticError`` or a
+``RingMismatchError``), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .porteous import (
     virtual_chern_series_expansion,
 )
 from .riemann_roch import UpstreamClass, bundle_characters, poincare_character
-from .ring import AmbientClass, ThetaPoly
+from .ring import AmbientClass, RingMismatchError, ThetaPoly
 
 __all__ = [
     "EXIT_OK",
@@ -485,3 +487,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (ArithmeticError, RingMismatchError) as err:
+        print(f"error: internal inconsistency: {err}", file=sys.stderr)
+        return EXIT_VERIFY

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .degree import binomial
 from .ring import AmbientClass, ChernSeries
-from .riemann_roch import BundleData, bundle_characters
+from .riemann_roch import D_CACHE_SIZE, BundleData, bundle_characters
 
 __all__ = [
     "METHODS",
@@ -156,7 +156,7 @@ def virtual_chern_series(d: int, order: int | None = None) -> ChernSeries:
     return _virtual_cached(d, _normalize_order(d, order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=D_CACHE_SIZE)
 def _virtual_cached(d: int, order: int) -> ChernSeries:
     return target_chern_series(d, order) * source_chern_series(d, order).inverse()
 

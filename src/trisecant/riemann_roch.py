@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ring import Scalar, ThetaPoly, _as_fraction
+from .ring import Scalar, ThetaPoly, _as_fraction, _power
 
 __all__ = [
     "CurveClass",
@@ -35,6 +35,10 @@ __all__ = [
     "poincare_character",
     "bundle_characters",
 ]
+
+# Entries kept by each cache keyed on the curve degree d: enough for the 53
+# values of the acceptance sweep d in [8, 60], with a fixed memory ceiling.
+D_CACHE_SIZE = 64
 
 
 class CurveClass:
@@ -215,16 +219,7 @@ class UpstreamClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> UpstreamClass:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ring powers need a non-negative integer exponent")
-        result, base = UpstreamClass.one(), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return _power(self, exponent, UpstreamClass.one())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, ThetaPoly)):
@@ -339,7 +334,7 @@ def riemann_roch_pushforward(character: UpstreamClass) -> ThetaPoly:
     return pushforward_to_picard(character * _product_space_todd())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=D_CACHE_SIZE)
 def bundle_characters(d: int) -> tuple[BundleData, BundleData]:
     """Ranks and characters of the two section bundles on the Picard surface.
 

@@ -22,7 +22,6 @@ shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -43,7 +42,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class RingMismatchError(ValueError):
+class RingMismatchError(TypeError):
     """Raised when combining ring elements from incompatible contexts."""
 
 
@@ -53,6 +52,21 @@ def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"exact rational coefficient required, got {type(value).__name__}")
+
+
+def _power(base, exponent: int, one):
+    """``base ** exponent`` by square-and-multiply, starting from the unit
+    ``one`` of the base's ring; shared by every ring and series type."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("ring powers need a non-negative integer exponent")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _join_terms(parts: list[tuple[Fraction, str]]) -> str:
@@ -168,16 +182,7 @@ class ThetaPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> ThetaPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ring powers need a non-negative integer exponent")
-        result, base = _THETA_ONE, self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return _power(self, exponent, _THETA_ONE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -209,14 +214,15 @@ _THETA_T = ThetaPoly(0, 1)
 class AmbientClass:
     """Element of ``Q[T, h]/(T^3, h^(d-1))`` for a fixed curve degree d.
 
-    Stored as a dense 3 x (d-1) grid: slot ``(a, b)`` holds the coefficient
-    of ``T^a * h^b``.  Two values combine only when their ``d`` agree; the
-    theta ring embeds through :meth:`from_theta` and never implicitly.
-    Constructors reduce modulo the relations, so exponents at or beyond the
-    truncation simply vanish.
+    Stored sparsely: a dict maps each exponent pair ``(a, b)`` whose
+    coefficient is nonzero to the coefficient of ``T^a * h^b``, so every
+    operation costs time in the number of nonzero terms, not in d.  Two
+    values combine only when their ``d`` agree; the theta ring embeds through
+    :meth:`from_theta` and never implicitly.  Constructors reduce modulo the
+    relations, so exponents at or beyond the truncation simply vanish.
     """
 
-    __slots__ = ("d", "rows", "_nonzero")
+    __slots__ = ("d", "_terms")
 
     def __init__(self, d: int, terms: Mapping[tuple[int, int], Scalar] | None = None) -> None:
         if not isinstance(d, int) or d < 8:
@@ -230,31 +236,32 @@ class AmbientClass:
                 if a <= 2 and b <= d - 2 and coeff:
                     acc[(a, b)] = coeff
         self.d = d
-        self.rows, self._nonzero = _grid_from_terms(d, acc)
+        self._terms = acc
 
     @classmethod
-    def _from_terms(cls, d: int, acc: Mapping[tuple[int, int], Fraction]) -> AmbientClass:
-        """Internal fast path; ``acc`` must hold only in-range, nonzero terms."""
+    def _from_terms(cls, d: int, acc: dict[tuple[int, int], Fraction]) -> AmbientClass:
+        """Internal fast path; ``acc`` must hold only in-range, nonzero terms
+        and is taken over, not copied."""
         self = object.__new__(cls)
         self.d = d
-        self.rows, self._nonzero = _grid_from_terms(d, acc)
+        self._terms = acc
         return self
 
     @classmethod
     def zero(cls, d: int) -> AmbientClass:
-        return _ambient_zero(d)
+        return cls(d)
 
     @classmethod
     def one(cls, d: int) -> AmbientClass:
-        return _ambient_one(d)
+        return cls(d, {(0, 0): 1})
 
     @classmethod
     def theta(cls, d: int) -> AmbientClass:
-        return _ambient_theta(d)
+        return cls(d, {(1, 0): 1})
 
     @classmethod
     def hyperplane(cls, d: int) -> AmbientClass:
-        return _ambient_hyperplane(d)
+        return cls(d, {(0, 1): 1})
 
     @classmethod
     def monomial(cls, d: int, theta_pow: int, h_pow: int, coeff: Scalar = 1) -> AmbientClass:
@@ -266,28 +273,30 @@ class AmbientClass:
         return cls(d, {(0, 0): poly.c0, (1, 0): poly.c1, (2, 0): poly.c2})
 
     def coefficient(self, theta_pow: int, h_pow: int) -> Fraction:
-        """Read one grid slot; indices are range-checked, not reduced."""
+        """Coefficient of ``T^theta_pow * h^h_pow``, zero when the term is
+        absent; indices are range-checked, not reduced."""
         if not 0 <= theta_pow <= 2:
             raise IndexError(f"theta exponent out of range: {theta_pow}")
         if not 0 <= h_pow <= self.d - 2:
             raise IndexError(f"hyperplane exponent out of range for d={self.d}: {h_pow}")
-        return self.rows[theta_pow][h_pow]
+        return self._terms.get((theta_pow, h_pow), _ZERO)
 
     def nonzero_terms(self) -> Iterator[tuple[int, int, Fraction]]:
-        return iter(self._nonzero)
+        """``(a, b, coefficient)`` for every nonzero term, sorted by ``(a, b)``."""
+        return ((a, b, c) for (a, b), c in sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
-        return not self._nonzero
+        return not self._terms
 
     def is_homogeneous(self, degree: int) -> bool:
         """True when every term has total degree a + b equal to ``degree``."""
-        return all(a + b == degree for a, b, _ in self._nonzero)
+        return all(a + b == degree for a, b in self._terms)
 
     def zero_like(self) -> AmbientClass:
-        return _ambient_zero(self.d)
+        return AmbientClass._from_terms(self.d, {})
 
     def one_like(self) -> AmbientClass:
-        return _ambient_one(self.d)
+        return AmbientClass._from_terms(self.d, {(0, 0): _ONE})
 
     def _check_context(self, other: AmbientClass) -> None:
         if self.d != other.d:
@@ -304,21 +313,18 @@ class AmbientClass:
         if not isinstance(other, AmbientClass):
             return NotImplemented
         self._check_context(other)
-        acc = {(a, b): c for a, b, c in self._nonzero}
-        for a, b, c in other._nonzero:
-            key = (a, b)
-            prior = acc.get(key)
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            prior = acc.pop(key, None)
             total = c if prior is None else prior + c
             if total:
                 acc[key] = total
-            else:
-                acc.pop(key, None)
         return AmbientClass._from_terms(self.d, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> AmbientClass:
-        return AmbientClass._from_terms(self.d, {(a, b): -c for a, b, c in self._nonzero})
+        return AmbientClass._from_terms(self.d, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: AmbientClass | Scalar) -> AmbientClass:
         if isinstance(other, (int, Fraction)):
@@ -334,9 +340,9 @@ class AmbientClass:
         if isinstance(other, (int, Fraction)):
             q = _as_fraction(other)
             if not q:
-                return _ambient_zero(self.d)
+                return self.zero_like()
             return AmbientClass._from_terms(
-                self.d, {(a, b): c * q for a, b, c in self._nonzero}
+                self.d, {key: c * q for key, c in self._terms.items()}
             )
         if isinstance(other, ThetaPoly):
             raise RingMismatchError(
@@ -347,9 +353,10 @@ class AmbientClass:
             return NotImplemented
         self._check_context(other)
         top_h = self.d - 2
+        right = other._terms.items()
         acc: dict[tuple[int, int], Fraction] = {}
-        for a1, b1, c1 in self._nonzero:
-            for a2, b2, c2 in other._nonzero:
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in right:
                 a = a1 + a2
                 if a > 2:
                     continue
@@ -366,16 +373,7 @@ class AmbientClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> AmbientClass:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ring powers need a non-negative integer exponent")
-        result, base = _ambient_one(self.d), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return _power(self, exponent, self.one_like())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -384,14 +382,15 @@ class AmbientClass:
             return NotImplemented
         if not isinstance(other, AmbientClass):
             return NotImplemented
-        return self.d == other.d and self.rows == other.rows
+        return self.d == other.d and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(("AmbientClass", self.d, self.rows))
+        return hash(("AmbientClass", self.d, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         parts = []
-        for a, b, coeff in sorted(self._nonzero, key=lambda t: (-t[1], -t[0])):
+        descending = sorted(self._terms.items(), key=lambda item: (-item[0][1], -item[0][0]))
+        for (a, b), coeff in descending:
             factors = []
             if a:
                 factors.append("T" if a == 1 else f"T^{a}")
@@ -402,38 +401,6 @@ class AmbientClass:
 
     def __repr__(self) -> str:
         return f"AmbientClass(d={self.d}, {self})"
-
-
-def _grid_from_terms(
-    d: int, acc: Mapping[tuple[int, int], Fraction]
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, int, Fraction], ...]]:
-    """Dense grid and sorted nonzero list from a zero-free term mapping."""
-    grid = [[_ZERO] * (d - 1) for _ in range(3)]
-    for (a, b), c in acc.items():
-        grid[a][b] = c
-    rows = tuple(tuple(row) for row in grid)
-    nonzero = tuple((a, b, c) for (a, b), c in sorted(acc.items()))
-    return rows, nonzero
-
-
-@lru_cache(maxsize=None)
-def _ambient_zero(d: int) -> AmbientClass:
-    return AmbientClass(d)
-
-
-@lru_cache(maxsize=None)
-def _ambient_one(d: int) -> AmbientClass:
-    return AmbientClass(d, {(0, 0): 1})
-
-
-@lru_cache(maxsize=None)
-def _ambient_theta(d: int) -> AmbientClass:
-    return AmbientClass(d, {(1, 0): 1})
-
-
-@lru_cache(maxsize=None)
-def _ambient_hyperplane(d: int) -> AmbientClass:
-    return AmbientClass(d, {(0, 1): 1})
 
 
 class ChernSeries:
@@ -456,9 +423,13 @@ class ChernSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("series order must be non-negative")
-        zero = coeffs[0].zero_like()
+        # A coefficient's ring is its type, plus d for an ambient class.
+        ring = (type(coeffs[0]), getattr(coeffs[0], "d", None))
+        for c in coeffs:
+            if (type(c), getattr(c, "d", None)) != ring:
+                raise RingMismatchError(f"one series mixes coefficients {coeffs[0]!r} and {c!r}")
         if len(coeffs) <= order:
-            coeffs.extend([zero] * (order + 1 - len(coeffs)))
+            coeffs.extend([coeffs[0].zero_like()] * (order + 1 - len(coeffs)))
         self.order = order
         self.coeffs = tuple(coeffs[: order + 1])
 
@@ -521,17 +492,8 @@ class ChernSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> ChernSeries:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers need a non-negative integer exponent")
-        result = ChernSeries.constant(self.coeffs[0].one_like(), self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        one = ChernSeries.constant(self.coeffs[0].one_like(), self.order)
+        return _power(self, exponent, one)
 
     def inverse(self) -> ChernSeries:
         """Multiplicative inverse; the constant term must be the ring unit."""

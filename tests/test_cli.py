@@ -203,3 +203,17 @@ def test_console_help_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+def test_internal_inconsistency_exits_2_without_traceback(monkeypatch, capsys):
+    import trisecant.porteous
+    from trisecant.ring import AmbientClass
+
+    monkeypatch.setattr(
+        trisecant.porteous, "chern_coefficient_formula", lambda i, d: AmbientClass.zero(d)
+    )
+    assert main(["degree", "--d", "9", "--verbose"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -109,12 +109,17 @@ def test_ambient_frozen_product():
 
 
 def test_ambient_truncation():
-    h = AmbientClass.hyperplane(8)
-    assert (h ** 7).is_zero()  # h^(d-1) = 0
-    assert not (h ** 6).is_zero()
-    assert (AmbientClass.theta(8) ** 3).is_zero()
-    assert AmbientClass.monomial(8, 0, 7).is_zero()
-    assert AmbientClass.monomial(8, 3, 0).is_zero()
+    for d in (8, 200):
+        h = AmbientClass.hyperplane(d)
+        assert (h ** (d - 1)).is_zero()  # h^(d-1) = 0
+        assert h ** (d - 2) == AmbientClass.monomial(d, 0, d - 2)
+        assert (AmbientClass.theta(d) ** 3).is_zero()
+        assert AmbientClass.monomial(d, 0, d - 1).is_zero()
+        assert AmbientClass.monomial(d, 3, 0).is_zero()
+        # the cut inside a product: only the terms below h^(d-1) survive
+        x = AmbientClass(d, {(0, d - 3): 2, (1, 1): 3})
+        y = AmbientClass(d, {(0, 1): 5, (1, d - 3): 7})
+        assert x * y == AmbientClass(d, {(0, d - 2): 10, (1, 2): 15, (2, d - 2): 21})
 
 
 def test_ambient_context_validation():
@@ -168,6 +173,27 @@ def test_ambient_scalar_ops():
     assert AmbientClass.one(8) == 1
 
 
+def test_ambient_equality_ignores_insertion_order():
+    terms = {(0, 3): 4, (1, 2): Fraction(9, 2), (2, 1): -6}
+    x = AmbientClass(8, terms)
+    y = AmbientClass(8, dict(reversed(list(terms.items()))))
+    assert x == y
+    assert hash(x) == hash(y)
+    # the same value reached through different sums
+    z = AmbientClass.monomial(8, 2, 1, -6) + AmbientClass(8, {(1, 2): Fraction(9, 2), (0, 3): 4})
+    assert z == x
+    assert hash(z) == hash(x)
+
+
+def test_ambient_nonzero_terms_sorted_and_zero_free():
+    x = AmbientClass(9, {(2, 0): 1, (0, 5): 0, (1, 3): -2, (0, 1): 3})
+    x = x + AmbientClass.monomial(9, 2, 0, -1)  # cancels a term
+    terms = list(x.nonzero_terms())
+    assert terms == [(0, 1, 3), (1, 3, -2)]
+    assert terms == sorted(terms)
+    assert all(c for _, _, c in terms)
+
+
 def _naive_mul(x: AmbientClass, y: AmbientClass) -> AmbientClass:
     """Dense quadruple loop over every grid slot: the reference product."""
     d = x.d
@@ -208,12 +234,35 @@ def test_ambient_ring_axioms(triple):
     assert (x * (AmbientClass.hyperplane(x.d) ** (x.d - 1))).is_zero()
 
 
+@given(ambient_triples())
+def test_ambient_additive_inverse(triple):
+    x, y, _ = triple
+    assert x + y - y == x
+    assert hash(x + y - y) == hash(x)
+    assert (x - x).is_zero()
+    assert x - x == AmbientClass.zero(x.d)
+    terms = list((x + y).nonzero_terms())
+    assert terms == sorted(terms)
+    assert all(c for _, _, c in terms)
+
+
+def test_ring_mismatch_is_not_a_usage_error():
+    assert not issubclass(RingMismatchError, ValueError)
+
+
 # -------------------------------------------------------------- ChernSeries
 
 
 def test_series_needs_a_constant():
     with pytest.raises(ValueError):
         ChernSeries([])
+
+
+def test_series_rejects_mixed_rings():
+    with pytest.raises(RingMismatchError):
+        ChernSeries([ThetaPoly(1), AmbientClass.one(8)])
+    with pytest.raises(RingMismatchError):
+        ChernSeries([AmbientClass.one(8), AmbientClass.hyperplane(9)])
 
 
 def test_series_coefficient_range():
