@@ -3,7 +3,9 @@
 
 Walks the whole pipeline in order: Poincare data upstairs, the two
 pushforward characters, the twisted Chern series, the virtual quotient,
-the banded determinant by all three routes, and the final pairing.
+the secant class by all three routes (the Segre quotient
+c_t(source) / c_t(target), the banded determinant recurrence and its closed
+form), and the final pairing.
 """
 
 import argparse
@@ -56,7 +58,7 @@ def main() -> int:
     for i, value in enumerate(chern_coefficients(d), start=1):
         print(f"  c_{i} = {value}")
     print()
-    print("banded determinant (the secant-variety class):")
+    print("secant-variety class (Segre quotient and banded determinant):")
     for method in METHODS:
         result = porteous_class(d, method=method)
         print(f"  {method:<11} -> {result.x1}")

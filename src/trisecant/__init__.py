@@ -3,9 +3,11 @@ variety of a genus-2 curve of degree d >= 8.
 
 The pipeline: Chern characters of the two section bundles on the degree-3
 Picard surface come out of a Riemann-Roch pushforward, Porteous' formula
-turns them into a banded determinant over Q[T, h]/(T^3, h^(d-1)), and the
+turns them into the secant class over Q[T, h]/(T^3, h^(d-1)), and the
 degree is read off against the theta self-intersection.  Three independent
-determinant routes and a classical count cross-check every answer.
+routes to that class (a Segre-class quotient, a banded determinant
+recurrence and its closed form) and a classical count cross-check every
+answer.
 """
 
 from .degree import (
@@ -19,14 +21,13 @@ from .degree import (
 )
 from .porteous import (
     METHODS,
-    PorteousMatrix,
     PorteousResult,
     TwistedBundle,
     chern_coefficient_formula,
     chern_coefficients,
-    determinant_cofactor,
     determinant_formula,
     determinant_recurrence,
+    determinant_segre,
     multiplication_map_bundles,
     porteous_class,
     recurrence_determinants,
@@ -75,7 +76,6 @@ __all__ = [
     # Porteous pipeline
     "METHODS",
     "TwistedBundle",
-    "PorteousMatrix",
     "PorteousResult",
     "multiplication_map_bundles",
     "source_chern_series",
@@ -86,7 +86,7 @@ __all__ = [
     "virtual_chern_series_expansion",
     "chern_coefficient_formula",
     "chern_coefficients",
-    "determinant_cofactor",
+    "determinant_segre",
     "determinant_recurrence",
     "determinant_formula",
     "recurrence_determinants",

@@ -19,7 +19,8 @@ import csv
 import json
 import random
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -28,9 +29,9 @@ from .porteous import (
     METHODS,
     chern_coefficient_formula,
     chern_coefficients,
-    determinant_cofactor,
     determinant_formula,
     determinant_recurrence,
+    determinant_segre,
     porteous_class,
     recurrence_determinants,
     virtual_chern_series,
@@ -90,6 +91,7 @@ class CheckResult:
     name: str
     passed: bool
     counterexample: str | None = None
+    elapsed_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -199,9 +201,12 @@ def run_degree(config: CliConfig) -> int:
 
 
 def run_table(config: CliConfig) -> int:
+    """CSV rows are written as each d finishes, so an internal error part-way
+    leaves the finished rows on stdout; JSON is one document, written whole."""
     _require_range(config.d_min, config.d_max)
-    reports = [degree_report(d) for d in range(config.d_min, config.d_max + 1)]
+    d_range = range(config.d_min, config.d_max + 1)
     if config.format == "json":
+        reports = [degree_report(d) for d in d_range]
         payload = [
             {
                 "d": report.d,
@@ -218,7 +223,10 @@ def run_table(config: CliConfig) -> int:
         writer.writerow(
             ["d", "degree_porteous", "degree_closed_form", "degree_berzolari", "match"]
         )
-        for report in reports:
+        reports = []
+        for d in d_range:
+            report = degree_report(d)
+            reports.append(report)
             writer.writerow(
                 [
                     report.d,
@@ -228,6 +236,7 @@ def run_table(config: CliConfig) -> int:
                     "true" if report.methods_agree else "false",
                 ]
             )
+            sys.stdout.flush()
     if all(report.methods_agree for report in reports):
         return EXIT_OK
     print("error: degree methods disagree somewhere in the table", file=sys.stderr)
@@ -359,11 +368,12 @@ def check_series_binomial_expansion(d_min: int, d_max: int) -> CheckResult:
 def check_determinant_three_way(
     d_min: int, d_max: int, perturb: PerturbHook | None = None
 ) -> CheckResult:
-    """Cofactor, recurrence and closed form must produce the same class.
+    """Segre quotient, recurrence and closed form must produce the same class.
 
-    ``perturb`` is a test-only fault-injection hook: it rewrites the
-    coefficients fed to the cofactor and recurrence routes, while the closed
-    form stays untouched, so any tampering has to surface as a mismatch.
+    The recurrence runs on the coefficients of the series division.
+    ``perturb`` is a test-only fault-injection hook: it rewrites those
+    coefficients, while the Segre route and the closed form stay untouched,
+    so any tampering has to surface as a mismatch.
     """
     name = "determinant-three-way"
     for d in range(d_min, d_max + 1):
@@ -372,14 +382,14 @@ def check_determinant_three_way(
             coefficients = tuple(
                 perturb(i, c) for i, c in enumerate(coefficients, start=1)
             )
-        cofactor = determinant_cofactor(d, coefficients).x1
+        segre = determinant_segre(d).x1
         recurrence = determinant_recurrence(d, coefficients).x1
         closed = determinant_formula(d - 5, d)
-        if not (cofactor == recurrence == closed):
+        if not (segre == recurrence == closed):
             return CheckResult(
                 name,
                 False,
-                f"d={d}: cofactor {cofactor}; recurrence {recurrence}; "
+                f"d={d}: segre {segre}; recurrence {recurrence}; "
                 f"closed form {closed}",
             )
     return CheckResult(name, True)
@@ -422,21 +432,28 @@ def check_degree_berzolari(d_min: int, d_max: int) -> CheckResult:
 def verify_checks(
     d_min: int, d_max: int, perturb: PerturbHook | None = None
 ) -> VerifyReport:
-    """Run the full battery in a stable order and collect the results."""
+    """Run the full battery in a stable order and collect the results, each
+    with its own wall time."""
     _require_range(d_min, d_max)
     checks = (
-        check_ring_axioms(d_min, d_max),
-        check_kunneth_relations(d_min, d_max),
-        check_bundle_characters(d_min, d_max),
-        check_chern_coefficient_formula(d_min, d_max),
-        check_series_exponential_form(d_min, d_max),
-        check_series_binomial_expansion(d_min, d_max),
-        check_determinant_three_way(d_min, d_max, perturb),
-        check_determinant_closed_form(d_min, d_max),
-        check_binomial_identities(d_min, d_max),
-        check_degree_berzolari(d_min, d_max),
+        _timed(check_ring_axioms, d_min, d_max),
+        _timed(check_kunneth_relations, d_min, d_max),
+        _timed(check_bundle_characters, d_min, d_max),
+        _timed(check_chern_coefficient_formula, d_min, d_max),
+        _timed(check_series_exponential_form, d_min, d_max),
+        _timed(check_series_binomial_expansion, d_min, d_max),
+        _timed(check_determinant_three_way, d_min, d_max, perturb),
+        _timed(check_determinant_closed_form, d_min, d_max),
+        _timed(check_binomial_identities, d_min, d_max),
+        _timed(check_degree_berzolari, d_min, d_max),
     )
     return VerifyReport(d_min=d_min, d_max=d_max, checks=checks)
+
+
+def _timed(check: Callable[..., CheckResult], *args) -> CheckResult:
+    start = time.perf_counter()
+    result = check(*args)
+    return replace(result, elapsed_s=time.perf_counter() - start)
 
 
 def run_verify(config: CliConfig, perturb: PerturbHook | None = None) -> int:
@@ -451,6 +468,7 @@ def run_verify(config: CliConfig, perturb: PerturbHook | None = None) -> int:
                     "name": check.name,
                     "passed": check.passed,
                     "counterexample": check.counterexample,
+                    "elapsed_s": check.elapsed_s,
                 }
                 for check in report.checks
             ],

@@ -77,7 +77,7 @@ def degree_pairing(value: AmbientClass) -> Rational:
     return Fraction(THETA_SELF_INTERSECTION) * top
 
 
-def secant3_degree(d: int, method: str = "cofactor") -> int:
+def secant3_degree(d: int, method: str = "segre") -> int:
     """Degree of the third secant variety of a genus-2 curve of degree d.
 
     Evaluates the degeneracy-locus class by the requested determinant route,
@@ -134,13 +134,13 @@ class DegreeReport:
 
 
 def degree_report(d: int) -> DegreeReport:
-    via_matrix = secant3_degree(d, "cofactor")
+    via_segre = secant3_degree(d, "segre")
     via_formula = secant3_degree(d, "closed-form")
     classical = berzolari(d)
     return DegreeReport(
         d=d,
-        degree_porteous=via_matrix,
+        degree_porteous=via_segre,
         degree_closed_form=via_formula,
         degree_berzolari=classical,
-        methods_agree=via_matrix == via_formula == classical,
+        methods_agree=via_segre == via_formula == classical,
     )

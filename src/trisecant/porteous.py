@@ -1,15 +1,17 @@
-"""Chern-class setup on (Picard surface) x P^(d-2) and the banded Porteous
-determinant carrying the secant-variety class.
+"""Chern-class setup on (Picard surface) x P^(d-2) and Porteous' formula
+for the secant-variety class.
 
 The secant locus is where the multiplication map
 
     (residual sections) (x) O(-1)  -->  (sections)* (x) O
 
 drops rank, and Porteous' formula evaluates its class as the (d-5)-th
-coefficient determinant of the virtual quotient series c_t(target - source).
-Every stage below is computed along at least two independent routes
-(series division against closed binomial formulas, and three different
-determinant evaluations) and the routes are compared, never trusted singly.
+banded determinant of the virtual quotient series c_t(target - source).
+Read as a Segre class (Fulton, Intersection Theory, Thm. 14.4), the same
+class is (-1)^(d-5) [t^(d-5)] c_t(source) / c_t(target).  Every stage below
+is computed along at least two independent routes (series division against
+closed binomial formulas; the Segre quotient, the determinant recurrence
+and its closed form) and the routes are compared, never trusted singly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .riemann_roch import D_CACHE_SIZE, BundleData, bundle_characters
 __all__ = [
     "METHODS",
     "TwistedBundle",
-    "PorteousMatrix",
     "PorteousResult",
     "chern_series_from_character",
     "twist_by_hyperplane",
@@ -38,13 +39,13 @@ __all__ = [
     "chern_coefficient_formula",
     "chern_coefficients",
     "recurrence_determinants",
-    "determinant_cofactor",
+    "determinant_segre",
     "determinant_recurrence",
     "determinant_formula",
     "porteous_class",
 ]
 
-METHODS = ("cofactor", "recurrence", "closed-form")
+METHODS = ("segre", "recurrence", "closed-form")
 
 
 def _require_degree(d: int) -> None:
@@ -251,47 +252,6 @@ def chern_coefficients(
 
 
 @dataclass(frozen=True)
-class PorteousMatrix:
-    """The (d-5) x (d-5) banded coefficient matrix: entry (r, c) holds
-    c_(c-r+1), so the diagonal is c_1, the subdiagonal is 1 and everything
-    below it vanishes."""
-
-    n: int
-    entries: tuple[tuple[AmbientClass, ...], ...]
-
-    @classmethod
-    def build(cls, d: int, coefficients: tuple[AmbientClass, ...] | None = None) -> PorteousMatrix:
-        _require_degree(d)
-        cis = chern_coefficients(d) if coefficients is None else tuple(coefficients)
-        n = d - 5
-        if len(cis) < n:
-            raise ValueError(f"need at least {n} coefficients, got {len(cis)}")
-        one = AmbientClass.one(d)
-        zero = AmbientClass.zero(d)
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                k = c - r + 1
-                row.append(zero if k < 0 else one if k == 0 else cis[k - 1])
-            rows.append(tuple(row))
-        return cls(n=n, entries=tuple(rows))
-
-    def entry(self, r: int, c: int) -> AmbientClass:
-        return self.entries[r][c]
-
-    def has_hessenberg_shape(self) -> bool:
-        one = self.entries[0][0].one_like()
-        for r in range(self.n):
-            for c in range(self.n):
-                if c == r - 1 and self.entries[r][c] != one:
-                    return False
-                if c < r - 1 and not self.entries[r][c].is_zero():
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
 class PorteousResult:
     """Outcome of one determinant route; the class is homogeneous of total
     degree d - 5 whenever the inputs are sound."""
@@ -300,32 +260,21 @@ class PorteousResult:
     method: str
 
 
-def determinant_cofactor(
-    d: int, coefficients: tuple[AmbientClass, ...] | None = None
-) -> PorteousResult:
-    """Determinant by first-column cofactor expansion on the explicit matrix.
+def determinant_segre(d: int) -> PorteousResult:
+    """Porteous' class as a Segre class: (-1)^n [t^n] c_t(source) / c_t(target)
+    with n = d - 5.
 
-    The ring has zero divisors, so elimination (which divides) is out; the
-    banded shape keeps a division-free expansion at O(n^2) ring products.
-    ``dets[s]`` is the determinant of the trailing s x s principal submatrix,
-    whose first column has just two nonzero entries: c_1 on the diagonal and
-    the subdiagonal 1.  Expanding there telescopes through minors whose own
-    first columns again hold one coefficient over a 1.
+    The banded recurrence reads D(t) * c_(-t)(target - source) = 1, so the
+    determinants are the coefficients of the quotient with the sign of t
+    flipped.  The target series is exp(T t) = 1 + T t + T^2 t^2 / 2, whose
+    inverse has three nonzero coefficients: the product costs O(d) ring
+    operations, with no band and no division by the source series.
     """
     _require_degree(d)
-    matrix = PorteousMatrix.build(d, coefficients)
-    n = matrix.n
-    dets = [AmbientClass.one(d)]
-    for size in range(1, n + 1):
-        top = n - size
-        if size == 1:
-            dets.append(matrix.entry(top, top))
-            continue
-        minor = matrix.entry(top, n - 1)  # innermost 1x1 of the chain
-        for k in range(size - 1, 1, -1):
-            minor = matrix.entry(top, top + k - 1) * dets[size - k] - minor
-        dets.append(matrix.entry(top, top) * dets[size - 1] - minor)
-    return PorteousResult(x1=dets[n], method="cofactor")
+    n = d - 5
+    quotient = source_chern_series(d) * target_chern_series(d).inverse()
+    x1 = quotient.coefficient(n)
+    return PorteousResult(x1=x1 if n % 2 == 0 else -x1, method="segre")
 
 
 def recurrence_determinants(
@@ -386,12 +335,12 @@ def determinant_formula(n: int, d: int) -> AmbientClass:
     )
 
 
-def porteous_class(d: int, method: str = "cofactor") -> PorteousResult:
+def porteous_class(d: int, method: str = "segre") -> PorteousResult:
     """The degeneracy-locus class of the multiplication map, by the chosen
     determinant route."""
     _require_degree(d)
-    if method == "cofactor":
-        return determinant_cofactor(d)
+    if method == "segre":
+        return determinant_segre(d)
     if method == "recurrence":
         return determinant_recurrence(d)
     if method == "closed-form":

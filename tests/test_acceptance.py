@@ -15,9 +15,9 @@ from trisecant.porteous import (
     METHODS,
     chern_coefficient_formula,
     chern_coefficients,
-    determinant_cofactor,
     determinant_formula,
     determinant_recurrence,
+    determinant_segre,
     virtual_chern_series,
     virtual_chern_series_closed_form,
     virtual_chern_series_expansion,
@@ -69,13 +69,19 @@ def test_criterion_3_determinant_three_way_agreement():
     failures = []
     for d in range(8, 61):
         coefficients = chern_coefficients(d, cross_check=False)
-        cofactor = determinant_cofactor(d, coefficients).x1
-        recurrence = determinant_recurrence(d).x1  # formula-sourced inputs
+        segre = determinant_segre(d).x1
+        from_division = determinant_recurrence(d, coefficients).x1
+        from_formula = determinant_recurrence(d).x1  # formula-sourced inputs
         closed = determinant_formula(d - 5, d)
-        if not (cofactor == recurrence == closed):
+        if not (segre == from_division == from_formula == closed):
             failures.append(d)
     ok = not failures
-    _report(3, "cofactor = recurrence = closed form as classes, d in [8, 60]", ok)
+    _report(
+        3,
+        "segre = recurrence (divided c_i) = recurrence (formula c_i) = closed form "
+        "as classes, d in [8, 60]",
+        ok,
+    )
     assert not failures, failures
 
 

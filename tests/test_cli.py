@@ -126,6 +126,26 @@ def test_table_degenerate_range_single_row(capsys):
     assert lines[1] == "8,12,12,12,true"
 
 
+def test_table_streams_finished_rows_before_an_internal_error(monkeypatch, capsys):
+    import trisecant.cli
+    from trisecant.degree import degree_report
+
+    def failing_at_10(d):
+        if d == 10:
+            raise ArithmeticError("injected at d=10")
+        return degree_report(d)
+
+    monkeypatch.setattr(trisecant.cli, "degree_report", failing_at_10)
+    assert main(["table", "--d-min", "8", "--d-max", "10"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "d,degree_porteous,degree_closed_form,degree_berzolari,match",
+        "8,12,12,12,true",
+        "9,25,25,25,true",
+    ]
+    assert captured.err == "error: internal inconsistency: injected at d=10\n"
+
+
 def test_table_empty_range_is_usage_error(capsys):
     assert main(["table", "--d-min", "10", "--d-max", "9"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -147,6 +167,10 @@ def test_verify_json_structure(capsys):
     assert payload["passed"] is True
     assert [check["name"] for check in payload["checks"]] == EXPECTED_CHECK_NAMES
     assert all(check["passed"] for check in payload["checks"])
+    for check in payload["checks"]:
+        assert list(check) == ["name", "passed", "counterexample", "elapsed_s"]
+        assert isinstance(check["elapsed_s"], float)
+        assert check["elapsed_s"] >= 0
 
 
 def test_verify_default_range_is_8_to_40():

@@ -97,7 +97,7 @@ def test_spot_degrees():
 
 
 def test_secant3_degree_method_dispatch():
-    for method in ("cofactor", "recurrence", "closed-form"):
+    for method in ("segre", "recurrence", "closed-form"):
         assert secant3_degree(11, method=method) == 70
     with pytest.raises(ValueError):
         secant3_degree(11, method="leibniz")
@@ -133,6 +133,6 @@ def test_degree_report_structure():
 @given(st.integers(8, 30))
 def test_all_routes_match_the_classical_count(d):
     reference = berzolari(d)
-    assert secant3_degree(d, method="cofactor") == reference
+    assert secant3_degree(d, method="segre") == reference
     assert secant3_degree(d, method="recurrence") == reference
     assert secant3_degree(d, method="closed-form") == reference

@@ -1,9 +1,9 @@
-"""The Chern-series pipeline and the three determinant routes.
+"""The Chern-series pipeline and the three routes to the secant class.
 
 The heavyweight oracle here is a Leibniz permutation-sum determinant: for
-small d the banded matrix is evaluated as a literal signed sum over all
-permutations, with no recurrence and no cofactor logic shared with the
-production code."""
+small d the banded matrix is built here from the Chern coefficients and
+evaluated as a literal signed sum over all permutations, with no recurrence
+and no series quotient shared with the production code."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -12,14 +12,13 @@ import pytest
 
 from trisecant.porteous import (
     METHODS,
-    PorteousMatrix,
     TwistedBundle,
     chern_coefficient_formula,
     chern_coefficients,
     chern_series_from_character,
-    determinant_cofactor,
     determinant_formula,
     determinant_recurrence,
+    determinant_segre,
     multiplication_map_bundles,
     porteous_class,
     recurrence_determinants,
@@ -168,36 +167,46 @@ def test_chern_coefficients_cross_check_runs():
     assert with_check == without
 
 
-def test_porteous_matrix_shape():
-    matrix = PorteousMatrix.build(10)
-    assert matrix.n == 5
-    assert matrix.has_hessenberg_shape()
-    one = AmbientClass.one(10)
-    for i in range(4):
-        assert matrix.entry(i + 1, i) == one
-    assert matrix.entry(4, 0).is_zero()
-    assert matrix.entry(0, 0) == chern_coefficient_formula(1, 10)
-    assert matrix.entry(0, 4) == chern_coefficient_formula(5, 10)
+def test_segre_quotient_matches_recurrence_determinants():
+    """(-1)^m [t^m] c_t(source) / c_t(target) is the m-th banded determinant."""
+    for d in (8, 9, 13, 30):
+        quotient = source_chern_series(d) * target_chern_series(d).inverse()
+        dets = recurrence_determinants(d)
+        for m in range(d - 4):
+            sign = 1 if m % 2 == 0 else -1
+            assert quotient.coefficient(m) * sign == dets[m], (d, m)
+        assert determinant_segre(d).x1 == dets[d - 5]
 
 
-def _leibniz_determinant(matrix: PorteousMatrix) -> AmbientClass:
-    n = matrix.n
-    total = matrix.entry(0, 0).zero_like()
+def _band(d: int) -> list[list[AmbientClass]]:
+    """The (d-5) x (d-5) Toeplitz-Hessenberg matrix: entry (r, c) holds
+    c_(c-r+1), with 1 on the subdiagonal and 0 below it."""
+    c = (AmbientClass.one(d),) + chern_coefficients(d)  # c_0, c_1, ..., c_(d-5)
+    n = d - 5
+    zero = AmbientClass.zero(d)
+    return [
+        [c[col - row + 1] if col >= row - 1 else zero for col in range(n)] for row in range(n)
+    ]
+
+
+def _leibniz_determinant(matrix: list[list[AmbientClass]]) -> AmbientClass:
+    n = len(matrix)
+    total = matrix[0][0].zero_like()
     for perm in permutations(range(n)):
         inversions = sum(
             1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
         )
-        term = matrix.entry(0, perm[0])
+        term = matrix[0][perm[0]]
         for row in range(1, n):
-            term = term * matrix.entry(row, perm[row])
+            term = term * matrix[row][perm[row]]
         total = total + term if inversions % 2 == 0 else total - term
     return total
 
 
 @pytest.mark.parametrize("d", (8, 9, 10))
 def test_determinants_match_leibniz_sum(d):
-    oracle = _leibniz_determinant(PorteousMatrix.build(d))
-    assert determinant_cofactor(d).x1 == oracle
+    oracle = _leibniz_determinant(_band(d))
+    assert determinant_segre(d).x1 == oracle
     assert determinant_recurrence(d).x1 == oracle
     assert determinant_formula(d - 5, d) == oracle
 
