@@ -14,6 +14,7 @@ from .degree import (
     DegreeReport,
     berzolari,
     binomial,
+    class_degree,
     degree_pairing,
     degree_report,
     secant3_degree,
@@ -96,6 +97,7 @@ __all__ = [
     "verify_binomial_identities",
     "degree_pairing",
     "secant3_degree",
+    "class_degree",
     "berzolari",
     "DegreeReport",
     "degree_report",

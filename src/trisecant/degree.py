@@ -6,8 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import TYPE_CHECKING
 
 from .ring import AmbientClass, Rational
+
+if TYPE_CHECKING:
+    from .porteous import PorteousResult
 
 __all__ = [
     "THETA_SELF_INTERSECTION",
@@ -15,6 +19,7 @@ __all__ = [
     "verify_binomial_identities",
     "degree_pairing",
     "secant3_degree",
+    "class_degree",
     "berzolari",
     "DegreeReport",
     "degree_report",
@@ -80,9 +85,8 @@ def degree_pairing(value: AmbientClass) -> Rational:
 def secant3_degree(d: int, method: str = "segre") -> int:
     """Degree of the third secant variety of a genus-2 curve of degree d.
 
-    Evaluates the degeneracy-locus class by the requested determinant route,
-    cuts it down by five hyperplanes and integrates.  The result must come
-    out a positive integer; anything else aborts loudly.
+    Evaluates the degeneracy-locus class by the requested determinant route
+    and takes its degree with :func:`class_degree`.
     """
     if not isinstance(d, int) or d < 8:
         raise ValueError(
@@ -92,8 +96,15 @@ def secant3_degree(d: int, method: str = "segre") -> int:
     # Imported here: the Porteous pipeline builds on the binomial toolkit above.
     from .porteous import porteous_class
 
-    result = porteous_class(d, method)
+    return class_degree(porteous_class(d, method))
+
+
+def class_degree(result: PorteousResult) -> int:
+    """Degree of a degeneracy class of total degree d - 5: cut it down by
+    five hyperplanes and integrate.  A class that is not homogeneous, or a
+    degree that is not a positive integer, aborts loudly."""
     locus = result.x1
+    d = locus.d
     if not locus.is_homogeneous(d - 5):
         raise ArithmeticError(
             f"degeneracy class for d={d} ({result.method}) is not homogeneous "

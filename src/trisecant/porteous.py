@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .degree import binomial
 from .ring import AmbientClass, ChernSeries
-from .riemann_roch import D_CACHE_SIZE, BundleData, bundle_characters
+from .riemann_roch import BundleData, bundle_characters
 
 __all__ = [
     "METHODS",
@@ -154,11 +153,7 @@ def target_chern_series(d: int, order: int | None = None) -> ChernSeries:
 
 def virtual_chern_series(d: int, order: int | None = None) -> ChernSeries:
     """c_t(target - source) by honest series division."""
-    return _virtual_cached(d, _normalize_order(d, order))
-
-
-@lru_cache(maxsize=D_CACHE_SIZE)
-def _virtual_cached(d: int, order: int) -> ChernSeries:
+    order = _normalize_order(d, order)
     return target_chern_series(d, order) * source_chern_series(d, order).inverse()
 
 

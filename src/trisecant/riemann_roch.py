@@ -36,8 +36,9 @@ __all__ = [
     "bundle_characters",
 ]
 
-# Entries kept by each cache keyed on the curve degree d: enough for the 53
-# values of the acceptance sweep d in [8, 60], with a fixed memory ceiling.
+# Entries kept by the one cache keyed on the curve degree d, that of
+# bundle_characters: enough for the 53 values of the acceptance sweep
+# d in [8, 60], with a fixed memory ceiling.
 D_CACHE_SIZE = 64
 
 

@@ -95,6 +95,12 @@ def _join_terms(parts: list[tuple[Fraction, str]]) -> str:
     return "".join(pieces)
 
 
+_THETA_MEETS_AMBIENT = (
+    "theta-ring element cannot combine with an ambient class; "
+    "inject it first with AmbientClass.from_theta"
+)
+
+
 class ThetaPoly:
     """Element ``c0 + c1*T + c2*T^2`` of ``Q[T]/(T^3)``.
 
@@ -145,10 +151,7 @@ class ThetaPoly:
         if isinstance(other, ThetaPoly):
             return ThetaPoly(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
         if isinstance(other, AmbientClass):
-            raise RingMismatchError(
-                "theta-ring element cannot combine with an ambient class; "
-                "inject it first with AmbientClass.from_theta"
-            )
+            raise RingMismatchError(_THETA_MEETS_AMBIENT)
         return NotImplemented
 
     __radd__ = __add__
@@ -157,7 +160,11 @@ class ThetaPoly:
         return ThetaPoly(-self.c0, -self.c1, -self.c2)
 
     def __sub__(self, other: ThetaPoly | Scalar) -> ThetaPoly:
-        return self + (-other if isinstance(other, ThetaPoly) else ThetaPoly(-_as_fraction(other)))
+        if isinstance(other, (int, Fraction, ThetaPoly)):
+            return self + -other
+        if isinstance(other, AmbientClass):
+            raise RingMismatchError(_THETA_MEETS_AMBIENT)
+        return NotImplemented
 
     def __rsub__(self, other: Scalar) -> ThetaPoly:
         return (-self) + other
@@ -173,10 +180,7 @@ class ThetaPoly:
                 self.c0 * other.c2 + self.c1 * other.c1 + self.c2 * other.c0,
             )
         if isinstance(other, AmbientClass):
-            raise RingMismatchError(
-                "theta-ring element cannot combine with an ambient class; "
-                "inject it first with AmbientClass.from_theta"
-            )
+            raise RingMismatchError(_THETA_MEETS_AMBIENT)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -11,8 +11,7 @@ from trisecant.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    CliConfig,
-    check_determinant_three_way,
+    build_parser,
     main,
     run_verify,
     verify_checks,
@@ -187,7 +186,8 @@ def _bump_c2(i, coefficient):
 
 def test_fault_injection_breaks_three_way_check():
     """Perturbing c_2 on its way into the determinants must be caught."""
-    result = check_determinant_three_way(8, 9, perturb=_bump_c2)
+    report = verify_checks(8, 9, perturb=_bump_c2)
+    result = report.checks[EXPECTED_CHECK_NAMES.index("determinant-three-way")]
     assert not result.passed
     assert result.name == "determinant-three-way"
     assert result.counterexample is not None
@@ -195,11 +195,55 @@ def test_fault_injection_breaks_three_way_check():
 
 
 def test_fault_injection_flows_through_run_verify(capsys):
-    config = CliConfig(command="verify", d_min=8, d_max=8)
-    assert run_verify(config, perturb=_bump_c2) == EXIT_VERIFY
+    args = build_parser().parse_args(["verify", "--d-min", "8", "--d-max", "8"])
+    assert run_verify(args, perturb=_bump_c2) == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL determinant-three-way:" in out
     assert "9/10 checks passed" in out
+
+
+def test_a_fault_at_one_d_fails_only_its_check(monkeypatch, capsys):
+    """verify walks d once for all per-d checks: a fault at d=10 fails the
+    check that meets it, at d=10, and every other check still runs to d=12."""
+    import trisecant.cli
+    from trisecant.porteous import virtual_chern_series_expansion
+    from trisecant.ring import AmbientClass, ChernSeries
+
+    seen = []
+
+    def faulty_at_10(d):
+        seen.append(d)
+        series = virtual_chern_series_expansion(d)
+        if d != 10:
+            return series
+        return series + ChernSeries.constant(AmbientClass.one(d), series.order)
+
+    monkeypatch.setattr(trisecant.cli, "virtual_chern_series_expansion", faulty_at_10)
+    assert main(["verify", "--d-min", "8", "--d-max", "12"]) == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == "FAIL series-binomial-expansion: d=10: quotient != binomial expansion"
+    assert lines[:5] + lines[6:10] == [
+        f"PASS {name}" for name in EXPECTED_CHECK_NAMES if name != "series-binomial-expansion"
+    ]
+    assert lines[10] == "9/10 checks passed for d in [8, 12]"
+    assert seen == [8, 9, 10]  # the failed check stops at its first counterexample
+
+
+def test_ring_axioms_cover_a_range_above_d_12(monkeypatch, capsys):
+    """The ambient triples run on the first d of the range, wherever it starts."""
+    import trisecant.cli
+    from trisecant.ring import AmbientClass
+
+    class FaultyAt20(AmbientClass):
+        @classmethod
+        def hyperplane(cls, d):
+            return AmbientClass.one(d) if d == 20 else AmbientClass.hyperplane(d)
+
+    monkeypatch.setattr(trisecant.cli, "AmbientClass", FaultyAt20)
+    assert main(["verify", "--d-min", "20", "--d-max", "20"]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL ring-axioms: h^(d-1) != 0 at d=20" in out
+    assert "9/10 checks passed for d in [20, 20]" in out
 
 
 def test_identity_perturbation_passes():

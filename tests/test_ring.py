@@ -85,6 +85,10 @@ def test_theta_refuses_ambient_operands():
         ambient + theta
     with pytest.raises(RingMismatchError):
         ambient * theta
+    with pytest.raises(RingMismatchError):
+        theta - ambient
+    with pytest.raises(RingMismatchError):
+        ambient - theta
 
 
 @given(theta_polys, theta_polys, theta_polys)
