@@ -32,6 +32,8 @@ def main() -> int:
     parser.add_argument("--d", type=int, default=8, help="curve degree, at least 8")
     args = parser.parse_args()
     d = args.d
+    if d < 8:
+        parser.error(f"--d must be at least 8, got {d}")
 
     print(f"== degree d = {d}, matrix size n = {d - 5} ==")
     print()

@@ -23,13 +23,11 @@ from .degree import (
 from .porteous import (
     METHODS,
     PorteousResult,
-    TwistedBundle,
     chern_coefficient_formula,
     chern_coefficients,
     determinant_formula,
     determinant_recurrence,
     determinant_segre,
-    multiplication_map_bundles,
     porteous_class,
     recurrence_determinants,
     source_chern_series,
@@ -76,9 +74,7 @@ __all__ = [
     "bundle_characters",
     # Porteous pipeline
     "METHODS",
-    "TwistedBundle",
     "PorteousResult",
-    "multiplication_map_bundles",
     "source_chern_series",
     "target_chern_series",
     "twist_by_hyperplane",

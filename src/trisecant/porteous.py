@@ -12,6 +12,10 @@ class is (-1)^(d-5) [t^(d-5)] c_t(source) / c_t(target).  Every stage below
 is computed along at least two independent routes (series division against
 closed binomial formulas; the Segre quotient, the determinant recurrence
 and its closed form) and the routes are compared, never trusted singly.
+
+The source's series is the residual bundle's, twisted in closed form by the
+splitting principle: c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i),
+one binomial sum, so the pipeline never substitutes one series into another.
 """
 
 from __future__ import annotations
@@ -25,11 +29,9 @@ from .riemann_roch import BundleData, bundle_characters
 
 __all__ = [
     "METHODS",
-    "TwistedBundle",
     "PorteousResult",
     "chern_series_from_character",
     "twist_by_hyperplane",
-    "multiplication_map_bundles",
     "source_chern_series",
     "target_chern_series",
     "virtual_chern_series",
@@ -89,9 +91,13 @@ def chern_series_from_character(
 def twist_by_hyperplane(series: ChernSeries, rank: int, sign: int) -> ChernSeries:
     """Chern series of (bundle tensor O(-sign)) from the bundle's series.
 
-    Every Chern root shifts by -sign*h, which on total Chern series reads
+    Every Chern root shifts by -sign*h, so by the splitting principle
+    (Fulton, Intersection Theory, Example 3.2.2)
 
-        c_t  |-->  (1 - sign*h*t)^rank * c_(t / (1 - sign*h*t)).
+        c_t  |-->  sum_i c_i t^i (1 - sign*h*t)^(rank - i),
+
+    each power expanded by the binomial theorem; for i > rank the upper
+    argument is negative and the expansion is the full geometric tail.
     """
     first = series.coeffs[0]
     if not isinstance(first, AmbientClass):
@@ -104,51 +110,26 @@ def twist_by_hyperplane(series: ChernSeries, rank: int, sign: int) -> ChernSerie
         return series
     d = first.d
     order = series.order
-    step = AmbientClass.hyperplane(d) * sign
-    one_minus = ChernSeries([AmbientClass.one(d), -step], order)
-    reparam = _shift_t(one_minus.inverse())  # t / (1 - sign*h*t)
-    return (one_minus ** rank) * series.compose(reparam)
-
-
-def _shift_t(series: ChernSeries) -> ChernSeries:
-    """Multiply by t, dropping the top coefficient (fixed truncation)."""
-    zero = series.coeffs[0].zero_like()
-    return ChernSeries((zero,) + series.coeffs[:-1], series.order)
-
-
-@dataclass(frozen=True)
-class TwistedBundle:
-    """A pulled-back bundle together with a recorded (not yet expanded)
-    hyperplane twist and optional dualization."""
-
-    base: BundleData
-    twist_power: int  # number of O(-1) factors tensored in: 0 or 1 here
-    dual: bool
-
-    @property
-    def rank(self) -> int:
-        return self.base.rank
-
-    def chern_series(self, d: int, order: int | None = None) -> ChernSeries:
-        series = chern_series_from_character(self.base, d, order, dual=self.dual)
-        return twist_by_hyperplane(series, self.rank, self.twist_power)
-
-
-def multiplication_map_bundles(d: int) -> tuple[TwistedBundle, TwistedBundle]:
-    """Source and target of the multiplication map whose degeneracy locus is
-    the secant variety: (residual (x) O(-1), dual sections)."""
-    sections, residual = bundle_characters(d)
-    source = TwistedBundle(base=residual, twist_power=1, dual=False)
-    target = TwistedBundle(base=sections, twist_power=0, dual=True)
-    return source, target
+    coeffs = [first.zero_like()] * (order + 1)
+    for i, c in enumerate(series.coeffs):
+        if c.is_zero():
+            continue
+        for k in range(order - i + 1):
+            power = AmbientClass.monomial(d, 0, k, binomial(rank - i, k) * (-sign) ** k)
+            coeffs[i + k] = coeffs[i + k] + c * power
+    return ChernSeries(coeffs, order)
 
 
 def source_chern_series(d: int, order: int | None = None) -> ChernSeries:
-    return multiplication_map_bundles(d)[0].chern_series(d, order)
+    """c_t(residual (x) O(-1)): the source of the multiplication map."""
+    _, residual = bundle_characters(d)
+    return twist_by_hyperplane(chern_series_from_character(residual, d, order), residual.rank, 1)
 
 
 def target_chern_series(d: int, order: int | None = None) -> ChernSeries:
-    return multiplication_map_bundles(d)[1].chern_series(d, order)
+    """c_t(sections^*): the target of the multiplication map."""
+    sections, _ = bundle_characters(d)
+    return chern_series_from_character(sections, d, order, dual=True)
 
 
 def virtual_chern_series(d: int, order: int | None = None) -> ChernSeries:

@@ -113,6 +113,9 @@ class CurveClass:
         return (self.c0, self.c1) == (other.c0, other.c1)
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash like one.
+        if not self.c1:
+            return hash(self.c0)
         return hash(("CurveClass", self.c0, self.c1))
 
     def __str__(self) -> str:
@@ -230,6 +233,9 @@ class UpstreamClass:
         return (self.u1, self.uf, self.ug) == (other.u1, other.uf, other.ug)
 
     def __hash__(self) -> int:
+        # A class without f or gamma equals its theta part, so it hashes like it.
+        if self.uf.is_zero() and self.ug.is_zero():
+            return hash(self.u1)
         return hash(("UpstreamClass", self.u1, self.uf, self.ug))
 
     def __str__(self) -> str:

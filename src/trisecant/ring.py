@@ -196,6 +196,9 @@ class ThetaPoly:
         return (self.c0, self.c1, self.c2) == (other.c0, other.c1, other.c2)
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash like one.
+        if not (self.c1 or self.c2):
+            return hash(self.c0)
         return hash(("ThetaPoly", self.c0, self.c1, self.c2))
 
     def __str__(self) -> str:
@@ -389,6 +392,9 @@ class AmbientClass:
         return self.d == other.d and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash like one.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), _ZERO))
         return hash(("AmbientClass", self.d, frozenset(self._terms.items())))
 
     def __str__(self) -> str:

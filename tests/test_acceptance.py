@@ -10,11 +10,12 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from trisecant.degree import berzolari, secant3_degree, verify_binomial_identities
 from trisecant.porteous import (
     METHODS,
     chern_coefficient_formula,
-    chern_coefficients,
     determinant_formula,
     determinant_recurrence,
     determinant_segre,
@@ -34,6 +35,14 @@ from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly
 
 def _report(number: int, label: str, ok: bool) -> None:
     print(f"criterion {number} ({label}): {'PASS' if ok else 'FAIL'}")
+
+
+@pytest.fixture(scope="module")
+def divisions() -> dict[int, ChernSeries]:
+    """Each d's series division c_t(target - source), built once and read by
+    criteria 3 (d in [8, 60]), 4 and 5 (d in [8, 40]).  Its coefficients
+    c_1..c_(d-5) are what ``chern_coefficients(d, cross_check=False)`` returns."""
+    return {d: virtual_chern_series(d) for d in range(8, 61)}
 
 
 def test_criterion_1_degree_formula_full_sweep():
@@ -65,10 +74,10 @@ def test_criterion_2_riemann_roch_constants():
     assert not failures, failures[:3]
 
 
-def test_criterion_3_determinant_three_way_agreement():
+def test_criterion_3_determinant_three_way_agreement(divisions):
     failures = []
     for d in range(8, 61):
-        coefficients = chern_coefficients(d, cross_check=False)
+        coefficients = divisions[d].coeffs[1:]
         segre = determinant_segre(d).x1
         from_division = determinant_recurrence(d, coefficients).x1
         from_formula = determinant_recurrence(d).x1  # formula-sourced inputs
@@ -85,10 +94,10 @@ def test_criterion_3_determinant_three_way_agreement():
     assert not failures, failures
 
 
-def test_criterion_4_virtual_series_cross_check():
+def test_criterion_4_virtual_series_cross_check(divisions):
     failures = []
     for d in range(8, 41):
-        division = virtual_chern_series(d)
+        division = divisions[d]
         if division != virtual_chern_series_closed_form(d):
             failures.append((d, "exponential"))
         if division != virtual_chern_series_expansion(d):
@@ -98,10 +107,10 @@ def test_criterion_4_virtual_series_cross_check():
     assert not failures, failures
 
 
-def test_criterion_5_chern_coefficient_formula():
+def test_criterion_5_chern_coefficient_formula(divisions):
     failures = []
     for d in range(8, 41):
-        division = chern_coefficients(d, cross_check=False)
+        division = divisions[d].coeffs[1:]
         for i in range(1, d - 4):
             if division[i - 1] != chern_coefficient_formula(i, d):
                 failures.append((d, i))

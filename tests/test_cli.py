@@ -4,6 +4,7 @@ battery including its fault-injection hook."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +266,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
+
+
+WALKTHROUGH = Path(__file__).resolve().parents[1] / "scripts" / "pipeline_walkthrough.py"
+
+
+def test_pipeline_walkthrough_script():
+    ok = subprocess.run(
+        [sys.executable, str(WALKTHROUGH), "--d", "9"], capture_output=True, text=True
+    )
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines()[-1] == "classical count     = 25"
+    low = subprocess.run(
+        [sys.executable, str(WALKTHROUGH), "--d", "7"], capture_output=True, text=True
+    )
+    assert low.returncode != 0
+    assert "Traceback" not in low.stderr
+    assert "--d must be at least 8" in low.stderr
 
 
 def test_console_help_exits_zero():

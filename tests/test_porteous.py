@@ -12,14 +12,12 @@ import pytest
 
 from trisecant.porteous import (
     METHODS,
-    TwistedBundle,
     chern_coefficient_formula,
     chern_coefficients,
     chern_series_from_character,
     determinant_formula,
     determinant_recurrence,
     determinant_segre,
-    multiplication_map_bundles,
     porteous_class,
     recurrence_determinants,
     source_chern_series,
@@ -86,16 +84,46 @@ def test_twist_validation():
 
 
 def test_multiplication_map_bundles_shape():
-    source, target = multiplication_map_bundles(9)
-    assert isinstance(source, TwistedBundle)
-    assert source.base.label == "residual"
-    assert source.twist_power == 1
-    assert not source.dual
-    assert source.rank == 5
-    assert target.base.label == "sections"
-    assert target.twist_power == 0
-    assert target.dual
-    assert target.rank == 2
+    """The source is the residual bundle (rank d - 4) twisted by O(-1); the
+    target is the dual of the sections bundle (rank 2), untwisted."""
+    d = 9
+    sections, residual = bundle_characters(d)
+    assert residual.label == "residual"
+    assert residual.rank == d - 4
+    assert sections.label == "sections"
+    assert sections.rank == 2
+    residual_series = chern_series_from_character(residual, d)
+    assert source_chern_series(d) == twist_by_hyperplane(residual_series, d - 4, 1)
+    assert source_chern_series(d) != residual_series
+    sections_dual = chern_series_from_character(sections, d, dual=True)
+    assert target_chern_series(d) == sections_dual
+    assert target_chern_series(d) != chern_series_from_character(sections, d)
+
+
+@pytest.mark.parametrize("d", (8, 13, 30))
+def test_twist_matches_substitution_reference(d):
+    """The binomial sum equals (1 - s h t)^rank * c(t / (1 - s h t)), built
+    here from inverse, compose and power; ranks 0 and 1 reach negative
+    upper binomials, and the order d - 2 reaches the h^(d-1) truncation."""
+    order = d - 2
+    one = AmbientClass.one(d)
+    h = AmbientClass.hyperplane(d)
+    theta = AmbientClass.theta(d)
+    t = ChernSeries([AmbientClass.zero(d), one], order)
+    series = ChernSeries(
+        [
+            one,
+            theta * -1 + h * Fraction(3, 2),
+            theta * theta * Fraction(5, 2) - theta * h,
+            theta * h * h * 7 + h ** 3,
+        ],
+        order,
+    )
+    for sign in (-1, 1, 2):
+        one_minus = ChernSeries([one, h * -sign], order)
+        for rank in (0, 1, 2, d - 4):
+            reference = (one_minus ** rank) * series.compose(t * one_minus.inverse())
+            assert twist_by_hyperplane(series, rank, sign) == reference, (sign, rank)
 
 
 def test_source_and_target_series_constants():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trisecant.riemann_roch import CurveClass, UpstreamClass
 from trisecant.ring import AmbientClass, ChernSeries, RingMismatchError, ThetaPoly
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -187,6 +188,28 @@ def test_ambient_equality_ignores_insertion_order():
     z = AmbientClass.monomial(8, 2, 1, -6) + AmbientClass(8, {(1, 2): Fraction(9, 2), (0, 3): 4})
     assert z == x
     assert hash(z) == hash(x)
+
+
+@pytest.mark.parametrize(
+    "value, equal",
+    [
+        (ThetaPoly(5), 5),
+        (ThetaPoly(Fraction(-3, 2)), Fraction(-3, 2)),
+        (AmbientClass.one(8) * 5, 5),
+        (AmbientClass.zero(9), 0),
+        (CurveClass(3), 3),
+        (UpstreamClass(ThetaPoly(2, -1)), ThetaPoly(2, -1)),
+        (UpstreamClass(4), 4),
+    ],
+    ids=["theta", "theta-fraction", "ambient", "ambient-zero", "curve", "upstream", "upstream-scalar"],
+)
+def test_equal_values_hash_alike(value, equal):
+    """A ring element equal to a scalar (or to its theta part) hashes like
+    it, so sets and dict keys treat the two as one."""
+    assert value == equal
+    assert hash(value) == hash(equal)
+    assert len({value, equal}) == 1
+    assert value in {equal} and equal in {value}
 
 
 def test_ambient_nonzero_terms_sorted_and_zero_free():
