@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ring import Scalar, ThetaPoly, _as_fraction, _power
+from .ring import Scalar, ThetaPoly, TruncatedClass, _coordinate, _power
 
 __all__ = [
     "CurveClass",
@@ -42,15 +42,24 @@ __all__ = [
 D_CACHE_SIZE = 64
 
 
-class CurveClass:
+class CurveClass(TruncatedClass):
     """Element ``c0 + c1*P`` of ``Q[P]/(P^2)``: cohomology of the curve
-    itself, with P the class of a point (squares to zero on a curve)."""
+    itself, with P the class of a point (squares to zero on a curve).
 
-    __slots__ = ("c0", "c1")
+    One of the three rings on the sparse class ``TruncatedClass`` of
+    :mod:`trisecant.ring`, next to ``ThetaPoly`` and ``AmbientClass``.  No
+    pipeline code uses it, since the pipeline works upstairs in
+    :class:`UpstreamClass`; it carries the curve's own Todd class ``1 - P``
+    for the Todd lemma.
+    """
+
+    __slots__ = ()
+    _variables = ("P", "")
 
     def __init__(self, c0: Scalar = 0, c1: Scalar = 0) -> None:
-        self.c0 = _as_fraction(c0)
-        self.c1 = _as_fraction(c1)
+        super().__init__((1, 0), {(0, 0): c0, (1, 0): c1})
+
+    c0, c1 = _coordinate(0), _coordinate(1)
 
     @classmethod
     def zero(cls) -> CurveClass:
@@ -63,69 +72,6 @@ class CurveClass:
     @classmethod
     def point(cls) -> CurveClass:
         return cls(0, 1)
-
-    def zero_like(self) -> CurveClass:
-        return CurveClass()
-
-    def one_like(self) -> CurveClass:
-        return CurveClass(1)
-
-    def is_zero(self) -> bool:
-        return not (self.c0 or self.c1)
-
-    def __add__(self, other: CurveClass | Scalar) -> CurveClass:
-        if isinstance(other, (int, Fraction)):
-            return CurveClass(self.c0 + other, self.c1)
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return CurveClass(self.c0 + other.c0, self.c1 + other.c1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> CurveClass:
-        return CurveClass(-self.c0, -self.c1)
-
-    def __sub__(self, other: CurveClass | Scalar) -> CurveClass:
-        if isinstance(other, (int, Fraction)):
-            return CurveClass(self.c0 - other, self.c1)
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return CurveClass(self.c0 - other.c0, self.c1 - other.c1)
-
-    def __rsub__(self, other: Scalar) -> CurveClass:
-        return (-self) + other
-
-    def __mul__(self, other: CurveClass | Scalar) -> CurveClass:
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return CurveClass(self.c0 * q, self.c1 * q)
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return CurveClass(self.c0 * other.c0, self.c0 * other.c1 + self.c1 * other.c0)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CurveClass(other)
-        if not isinstance(other, CurveClass):
-            return NotImplemented
-        return (self.c0, self.c1) == (other.c0, other.c1)
-
-    def __hash__(self) -> int:
-        # A constant equals its scalar, so it must hash like one.
-        if not self.c1:
-            return hash(self.c0)
-        return hash(("CurveClass", self.c0, self.c1))
-
-    def __str__(self) -> str:
-        from .ring import _join_terms
-
-        parts = [(c, body) for c, body in ((self.c0, ""), (self.c1, "P")) if c]
-        return _join_terms(parts)
-
-    def __repr__(self) -> str:
-        return f"CurveClass({self})"
 
 
 class UpstreamClass:
@@ -201,7 +147,9 @@ class UpstreamClass:
         return self + (-other)
 
     def __rsub__(self, other: ThetaPoly | Scalar) -> UpstreamClass:
-        return (-self) + other
+        if not isinstance(other, (int, Fraction, ThetaPoly)):
+            return NotImplemented
+        return UpstreamClass(other) - self
 
     def __mul__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
         if isinstance(other, (int, Fraction, ThetaPoly)):

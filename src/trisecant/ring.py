@@ -1,20 +1,26 @@
-"""Exact arithmetic in the two ambient quotient rings, plus truncated
-Chern-series calculus over them.
+"""Exact arithmetic in the truncated monomial rings of the engine, plus
+truncated Chern-series calculus over them.
 
 Coefficients are exact rationals throughout (``fractions.Fraction``); the
-engine has no floating-point mode.  The rings are
+engine has no floating-point mode.  Every ring is served by one sparse
+class, :class:`TruncatedClass`, whose values are elements of
+``Q[x, y]/(x^(top_a+1), y^(top_b+1))`` that carry their truncation
+``(top_a, top_b)``.  Three thin subclasses name the rings of the computation:
 
-* ``ThetaPoly``    classes on the degree-3 Picard surface of a genus-2
-  curve, written as ``c0 + c1*T + c2*T^2`` in ``Q[T]/(T^3)`` where ``T`` is
-  the theta-divisor class (the surface has complex dimension two, so the
-  cube of any divisor class vanishes);
+* ``CurveClass`` (in :mod:`trisecant.riemann_roch`) classes on the genus-2
+  curve, written as ``c0 + c1*P`` in ``Q[P]/(P^2)`` where ``P`` is the class
+  of a point;
+* ``ThetaPoly``    classes on the degree-3 Picard surface of the curve,
+  written as ``c0 + c1*T + c2*T^2`` in ``Q[T]/(T^3)`` where ``T`` is the
+  theta-divisor class (the surface has complex dimension two, so the cube
+  of any divisor class vanishes);
 * ``AmbientClass`` classes on the product of that surface with ``P^(d-2)``,
   written in ``Q[T, h]/(T^3, h^(d-1))`` where ``h`` is the hyperplane class
   of the projective factor and the curve degree ``d >= 8`` travels with the
-  value as context.
+  value as its truncation.
 
 ``ChernSeries`` is a polynomial in a formal variable ``t`` truncated at a
-fixed order, with coefficients in either ring.  All values are immutable
+fixed order, with coefficients in one ring.  All values are immutable
 after construction and every operation is a pure function, so values can be
 shared freely across threads.
 """
@@ -27,6 +33,7 @@ from typing import Iterator, Mapping, Sequence, Union
 __all__ = [
     "Rational",
     "RingMismatchError",
+    "TruncatedClass",
     "ThetaPoly",
     "AmbientClass",
     "ChernSeries",
@@ -69,190 +76,261 @@ def _power(base, exponent: int, one):
     return result
 
 
-def _join_terms(parts: list[tuple[Fraction, str]]) -> str:
-    """Render a sum of (coefficient, monomial-body) pairs as ASCII text.
-
-    An integer coefficient is juxtaposed with a leading ``h`` ("4h^3");
-    every other factor is joined with ``*`` ("9*T*h^2", "25/2*h^2").
-    """
-    if not parts:
-        return "0"
-    pieces: list[str] = []
-    for coeff, body in parts:
-        magnitude = abs(coeff)
-        if not body:
-            text = str(magnitude)
-        elif magnitude == 1:
-            text = body
-        elif body.startswith("h") and magnitude.denominator == 1:
-            text = f"{magnitude}{body}"
-        else:
-            text = f"{magnitude}*{body}"
-        if not pieces:
-            pieces.append(f"-{text}" if coeff < 0 else text)
-        else:
-            pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
-    return "".join(pieces)
+def _coordinate(a: int) -> property:
+    """The coefficient of ``x^a`` (with ``y^0``) as a read-only attribute."""
+    return property(lambda self: self._terms.get((a, 0), _ZERO))
 
 
-_THETA_MEETS_AMBIENT = (
-    "theta-ring element cannot combine with an ambient class; "
-    "inject it first with AmbientClass.from_theta"
-)
-
-
-class ThetaPoly:
-    """Element ``c0 + c1*T + c2*T^2`` of ``Q[T]/(T^3)``.
-
-    Products are reduced by dropping every power of ``T`` beyond the square.
-    """
-
-    __slots__ = ("c0", "c1", "c2")
-
-    def __init__(self, c0: Scalar = 0, c1: Scalar = 0, c2: Scalar = 0) -> None:
-        self.c0 = _as_fraction(c0)
-        self.c1 = _as_fraction(c1)
-        self.c2 = _as_fraction(c2)
-
-    @classmethod
-    def zero(cls) -> ThetaPoly:
-        return _THETA_ZERO
-
-    @classmethod
-    def one(cls) -> ThetaPoly:
-        return _THETA_ONE
-
-    @classmethod
-    def theta(cls) -> ThetaPoly:
-        """The theta-divisor class itself."""
-        return _THETA_T
-
-    def zero_like(self) -> ThetaPoly:
-        return _THETA_ZERO
-
-    def one_like(self) -> ThetaPoly:
-        return _THETA_ONE
-
-    def coefficient(self, k: int) -> Fraction:
-        if k == 0:
-            return self.c0
-        if k == 1:
-            return self.c1
-        if k == 2:
-            return self.c2
-        raise IndexError(f"theta exponent out of range: {k}")
-
-    def is_zero(self) -> bool:
-        return not (self.c0 or self.c1 or self.c2)
-
-    def __add__(self, other: ThetaPoly | Scalar) -> ThetaPoly:
-        if isinstance(other, (int, Fraction)):
-            return ThetaPoly(self.c0 + other, self.c1, self.c2)
-        if isinstance(other, ThetaPoly):
-            return ThetaPoly(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-        if isinstance(other, AmbientClass):
-            raise RingMismatchError(_THETA_MEETS_AMBIENT)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> ThetaPoly:
-        return ThetaPoly(-self.c0, -self.c1, -self.c2)
-
-    def __sub__(self, other: ThetaPoly | Scalar) -> ThetaPoly:
-        if isinstance(other, (int, Fraction, ThetaPoly)):
-            return self + -other
-        if isinstance(other, AmbientClass):
-            raise RingMismatchError(_THETA_MEETS_AMBIENT)
-        return NotImplemented
-
-    def __rsub__(self, other: Scalar) -> ThetaPoly:
-        return (-self) + other
-
-    def __mul__(self, other: ThetaPoly | Scalar) -> ThetaPoly:
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return ThetaPoly(self.c0 * q, self.c1 * q, self.c2 * q)
-        if isinstance(other, ThetaPoly):
-            return ThetaPoly(
-                self.c0 * other.c0,
-                self.c0 * other.c1 + self.c1 * other.c0,
-                self.c0 * other.c2 + self.c1 * other.c1 + self.c2 * other.c0,
-            )
-        if isinstance(other, AmbientClass):
-            raise RingMismatchError(_THETA_MEETS_AMBIENT)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> ThetaPoly:
-        return _power(self, exponent, _THETA_ONE)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ThetaPoly(other)
-        if not isinstance(other, ThetaPoly):
-            return NotImplemented
-        return (self.c0, self.c1, self.c2) == (other.c0, other.c1, other.c2)
-
-    def __hash__(self) -> int:
-        # A constant equals its scalar, so it must hash like one.
-        if not (self.c1 or self.c2):
-            return hash(self.c0)
-        return hash(("ThetaPoly", self.c0, self.c1, self.c2))
-
-    def __str__(self) -> str:
-        parts = [
-            (coeff, body)
-            for coeff, body in ((self.c0, ""), (self.c1, "T"), (self.c2, "T^2"))
-            if coeff
-        ]
-        return _join_terms(parts)
-
-    def __repr__(self) -> str:
-        return f"ThetaPoly({self})"
-
-
-_THETA_ZERO = ThetaPoly()
-_THETA_ONE = ThetaPoly(1)
-_THETA_T = ThetaPoly(0, 1)
-
-
-class AmbientClass:
-    """Element of ``Q[T, h]/(T^3, h^(d-1))`` for a fixed curve degree d.
+class TruncatedClass:
+    """Element of ``Q[x, y]/(x^(top_a+1), y^(top_b+1))``.
 
     Stored sparsely: a dict maps each exponent pair ``(a, b)`` whose
-    coefficient is nonzero to the coefficient of ``T^a * h^b``, so every
-    operation costs time in the number of nonzero terms, not in d.  Two
-    values combine only when their ``d`` agree; the theta ring embeds through
-    :meth:`from_theta` and never implicitly.  Constructors reduce modulo the
-    relations, so exponents at or beyond the truncation simply vanish.
+    coefficient is nonzero to the coefficient of ``x^a * y^b``, so every
+    operation costs time in the number of nonzero terms, not in the
+    truncation.  Constructors reduce modulo the relations, so exponents
+    beyond the truncation simply vanish.
+
+    The ring of a value is its class together with its truncation.  A
+    scalar lifts into any ring, two values of one ring combine, a value of
+    another ring raises :class:`RingMismatchError` (``==`` answers False),
+    and any other operand gives ``NotImplemented``.
     """
 
-    __slots__ = ("d", "_terms")
+    __slots__ = ("_top", "_terms")
 
-    def __init__(self, d: int, terms: Mapping[tuple[int, int], Scalar] | None = None) -> None:
-        if not isinstance(d, int) or d < 8:
-            raise ValueError("ambient context requires an integer d >= 8")
+    # Names of x and y in str, and whether terms print descending in (b, a).
+    _variables = ("x", "y")
+    _descending = False
+
+    def __init__(self, top: tuple[int, int], terms: Mapping | None = None) -> None:
+        top_a, top_b = top
         acc: dict[tuple[int, int], Fraction] = {}
         if terms:
             for (a, b), value in terms.items():
                 if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
                     raise ValueError(f"exponents must be non-negative integers, got ({a}, {b})")
                 coeff = _as_fraction(value)
-                if a <= 2 and b <= d - 2 and coeff:
+                if a <= top_a and b <= top_b and coeff:
                     acc[(a, b)] = coeff
-        self.d = d
+        self._top = top
         self._terms = acc
 
+    def _new(self, acc: dict[tuple[int, int], Fraction]) -> TruncatedClass:
+        """A value of this ring; ``acc`` must hold only in-range, nonzero
+        terms and is taken over, not copied."""
+        out = object.__new__(type(self))
+        out._top = self._top
+        out._terms = acc
+        return out
+
+    def _coerce(self, other) -> TruncatedClass:
+        """``other`` lifted into this ring when it is a scalar; a value of
+        another ring raises, and any other operand gives NotImplemented."""
+        if isinstance(other, (int, Fraction)):
+            return self._new({(0, 0): _as_fraction(other)} if other else {})
+        if isinstance(other, TruncatedClass):
+            raise RingMismatchError(
+                f"{type(self).__name__} truncated at {self._top} cannot combine with "
+                f"{type(other).__name__} truncated at {other._top}"
+            )
+        return NotImplemented
+
+    def coefficient(self, a: int, b: int = 0) -> Fraction:
+        """Coefficient of ``x^a * y^b``, zero when the term is absent;
+        exponents are range-checked, not reduced."""
+        top_a, top_b = self._top
+        if not (0 <= a <= top_a and 0 <= b <= top_b):
+            raise IndexError(f"exponents ({a}, {b}) out of range for truncation {self._top}")
+        return self._terms.get((a, b), _ZERO)
+
+    def nonzero_terms(self) -> Iterator[tuple[int, int, Fraction]]:
+        """``(a, b, coefficient)`` for every nonzero term, sorted by ``(a, b)``."""
+        return ((a, b, c) for (a, b), c in sorted(self._terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def is_homogeneous(self, degree: int) -> bool:
+        """True when every term has total degree a + b equal to ``degree``."""
+        return all(a + b == degree for a, b in self._terms)
+
+    def zero_like(self) -> TruncatedClass:
+        return self._new({})
+
+    def one_like(self) -> TruncatedClass:
+        return self._new({(0, 0): _ONE})
+
+    def __add__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
+        if type(other) is not type(self) or other._top != self._top:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            prior = acc.pop(key, None)
+            total = c if prior is None else prior + c
+            if total:
+                acc[key] = total
+        return self._new(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> TruncatedClass:
+        return self._new({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
+        if type(other) is not type(self) or other._top != self._top:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            prior = acc.pop(key, None)
+            total = -c if prior is None else prior - c
+            if total:
+                acc[key] = total
+        return self._new(acc)
+
+    def __rsub__(self, other: Scalar) -> TruncatedClass:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other - self
+
+    def __mul__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
+        if type(other) is not type(self) or other._top != self._top:
+            if not isinstance(other, (int, Fraction)):
+                return self._coerce(other)  # raises, or gives NotImplemented
+            q = _as_fraction(other)
+            return self._new({key: c * q for key, c in self._terms.items()} if q else {})
+        top_a, top_b = self._top
+        right = other._terms.items()
+        acc: dict[tuple[int, int], Fraction] = {}
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in right:
+                a = a1 + a2
+                if a > top_a:
+                    continue
+                b = b1 + b2
+                if b > top_b:
+                    continue
+                key = (a, b)
+                prior = acc.get(key)
+                acc[key] = c1 * c2 if prior is None else prior + c1 * c2
+        return self._new({key: c for key, c in acc.items() if c})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> TruncatedClass:
+        return _power(self, exponent, self.one_like())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self) or other._top != self._top:
+            if isinstance(other, (int, Fraction)):
+                other = self._coerce(other)
+            elif isinstance(other, TruncatedClass):
+                return False
+            else:
+                return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash like one.
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self._terms.get((0, 0), _ZERO))
+        return hash((type(self).__name__, self._top, frozenset(self._terms.items())))
+
+    def __str__(self) -> str:
+        """ASCII text such as ``4h^3 + 9*T*h^2 + 6*T^2*h``: an integer
+        coefficient is juxtaposed with a leading power of y, every other
+        factor is joined with ``*``."""
+        x, y = self._variables
+        pieces: list[str] = []
+        ordered = sorted(
+            self._terms.items(), key=lambda item: item[0][::-1], reverse=self._descending
+        )
+        for (a, b), coeff in ordered:
+            factors = []
+            if a:
+                factors.append(x if a == 1 else f"{x}^{a}")
+            if b:
+                factors.append(y if b == 1 else f"{y}^{b}")
+            body = "*".join(factors)
+            magnitude = abs(coeff)
+            if not body:
+                text = str(magnitude)
+            elif magnitude == 1:
+                text = body
+            elif not a and magnitude.denominator == 1:
+                text = f"{magnitude}{body}"
+            else:
+                text = f"{magnitude}*{body}"
+            if not pieces:
+                pieces.append(f"-{text}" if coeff < 0 else text)
+            else:
+                pieces.append(f" - {text}" if coeff < 0 else f" + {text}")
+        return "".join(pieces) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class ThetaPoly(TruncatedClass):
+    """Element ``c0 + c1*T + c2*T^2`` of ``Q[T]/(T^3)``.
+
+    Products are reduced by dropping every power of ``T`` beyond the square.
+    """
+
+    __slots__ = ()
+    _variables = ("T", "")
+
+    def __init__(self, c0: Scalar = 0, c1: Scalar = 0, c2: Scalar = 0) -> None:
+        super().__init__((2, 0), {(0, 0): c0, (1, 0): c1, (2, 0): c2})
+
+    c0, c1, c2 = (_coordinate(a) for a in range(3))
+
     @classmethod
-    def _from_terms(cls, d: int, acc: dict[tuple[int, int], Fraction]) -> AmbientClass:
-        """Internal fast path; ``acc`` must hold only in-range, nonzero terms
-        and is taken over, not copied."""
-        self = object.__new__(cls)
-        self.d = d
-        self._terms = acc
-        return self
+    def zero(cls) -> ThetaPoly:
+        return cls()
+
+    @classmethod
+    def one(cls) -> ThetaPoly:
+        return cls(1)
+
+    @classmethod
+    def theta(cls) -> ThetaPoly:
+        """The theta-divisor class itself."""
+        return cls(0, 1)
+
+
+class AmbientClass(TruncatedClass):
+    """Element of ``Q[T, h]/(T^3, h^(d-1))`` for a fixed curve degree d.
+
+    Two values combine only when their ``d`` agree; the theta ring embeds
+    through :meth:`from_theta` and never implicitly.  Terms print descending
+    in ``h``, then in ``T``.
+    """
+
+    __slots__ = ()
+    _variables = ("T", "h")
+    _descending = True
+
+    def __init__(self, d: int, terms: Mapping[tuple[int, int], Scalar] | None = None) -> None:
+        if not isinstance(d, int) or d < 8:
+            raise ValueError("ambient context requires an integer d >= 8")
+        super().__init__((2, d - 2), terms)
+
+    # Bound here, not inherited: the benchmark's per-layer tracer (bench/layers.py)
+    # wraps only the operators found in this class's own namespace.
+    __add__ = __radd__ = TruncatedClass.__add__
+    __sub__ = TruncatedClass.__sub__
+    __rsub__ = TruncatedClass.__rsub__
+    __neg__ = TruncatedClass.__neg__
+    __mul__ = __rmul__ = TruncatedClass.__mul__
+
+    @property
+    def d(self) -> int:
+        return self._top[1] + 2
 
     @classmethod
     def zero(cls, d: int) -> AmbientClass:
@@ -279,143 +357,14 @@ class AmbientClass:
         """The one sanctioned injection of the theta ring into the ambient ring."""
         return cls(d, {(0, 0): poly.c0, (1, 0): poly.c1, (2, 0): poly.c2})
 
-    def coefficient(self, theta_pow: int, h_pow: int) -> Fraction:
-        """Coefficient of ``T^theta_pow * h^h_pow``, zero when the term is
-        absent; indices are range-checked, not reduced."""
-        if not 0 <= theta_pow <= 2:
-            raise IndexError(f"theta exponent out of range: {theta_pow}")
-        if not 0 <= h_pow <= self.d - 2:
-            raise IndexError(f"hyperplane exponent out of range for d={self.d}: {h_pow}")
-        return self._terms.get((theta_pow, h_pow), _ZERO)
-
-    def nonzero_terms(self) -> Iterator[tuple[int, int, Fraction]]:
-        """``(a, b, coefficient)`` for every nonzero term, sorted by ``(a, b)``."""
-        return ((a, b, c) for (a, b), c in sorted(self._terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_homogeneous(self, degree: int) -> bool:
-        """True when every term has total degree a + b equal to ``degree``."""
-        return all(a + b == degree for a, b in self._terms)
-
-    def zero_like(self) -> AmbientClass:
-        return AmbientClass._from_terms(self.d, {})
-
-    def one_like(self) -> AmbientClass:
-        return AmbientClass._from_terms(self.d, {(0, 0): _ONE})
-
-    def _check_context(self, other: AmbientClass) -> None:
-        if self.d != other.d:
-            raise RingMismatchError(f"mixed ambient contexts: d={self.d} and d={other.d}")
-
-    def __add__(self, other: AmbientClass | Scalar) -> AmbientClass:
-        if isinstance(other, (int, Fraction)):
-            other = AmbientClass.monomial(self.d, 0, 0, other)
-        if isinstance(other, ThetaPoly):
-            raise RingMismatchError(
-                "ambient class cannot combine with a theta-ring element; "
-                "inject it first with AmbientClass.from_theta"
-            )
-        if not isinstance(other, AmbientClass):
-            return NotImplemented
-        self._check_context(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            prior = acc.pop(key, None)
-            total = c if prior is None else prior + c
-            if total:
-                acc[key] = total
-        return AmbientClass._from_terms(self.d, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> AmbientClass:
-        return AmbientClass._from_terms(self.d, {key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: AmbientClass | Scalar) -> AmbientClass:
-        if isinstance(other, (int, Fraction)):
-            other = AmbientClass.monomial(self.d, 0, 0, other)
-        if not isinstance(other, AmbientClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> AmbientClass:
-        return (-self) + other
-
-    def __mul__(self, other: AmbientClass | Scalar) -> AmbientClass:
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if not q:
-                return self.zero_like()
-            return AmbientClass._from_terms(
-                self.d, {key: c * q for key, c in self._terms.items()}
-            )
-        if isinstance(other, ThetaPoly):
-            raise RingMismatchError(
-                "ambient class cannot combine with a theta-ring element; "
-                "inject it first with AmbientClass.from_theta"
-            )
-        if not isinstance(other, AmbientClass):
-            return NotImplemented
-        self._check_context(other)
-        top_h = self.d - 2
-        right = other._terms.items()
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in right:
-                a = a1 + a2
-                if a > 2:
-                    continue
-                b = b1 + b2
-                if b > top_h:
-                    continue
-                key = (a, b)
-                prior = acc.get(key)
-                acc[key] = c1 * c2 if prior is None else prior + c1 * c2
-        return AmbientClass._from_terms(
-            self.d, {key: c for key, c in acc.items() if c}
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> AmbientClass:
-        return _power(self, exponent, self.one_like())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = AmbientClass.monomial(self.d, 0, 0, other)
-        if isinstance(other, ThetaPoly):
-            return NotImplemented
-        if not isinstance(other, AmbientClass):
-            return NotImplemented
-        return self.d == other.d and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        # A constant equals its scalar, so it must hash like one.
-        if self._terms.keys() <= {(0, 0)}:
-            return hash(self._terms.get((0, 0), _ZERO))
-        return hash(("AmbientClass", self.d, frozenset(self._terms.items())))
-
-    def __str__(self) -> str:
-        parts = []
-        descending = sorted(self._terms.items(), key=lambda item: (-item[0][1], -item[0][0]))
-        for (a, b), coeff in descending:
-            factors = []
-            if a:
-                factors.append("T" if a == 1 else f"T^{a}")
-            if b:
-                factors.append("h" if b == 1 else f"h^{b}")
-            parts.append((coeff, "*".join(factors)))
-        return _join_terms(parts)
-
     def __repr__(self) -> str:
         return f"AmbientClass(d={self.d}, {self})"
 
 
 class ChernSeries:
     """Polynomial in ``t`` truncated at a fixed order, with coefficients in
-    one ring (all ``ThetaPoly``, or all ``AmbientClass`` with one ``d``).
+    one ring: all of one class with one truncation, such as all
+    ``ThetaPoly``, or all ``AmbientClass`` with one ``d``.
 
     Binary operations truncate at the smaller operand order.  Coefficients
     beyond the stored order are unknown and never invented, with one
@@ -433,10 +382,10 @@ class ChernSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("series order must be non-negative")
-        # A coefficient's ring is its type, plus d for an ambient class.
-        ring = (type(coeffs[0]), getattr(coeffs[0], "d", None))
+        # A coefficient's ring is its class, plus its truncation for a ring value.
+        ring = (type(coeffs[0]), getattr(coeffs[0], "_top", None))
         for c in coeffs:
-            if (type(c), getattr(c, "d", None)) != ring:
+            if (type(c), getattr(c, "_top", None)) != ring:
                 raise RingMismatchError(f"one series mixes coefficients {coeffs[0]!r} and {c!r}")
         if len(coeffs) <= order:
             coeffs.extend([coeffs[0].zero_like()] * (order + 1 - len(coeffs)))

@@ -1,6 +1,8 @@
-"""The two quotient rings and the truncated series calculus over them."""
+"""The truncated rings and the truncated series calculus over them."""
 
+import operator
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -275,6 +277,59 @@ def test_ambient_additive_inverse(triple):
 
 def test_ring_mismatch_is_not_a_usage_error():
     assert not issubclass(RingMismatchError, ValueError)
+
+
+# ------------------------------------------------------- one rule, three rings
+
+# The same coefficients on x^0 and x^1 in four different rings.
+_RING_VALUES = {
+    "theta": ThetaPoly(1, 2),
+    "curve": CurveClass(1, 2),
+    "ambient-8": AmbientClass(8, {(0, 0): 1, (1, 0): 2}),
+    "ambient-9": AmbientClass(9, {(0, 0): 1, (1, 0): 2}),
+}
+
+
+@pytest.mark.parametrize("left, right", list(permutations(_RING_VALUES, 2)))
+def test_values_of_different_rings_never_combine(left, right):
+    x, y = _RING_VALUES[left], _RING_VALUES[right]
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(RingMismatchError):
+            op(x, y)
+    assert (x == y) is False
+    assert x != y
+
+
+@pytest.mark.parametrize(
+    "value",
+    [ThetaPoly.theta(), CurveClass.point(), AmbientClass.one(8), UpstreamClass.fiber()],
+    ids=["theta", "curve", "ambient", "upstream"],
+)
+def test_reflected_subtraction_reports_the_minus(value):
+    name = type(value).__name__
+    with pytest.raises(TypeError, match=f"for -: 'NoneType' and '{name}'"):
+        None - value
+    assert 2 - value == -(value - 2)
+
+
+def _truncated_convolution(a: list, b: list, top: int) -> list:
+    """``c_k = sum_{i+j=k} a_i b_j`` for k <= top: the reference product of
+    ``Q[x]/(x^(top+1))`` on dense coefficient lists."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(top + 1)]
+
+
+theta_coefficients = st.lists(small_fractions, min_size=3, max_size=3)
+curve_coefficients = st.lists(small_fractions, min_size=2, max_size=2)
+
+
+@given(theta_coefficients, theta_coefficients)
+def test_theta_mul_matches_truncated_convolution(a, b):
+    assert ThetaPoly(*a) * ThetaPoly(*b) == ThetaPoly(*_truncated_convolution(a, b, 2))
+
+
+@given(curve_coefficients, curve_coefficients)
+def test_curve_mul_matches_truncated_convolution(a, b):
+    assert CurveClass(*a) * CurveClass(*b) == CurveClass(*_truncated_convolution(a, b, 1))
 
 
 # -------------------------------------------------------------- ChernSeries
