@@ -9,9 +9,10 @@ Three subcommands:
 The battery is the table ``CHECKS``.  Its per-d checks run in one pass over
 d and share that d's intermediates through a :class:`Stage`.
 
-Exit codes: 0 on success, 1 on a usage problem (bad flags, d out of range),
-2 when a verification or cross-method agreement check fails or the engine
-detects an internal inconsistency (an ``ArithmeticError`` or a
+Exit codes: 0 on success, 1 on a usage problem (bad flags, d out of range)
+or when the reader closes stdout early (a broken pipe, no traceback), 2 when
+a verification or cross-method agreement check fails or the engine detects
+an internal inconsistency (an ``ArithmeticError`` or a
 ``RingMismatchError``), reported as one ``error:`` line on stderr.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 import time
@@ -69,7 +71,8 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
 # Test-only hook type: maps (index i, coefficient c_i) to a replacement
-# coefficient before the determinants are evaluated.
+# coefficient before the determinants are evaluated.  A replacement that is
+# not homogeneous of degree i is reported as a counterexample.
 PerturbHook = Callable[[int, AmbientClass], AmbientClass]
 
 
@@ -331,13 +334,17 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     The recurrence runs on the coefficients of the series division.
     ``stage.perturb`` is a test-only fault-injection hook: it rewrites those
     coefficients, while the Segre route and the closed form stay untouched,
-    so any tampering has to surface as a mismatch.
+    so any tampering has to surface as a mismatch, or as the recurrence's
+    refusal of a coefficient that is not homogeneous of its degree.
     """
     coefficients = stage.division_coefficients
     if stage.perturb is not None:
         coefficients = tuple(stage.perturb(i, c) for i, c in enumerate(coefficients, 1))
     segre = stage.segre.x1
-    recurrence = determinant_recurrence(d, coefficients).x1
+    try:
+        recurrence = determinant_recurrence(d, coefficients).x1
+    except ArithmeticError as err:
+        return f"d={d}: recurrence: {err}"
     closed = determinant_formula(d - 5, d)
     if not (segre == recurrence == closed):
         return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
@@ -467,3 +474,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ArithmeticError, RingMismatchError) as err:
         print(f"error: internal inconsistency: {err}", file=sys.stderr)
         return EXIT_VERIFY
+    except BrokenPipeError:
+        # The reader has gone (`| head`).  As the Python docs advise, stdout goes
+        # to devnull so the flush at exit cannot fail again; exit 1 as on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

@@ -16,6 +16,11 @@ and its closed form) and the routes are compared, never trusted singly.
 The source's series is the residual bundle's, twisted in closed form by the
 splitting principle: c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i),
 one binomial sum, so the pipeline never substitutes one series into another.
+
+Each c_k here is homogeneous of degree k, so the two O(d^2) loops (series
+division, banded recurrence) run in the graded integer kernel of
+:mod:`trisecant._graded`; the O(d) stages and the reference forms stay on
+``AmbientClass``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .degree import binomial
+from ._graded import graded_inverse
 from .ring import AmbientClass, ChernSeries
 from .riemann_roch import BundleData, bundle_characters
 
@@ -133,9 +139,10 @@ def target_chern_series(d: int, order: int | None = None) -> ChernSeries:
 
 
 def virtual_chern_series(d: int, order: int | None = None) -> ChernSeries:
-    """c_t(target - source) by honest series division."""
+    """c_t(target - source) by honest series division; the source series is
+    inverted in the graded integer kernel of :mod:`trisecant._graded`."""
     order = _normalize_order(d, order)
-    return target_chern_series(d, order) * source_chern_series(d, order).inverse()
+    return target_chern_series(d, order) * graded_inverse(source_chern_series(d, order))
 
 
 def virtual_chern_series_closed_form(d: int, order: int | None = None) -> ChernSeries:
@@ -257,7 +264,10 @@ def recurrence_determinants(
     d: int, coefficients: tuple[AmbientClass, ...] | None = None
 ) -> tuple[AmbientClass, ...]:
     """All banded determinants d_0..d_(d-5) through the alternating
-    recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i).
+    recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i).  That makes d_m the t^m
+    coefficient of 1 / (1 + sum_i c_i (-t)^i), which the graded integer
+    kernel inverts; a c_i not homogeneous of degree i raises
+    ``ArithmeticError`` naming i.
 
     Unless overridden, the coefficients come from the closed binomial
     formula, making this route independent of the series division.
@@ -265,17 +275,11 @@ def recurrence_determinants(
     _require_degree(d)
     n = d - 5
     if coefficients is None:
-        coefficients = tuple(chern_coefficient_formula(i, d) for i in range(1, n + 1))
-    else:
-        coefficients = tuple(coefficients)
-    dets = [AmbientClass.one(d)]
-    for m in range(1, n + 1):
-        total = AmbientClass.zero(d)
-        for i in range(1, m + 1):
-            term = coefficients[i - 1] * dets[m - i]
-            total = total + term if i % 2 else total - term
-        dets.append(total)
-    return tuple(dets)
+        coefficients = [chern_coefficient_formula(i, d) for i in range(1, n + 1)]
+    if len(coefficients) < n:
+        raise ValueError(f"the recurrence needs c_1..c_{n}, got {len(coefficients)}")
+    inverse = graded_inverse(ChernSeries([AmbientClass.one(d), *coefficients], n))
+    return tuple(q if m % 2 == 0 else -q for m, q in enumerate(inverse.coeffs))
 
 
 def determinant_recurrence(

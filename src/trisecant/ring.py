@@ -402,6 +402,10 @@ class ChernSeries:
         return self.coeffs[k]
 
     def with_order(self, order: int) -> ChernSeries:
+        """This series truncated at ``order``, which must not exceed the
+        stored order: a larger one would invent coefficients."""
+        if order > self.order:
+            raise ValueError(f"cannot raise a series' order from {self.order} to {order}")
         if order == self.order:
             return self
         return ChernSeries(self.coeffs, order)
@@ -503,7 +507,7 @@ class ChernSeries:
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition needs an inner series with zero constant term")
         order = self.order
-        inner = inner.with_order(order)
+        inner = ChernSeries(inner.coeffs[: order + 1], order)  # zero-padded when shorter
         top = 0
         for k, c in enumerate(self.coeffs):
             if not c.is_zero():

@@ -285,6 +285,20 @@ def test_pipeline_walkthrough_script():
     assert "--d must be at least 8" in low.stderr
 
 
+def test_closed_pipe_exits_1_without_traceback():
+    """`table ... | head -1`: the reader leaves after the first line."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "trisecant", "table", "--d-min", "8", "--d-max", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline().startswith("d,degree_porteous")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in proc.stderr.read()
+
+
 def test_console_help_exits_zero():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

@@ -5,6 +5,7 @@ small d the banded matrix is built here from the Chern coefficients and
 evaluated as a literal signed sum over all permutations, with no recurrence
 and no series quotient shared with the production code."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -292,3 +293,38 @@ def test_closed_form_matches_recurrence_along_the_chain():
         dets = recurrence_determinants(d)
         for n in range(3, d - 4):
             assert determinant_formula(n, d) == dets[n]
+
+
+def _ambient_recurrence(d: int, coefficients) -> tuple[AmbientClass, ...]:
+    """The banded recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i), term by
+    term on AmbientClass values: the reference for the graded kernel."""
+    dets = [AmbientClass.one(d)]
+    for m in range(1, d - 4):
+        total = AmbientClass.zero(d)
+        for i in range(1, m + 1):
+            term = coefficients[i - 1] * dets[m - i]
+            total = total + term if i % 2 else total - term
+        dets.append(total)
+    return tuple(dets)
+
+
+@pytest.mark.parametrize("d", (8, 13, 30))
+def test_recurrence_kernel_matches_ambient_double_loop(d):
+    rng = random.Random(d)
+
+    def scalar() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    coefficients = tuple(
+        AmbientClass(d, {(a, i - a): scalar() for a in range(min(i, 2) + 1)})
+        for i in range(1, d - 4)
+    )
+    assert recurrence_determinants(d, coefficients) == _ambient_recurrence(d, coefficients)
+
+
+def test_recurrence_rejects_non_homogeneous_coefficient():
+    d = 9
+    coefficients = list(chern_coefficients(d))
+    coefficients[2] = coefficients[2] + AmbientClass.hyperplane(d)  # c_3 gains degree 1
+    with pytest.raises(ArithmeticError, match=r"c_3 .* not homogeneous of degree 3"):
+        determinant_recurrence(d, coefficients)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trisecant._graded import graded_inverse
 from trisecant.riemann_roch import CurveClass, UpstreamClass
 from trisecant.ring import AmbientClass, ChernSeries, RingMismatchError, ThetaPoly
 
@@ -430,6 +431,18 @@ def test_series_telescoping_product():
     assert left * right == expected
 
 
+def test_series_with_order_never_invents_coefficients():
+    theta = ThetaPoly.theta()
+    s = ChernSeries([ThetaPoly.one(), theta, theta * theta], 3)
+    assert s.with_order(3) is s
+    assert s.with_order(1) == ChernSeries([ThetaPoly.one(), theta], 1)
+    with pytest.raises(ValueError):
+        s.with_order(4)
+    # compose, the documented exception, still reads a short inner series as
+    # zero-padded: an order-1 identity substitution leaves s unchanged.
+    assert s.compose(ChernSeries([ThetaPoly.zero(), ThetaPoly.one()], 1)) == s
+
+
 def test_series_binary_ops_truncate_to_smaller_order():
     one = ThetaPoly.one()
     theta = ThetaPoly.theta()
@@ -474,3 +487,28 @@ def test_series_compose_identity(s):
 @given(theta_series(), theta_series(), theta_series(constant=ThetaPoly.zero()))
 def test_series_compose_is_multiplicative(a, b, g):
     assert (a * b).compose(g) == a.compose(g) * b.compose(g)
+
+
+# ------------------------------------------------------------ graded kernel
+
+
+@st.composite
+def graded_series(draw):
+    """1 + sum_k c_k t^k with c_k homogeneous of degree k, up to three orders
+    past the truncation h^(d-1) = 0.  A T^2 coefficient shifted by 1/6 has a
+    doubled value that is not an integer, so the kernel meets Fractions."""
+    d = draw(st.integers(8, 12))
+    order = draw(st.integers(1, d + 3))
+    coeffs = [AmbientClass.one(d)]
+    for k in range(1, order + 1):
+        terms = {(0, k): draw(small_fractions)}
+        terms[(1, k - 1)] = draw(small_fractions)
+        if k >= 2:
+            terms[(2, k - 2)] = draw(small_fractions) + draw(st.sampled_from((0, Fraction(1, 6))))
+        coeffs.append(AmbientClass(d, terms))
+    return ChernSeries(coeffs, order)
+
+
+@given(graded_series())
+def test_graded_inverse_matches_series_inverse(series):
+    assert graded_inverse(series) == series.inverse()
