@@ -214,7 +214,7 @@ class Stage:
 
     @cached_property
     def division_coefficients(self) -> tuple[AmbientClass, ...]:
-        return tuple(self.division.coefficient(i) for i in range(1, self.d - 4))
+        return self.division.coeffs[1:]
 
     @cached_property
     def formula(self) -> tuple[AmbientClass, ...]:

@@ -119,18 +119,12 @@ def class_degree(result: PorteousResult) -> int:
     return int(paired)
 
 
-def berzolari(d: int, genus: int = 2) -> int:
-    """Classical count of trisecant lines to a space curve, used as an
-    independent oracle: binomial(d-2, 3) - genus*(d-4).
-
-    The engine's subject is genus 2; other genus values are allowed for
-    exploratory comparison only.
-    """
+def berzolari(d: int) -> int:
+    """Classical count of trisecant lines to a genus-2 space curve, used as an
+    independent oracle: binomial(d-2, 3) - 2*(d-4)."""
     if not isinstance(d, int) or d < 8:
         raise ValueError("the trisecant count oracle is used for integer d >= 8")
-    if not isinstance(genus, int) or genus < 0:
-        raise ValueError("genus must be a non-negative integer")
-    return binomial(d - 2, 3) - genus * (d - 4)
+    return binomial(d - 2, 3) - 2 * (d - 4)
 
 
 @dataclass(frozen=True)

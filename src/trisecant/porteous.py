@@ -60,27 +60,14 @@ def _require_degree(d: int) -> None:
         raise ValueError("the Porteous pipeline requires an integer d >= 8")
 
 
-def _normalize_order(d: int, order: int | None) -> int:
-    """Default truncation order is d - 5, the size of the determinant; deeper
-    orders are allowed for cross-checks but shallower ones are refused."""
-    _require_degree(d)
-    if order is None:
-        return d - 5
-    if not isinstance(order, int) or order < d - 5:
-        raise ValueError(f"truncation order must be an integer >= d - 5 = {d - 5}")
-    return order
-
-
-def chern_series_from_character(
-    bundle: BundleData, d: int, order: int | None = None, dual: bool = False
-) -> ChernSeries:
+def chern_series_from_character(bundle: BundleData, d: int, dual: bool = False) -> ChernSeries:
     """Total Chern series of a Picard-surface bundle, pulled back to the
     ambient product.
 
     On a surface the character determines the Chern classes exactly:
     c1 = ch_1 and c2 = ch_1^2 / 2 - ch_2.  Dualizing negates the odd part.
     """
-    order = _normalize_order(d, order)
+    _require_degree(d)
     ch = bundle.chern_character
     c1 = ch.c1
     c2 = c1 * c1 / 2 - ch.c2
@@ -91,16 +78,16 @@ def chern_series_from_character(
         AmbientClass.monomial(d, 1, 0, c1),
         AmbientClass.monomial(d, 2, 0, c2),
     ]
-    return ChernSeries(coeffs, order)
+    return ChernSeries(coeffs, d - 5)
 
 
-def twist_by_hyperplane(series: ChernSeries, rank: int, sign: int) -> ChernSeries:
-    """Chern series of (bundle tensor O(-sign)) from the bundle's series.
+def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
+    """Chern series of (bundle tensor O(-1)) from the bundle's series.
 
-    Every Chern root shifts by -sign*h, so by the splitting principle
+    Every Chern root shifts by -h, so by the splitting principle
     (Fulton, Intersection Theory, Example 3.2.2)
 
-        c_t  |-->  sum_i c_i t^i (1 - sign*h*t)^(rank - i),
+        c_t  |-->  sum_i c_i t^i (1 - h*t)^(rank - i),
 
     each power expanded by the binomial theorem; for i > rank the upper
     argument is negative and the expansion is the full geometric tail.
@@ -112,8 +99,6 @@ def twist_by_hyperplane(series: ChernSeries, rank: int, sign: int) -> ChernSerie
         raise ValueError("a total Chern series must start at 1")
     if not isinstance(rank, int) or rank < 0:
         raise ValueError("rank must be a non-negative integer")
-    if sign == 0:
-        return series
     d = first.d
     order = series.order
     coeffs = [first.zero_like()] * (order + 1)
@@ -121,31 +106,31 @@ def twist_by_hyperplane(series: ChernSeries, rank: int, sign: int) -> ChernSerie
         if c.is_zero():
             continue
         for k in range(order - i + 1):
-            power = AmbientClass.monomial(d, 0, k, binomial(rank - i, k) * (-sign) ** k)
+            power = AmbientClass.monomial(d, 0, k, binomial(rank - i, k) * (-1) ** k)
             coeffs[i + k] = coeffs[i + k] + c * power
     return ChernSeries(coeffs, order)
 
 
-def source_chern_series(d: int, order: int | None = None) -> ChernSeries:
+def source_chern_series(d: int) -> ChernSeries:
     """c_t(residual (x) O(-1)): the source of the multiplication map."""
     _, residual = bundle_characters(d)
-    return twist_by_hyperplane(chern_series_from_character(residual, d, order), residual.rank, 1)
+    return twist_by_hyperplane(chern_series_from_character(residual, d), residual.rank)
 
 
-def target_chern_series(d: int, order: int | None = None) -> ChernSeries:
+def target_chern_series(d: int) -> ChernSeries:
     """c_t(sections^*): the target of the multiplication map."""
     sections, _ = bundle_characters(d)
-    return chern_series_from_character(sections, d, order, dual=True)
+    return chern_series_from_character(sections, d, dual=True)
 
 
-def virtual_chern_series(d: int, order: int | None = None) -> ChernSeries:
+def virtual_chern_series(d: int) -> ChernSeries:
     """c_t(target - source) by honest series division; the source series is
     inverted in the graded integer kernel of :mod:`trisecant._graded`."""
-    order = _normalize_order(d, order)
-    return target_chern_series(d, order) * graded_inverse(source_chern_series(d, order))
+    _require_degree(d)
+    return target_chern_series(d) * graded_inverse(source_chern_series(d))
 
 
-def virtual_chern_series_closed_form(d: int, order: int | None = None) -> ChernSeries:
+def virtual_chern_series_closed_form(d: int) -> ChernSeries:
     """The same quotient in closed exponential form,
 
         (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t)),
@@ -153,7 +138,8 @@ def virtual_chern_series_closed_form(d: int, order: int | None = None) -> ChernS
     assembled from inversion, exponential and product only; no division by
     the source series is involved.
     """
-    order = _normalize_order(d, order)
+    _require_degree(d)
+    order = d - 5
     one = AmbientClass.one(d)
     h = AmbientClass.hyperplane(d)
     theta = AmbientClass.theta(d)
@@ -163,14 +149,15 @@ def virtual_chern_series_closed_form(d: int, order: int | None = None) -> ChernS
     return (one_minus ** (d - 4)).inverse() * argument.exp()
 
 
-def virtual_chern_series_expansion(d: int, order: int | None = None) -> ChernSeries:
+def virtual_chern_series_expansion(d: int) -> ChernSeries:
     """Term-by-term binomial expansion of the virtual quotient.
 
     Grouping the three powers of (1 - h*t) over the common tail
     (1 - h*t)^(2-d) = sum_k binomial(d+k-3, k) h^k t^k leaves five shifted
     sums, evaluated here coefficient by coefficient.
     """
-    order = _normalize_order(d, order)
+    _require_degree(d)
+    order = d - 5
     half = Fraction(1, 2)
     mono = AmbientClass.monomial
     coeffs = [AmbientClass.zero(d) for _ in range(order + 1)]
@@ -211,26 +198,21 @@ def chern_coefficient_formula(i: int, d: int) -> AmbientClass:
     return value
 
 
-def chern_coefficients(
-    d: int, order: int | None = None, *, cross_check: bool = True
-) -> tuple[AmbientClass, ...]:
-    """Virtual Chern coefficients c_1..c_order from the series division.
+def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
+    """Virtual Chern coefficients c_1..c_(d-5) from the series division.
 
-    By default each coefficient in the formula's range is compared against
-    the closed binomial form; a mismatch means the pipeline is broken and
-    raises rather than letting a wrong class flow on.
+    Each coefficient is compared against the closed binomial form; a
+    mismatch means the pipeline is broken and raises rather than letting a
+    wrong class flow on.
     """
-    order = _normalize_order(d, order)
-    series = virtual_chern_series(d, order)
-    coefficients = tuple(series.coefficient(i) for i in range(1, order + 1))
-    if cross_check:
-        for i in range(1, min(order, d - 5) + 1):
-            formula = chern_coefficient_formula(i, d)
-            if coefficients[i - 1] != formula:
-                raise ArithmeticError(
-                    f"virtual Chern coefficient mismatch at i={i}, d={d}: "
-                    f"division gave {coefficients[i - 1]}, formula gave {formula}"
-                )
+    coefficients = virtual_chern_series(d).coeffs[1:]
+    for i, division in enumerate(coefficients, start=1):
+        formula = chern_coefficient_formula(i, d)
+        if division != formula:
+            raise ArithmeticError(
+                f"virtual Chern coefficient mismatch at i={i}, d={d}: "
+                f"division gave {division}, formula gave {formula}"
+            )
     return coefficients
 
 

@@ -306,9 +306,9 @@ class ThetaPoly(TruncatedClass):
 class AmbientClass(TruncatedClass):
     """Element of ``Q[T, h]/(T^3, h^(d-1))`` for a fixed curve degree d.
 
-    Two values combine only when their ``d`` agree; the theta ring embeds
-    through :meth:`from_theta` and never implicitly.  Terms print descending
-    in ``h``, then in ``T``.
+    Two values combine only when their ``d`` agree, and a ``ThetaPoly``
+    combined with one raises :class:`RingMismatchError`.  Terms print
+    descending in ``h``, then in ``T``.
     """
 
     __slots__ = ()
@@ -351,11 +351,6 @@ class AmbientClass(TruncatedClass):
     @classmethod
     def monomial(cls, d: int, theta_pow: int, h_pow: int, coeff: Scalar = 1) -> AmbientClass:
         return cls(d, {(theta_pow, h_pow): coeff})
-
-    @classmethod
-    def from_theta(cls, poly: ThetaPoly, d: int) -> AmbientClass:
-        """The one sanctioned injection of the theta ring into the ambient ring."""
-        return cls(d, {(0, 0): poly.c0, (1, 0): poly.c1, (2, 0): poly.c2})
 
     def __repr__(self) -> str:
         return f"AmbientClass(d={self.d}, {self})"
@@ -400,15 +395,6 @@ class ChernSeries:
         if not 0 <= k <= self.order:
             raise IndexError(f"series coefficient out of range: t^{k} at order {self.order}")
         return self.coeffs[k]
-
-    def with_order(self, order: int) -> ChernSeries:
-        """This series truncated at ``order``, which must not exceed the
-        stored order: a larger one would invent coefficients."""
-        if order > self.order:
-            raise ValueError(f"cannot raise a series' order from {self.order} to {order}")
-        if order == self.order:
-            return self
-        return ChernSeries(self.coeffs, order)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

@@ -41,7 +41,8 @@ def _report(number: int, label: str, ok: bool) -> None:
 def divisions() -> dict[int, ChernSeries]:
     """Each d's series division c_t(target - source), built once and read by
     criteria 3 (d in [8, 60]), 4 and 5 (d in [8, 40]).  Its coefficients
-    c_1..c_(d-5) are what ``chern_coefficients(d, cross_check=False)`` returns."""
+    c_1..c_(d-5) are what ``chern_coefficients(d)`` returns, read here
+    without its comparison against the closed formula."""
     return {d: virtual_chern_series(d) for d in range(8, 61)}
 
 

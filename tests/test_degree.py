@@ -12,11 +12,13 @@ from trisecant.degree import (
     DegreeReport,
     berzolari,
     binomial,
+    class_degree,
     degree_pairing,
     degree_report,
     secant3_degree,
     verify_binomial_identities,
 )
+from trisecant.porteous import PorteousResult, determinant_formula
 from trisecant.ring import AmbientClass
 
 
@@ -89,6 +91,17 @@ def test_degree_pairing_is_linear(a, b, p1, q1, p2, q2):
     assert degree_pairing(x * a + y * b) == a * degree_pairing(x) + b * degree_pairing(y)
 
 
+def test_class_degree_refuses_a_non_homogeneous_class():
+    """A stray lower term leaves the top cell, and so the pairing, unchanged;
+    only the homogeneity check stands between it and a plausible degree."""
+    d = 11
+    locus = determinant_formula(d - 5, d)
+    assert class_degree(PorteousResult(locus, "closed-form")) == 70
+    stray = PorteousResult(locus + AmbientClass.hyperplane(d), "closed-form")
+    with pytest.raises(ArithmeticError, match=r"d=11 \(closed-form\) is not homogeneous"):
+        class_degree(stray)
+
+
 def test_spot_degrees():
     assert secant3_degree(8) == 12
     assert secant3_degree(9) == 25
@@ -113,11 +126,8 @@ def test_secant3_degree_validation():
 def test_berzolari_direct_values():
     assert berzolari(8) == math.comb(6, 3) - 2 * 4
     assert berzolari(9) == math.comb(7, 3) - 2 * 5
-    assert berzolari(10, genus=0) == math.comb(8, 3)
     with pytest.raises(ValueError):
         berzolari(7)
-    with pytest.raises(ValueError):
-        berzolari(9, genus=-1)
 
 
 def test_degree_report_structure():

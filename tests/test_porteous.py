@@ -58,30 +58,25 @@ def test_twist_of_trivial_series_is_binomial():
     one = AmbientClass.one(d)
     h = AmbientClass.hyperplane(d)
     trivial = ChernSeries.constant(one, order)
-    twisted = twist_by_hyperplane(trivial, 3, 1)
+    twisted = twist_by_hyperplane(trivial, 3)
     # (1 - h t)^3
     assert twisted.coefficient(0) == one
     assert twisted.coefficient(1) == h * (-3)
     assert twisted.coefficient(2) == h * h * 3
     assert twisted.coefficient(3) == h ** 3 * (-1)
     assert twisted.coefficient(4) == AmbientClass.zero(d)
-    # the opposite sign twists by O(+1)
-    up = twist_by_hyperplane(trivial, 2, -1)
-    assert up.coefficient(1) == h * 2
-    assert up.coefficient(2) == h * h
 
 
 def test_twist_validation():
     d = 8
     one = AmbientClass.one(d)
     trivial = ChernSeries.constant(one, 4)
-    assert twist_by_hyperplane(trivial, 3, 0) is trivial
     with pytest.raises(ValueError):
-        twist_by_hyperplane(ChernSeries.constant(one * 2, 4), 3, 1)
+        twist_by_hyperplane(ChernSeries.constant(one * 2, 4), 3)
     with pytest.raises(ValueError):
-        twist_by_hyperplane(trivial, -1, 1)
+        twist_by_hyperplane(trivial, -1)
     with pytest.raises(TypeError):
-        twist_by_hyperplane(ChernSeries.constant(ThetaPoly.one(), 4), 3, 1)
+        twist_by_hyperplane(ChernSeries.constant(ThetaPoly.one(), 4), 3)
 
 
 def test_multiplication_map_bundles_shape():
@@ -94,7 +89,7 @@ def test_multiplication_map_bundles_shape():
     assert sections.label == "sections"
     assert sections.rank == 2
     residual_series = chern_series_from_character(residual, d)
-    assert source_chern_series(d) == twist_by_hyperplane(residual_series, d - 4, 1)
+    assert source_chern_series(d) == twist_by_hyperplane(residual_series, d - 4)
     assert source_chern_series(d) != residual_series
     sections_dual = chern_series_from_character(sections, d, dual=True)
     assert target_chern_series(d) == sections_dual
@@ -103,7 +98,7 @@ def test_multiplication_map_bundles_shape():
 
 @pytest.mark.parametrize("d", (8, 13, 30))
 def test_twist_matches_substitution_reference(d):
-    """The binomial sum equals (1 - s h t)^rank * c(t / (1 - s h t)), built
+    """The binomial sum equals (1 - h t)^rank * c(t / (1 - h t)), built
     here from inverse, compose and power; ranks 0 and 1 reach negative
     upper binomials, and the order d - 2 reaches the h^(d-1) truncation."""
     order = d - 2
@@ -120,11 +115,10 @@ def test_twist_matches_substitution_reference(d):
         ],
         order,
     )
-    for sign in (-1, 1, 2):
-        one_minus = ChernSeries([one, h * -sign], order)
-        for rank in (0, 1, 2, d - 4):
-            reference = (one_minus ** rank) * series.compose(t * one_minus.inverse())
-            assert twist_by_hyperplane(series, rank, sign) == reference, (sign, rank)
+    one_minus = ChernSeries([one, -h], order)
+    for rank in (0, 1, 2, d - 4):
+        reference = (one_minus ** rank) * series.compose(t * one_minus.inverse())
+        assert twist_by_hyperplane(series, rank) == reference, rank
 
 
 def test_source_and_target_series_constants():
@@ -155,19 +149,6 @@ def test_virtual_series_three_forms_agree(d):
     assert division == virtual_chern_series_expansion(d)
 
 
-def test_virtual_series_agrees_beyond_default_order():
-    d = 8
-    order = 7
-    division = virtual_chern_series(d, order)
-    assert division == virtual_chern_series_closed_form(d, order)
-    assert division == virtual_chern_series_expansion(d, order)
-
-
-def test_order_below_matrix_size_is_refused():
-    with pytest.raises(ValueError):
-        virtual_chern_series(10, order=2)
-
-
 def test_first_coefficients_golden_d8():
     c = chern_coefficients(8)
     assert c[0] == AmbientClass(8, {(0, 1): 4, (1, 0): 2})
@@ -190,10 +171,17 @@ def test_coefficient_formula_range():
         chern_coefficient_formula(4, 8)
 
 
-def test_chern_coefficients_cross_check_runs():
-    with_check = chern_coefficients(9)
-    without = chern_coefficients(9, cross_check=False)
-    assert with_check == without
+def test_chern_coefficients_refuses_a_formula_mismatch(monkeypatch):
+    """The division is checked against the closed formula at every index."""
+    formula = chern_coefficient_formula
+
+    def shifted(i, d):
+        value = formula(i, d)
+        return value + AmbientClass.monomial(d, 0, 2) if i == 2 else value
+
+    monkeypatch.setattr("trisecant.porteous.chern_coefficient_formula", shifted)
+    with pytest.raises(ArithmeticError, match="i=2, d=9"):
+        chern_coefficients(9)
 
 
 def test_segre_quotient_matches_recurrence_determinants():
@@ -328,3 +316,12 @@ def test_recurrence_rejects_non_homogeneous_coefficient():
     coefficients[2] = coefficients[2] + AmbientClass.hyperplane(d)  # c_3 gains degree 1
     with pytest.raises(ArithmeticError, match=r"c_3 .* not homogeneous of degree 3"):
         determinant_recurrence(d, coefficients)
+
+
+def test_recurrence_needs_every_coefficient():
+    """Fewer than d - 5 coefficients would be padded with zeros and give a
+    wrong determinant, so they are refused."""
+    d = 9
+    coefficients = [chern_coefficient_formula(i, d) for i in range(1, d - 5)]
+    with pytest.raises(ValueError, match="c_1..c_4"):
+        recurrence_determinants(d, coefficients)
