@@ -59,11 +59,9 @@ def main() -> int:
     print()
     print("secant-variety class (Segre quotient and banded determinant):")
     for method in METHODS:
-        result = porteous_class(d, method=method)
-        print(f"  {method:<11} -> {result.x1}")
+        print(f"  {method:<11} -> {porteous_class(d, method=method)}")
     print()
-    x1 = porteous_class(d).x1
-    paired = degree_pairing(x1 * AmbientClass.monomial(d, 0, 5))
+    paired = degree_pairing(porteous_class(d) * AmbientClass.monomial(d, 0, 5))
     print(f"pairing against h^5 and the theta square: {paired}")
     print(f"secant3_degree({d}) = {secant3_degree(d)}")
     print(f"classical count     = {berzolari(d)}")

@@ -11,22 +11,18 @@ answer.
 """
 
 from .degree import (
-    DegreeReport,
     berzolari,
     binomial,
     class_degree,
     degree_pairing,
-    degree_report,
     secant3_degree,
     verify_binomial_identities,
 )
 from .porteous import (
     METHODS,
-    PorteousResult,
     chern_coefficient_formula,
     chern_coefficients,
     determinant_formula,
-    determinant_recurrence,
     determinant_segre,
     porteous_class,
     recurrence_determinants,
@@ -74,7 +70,6 @@ __all__ = [
     "bundle_characters",
     # Porteous pipeline
     "METHODS",
-    "PorteousResult",
     "source_chern_series",
     "target_chern_series",
     "twist_by_hyperplane",
@@ -84,7 +79,6 @@ __all__ = [
     "chern_coefficient_formula",
     "chern_coefficients",
     "determinant_segre",
-    "determinant_recurrence",
     "determinant_formula",
     "recurrence_determinants",
     "porteous_class",
@@ -95,6 +89,4 @@ __all__ = [
     "secant3_degree",
     "class_degree",
     "berzolari",
-    "DegreeReport",
-    "degree_report",
 ]

@@ -9,11 +9,11 @@ Three subcommands:
 The battery is the table ``CHECKS``.  Its per-d checks run in one pass over
 d and share that d's intermediates through a :class:`Stage`.
 
-Exit codes: 0 on success, 1 on a usage problem (bad flags, d out of range)
-or when the reader closes stdout early (a broken pipe, no traceback), 2 when
-a verification or cross-method agreement check fails or the engine detects
-an internal inconsistency (an ``ArithmeticError`` or a
-``RingMismatchError``), reported as one ``error:`` line on stderr.
+Exit codes: 0 on success; 1 on a usage problem, which the parser alone
+decides (bad flags, a d below 8, an empty range), or when the reader closes
+stdout early (a broken pipe, no traceback); 2 when a check fails or the
+engine raises an ``ArithmeticError``, ``ValueError`` or ``RingMismatchError``
+(an internal inconsistency), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -25,20 +25,17 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .degree import berzolari, class_degree, degree_report, secant3_degree
-from .degree import verify_binomial_identities
+from .degree import berzolari, class_degree, secant3_degree, verify_binomial_identities
 from .porteous import (
     METHODS,
-    PorteousResult,
     chern_coefficient_formula,
     chern_coefficients,
     determinant_formula,
-    determinant_recurrence,
     determinant_segre,
     porteous_class,
     recurrence_determinants,
@@ -85,6 +82,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _curve_degree(text: str) -> int:
+    """Type of ``--d`` and ``--d-min``: an integer of at least 8."""
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if d < 8:
+        raise argparse.ArgumentTypeError(f"must be at least 8, got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -112,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     degree = commands.add_parser("degree", help="compute the degree for one d")
-    degree.add_argument("--d", type=int, required=True, help="curve degree, at least 8")
+    degree.add_argument("--d", type=_curve_degree, required=True, help="curve degree, at least 8")
     degree.add_argument(
         "--method",
         choices=METHODS + ("all",),
@@ -127,29 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     table = commands.add_parser("table", help="tabulate degrees over a range of d")
-    table.add_argument("--d-min", type=int, required=True)
+    table.add_argument("--d-min", type=_curve_degree, required=True)
     table.add_argument("--d-max", type=int, required=True)
     table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     verify = commands.add_parser("verify", help="run the consistency battery")
-    verify.add_argument("--d-min", type=int, default=8)
+    verify.add_argument("--d-min", type=_curve_degree, default=8)
     verify.add_argument("--d-max", type=int, default=40)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     return parser
-
-
-def _require_range(d_min: int, d_max: int) -> None:
-    if d_min < 8:
-        raise ValueError("the range must start at d >= 8")
-    if d_max < d_min:
-        raise ValueError("empty range: --d-max is below --d-min")
 
 
 def _intermediates(d: int) -> dict[str, str]:
     sections, residual = bundle_characters(d)
     entries = {"ch_sections": sections.chern_character, "ch_residual": residual.chern_character}
     entries.update((f"c_{i}", c) for i, c in enumerate(chern_coefficients(d), start=1))
-    entries["secant_class"] = porteous_class(d).x1
+    entries["secant_class"] = porteous_class(d)
     return {name: str(value) for name, value in entries.items()}
 
 
@@ -179,18 +180,17 @@ def run_degree(args: argparse.Namespace) -> int:
 def run_table(args: argparse.Namespace) -> int:
     """CSV rows are written as each d finishes, so an internal error part-way
     leaves the finished rows on stdout; JSON is one document, written whole."""
-    _require_range(args.d_min, args.d_max)
     keys = ("d", "degree_porteous", "degree_closed_form", "degree_berzolari", "match")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.format == "csv":
         writer.writerow(keys)
     rows = []
     for d in range(args.d_min, args.d_max + 1):
-        report = degree_report(d)
-        values = astuple(report)
-        rows.append(dict(zip(keys, values)))
+        row = (d, secant3_degree(d, "segre"), secant3_degree(d, "closed-form"), berzolari(d))
+        match = len(set(row[1:])) == 1
+        rows.append(dict(zip(keys, row + (match,))))
         if args.format == "csv":
-            writer.writerow(values[:-1] + ("true" if report.methods_agree else "false",))
+            writer.writerow(row + ("true" if match else "false",))
             sys.stdout.flush()
     if args.format == "json":
         sys.stdout.write(json.dumps(rows, separators=(",", ":")) + "\n")
@@ -226,7 +226,7 @@ class Stage:
         return recurrence_determinants(self.d, self.formula)
 
     @cached_property
-    def segre(self) -> PorteousResult:
+    def segre(self) -> AmbientClass:
         return determinant_segre(self.d)
 
 
@@ -340,9 +340,9 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     coefficients = stage.division_coefficients
     if stage.perturb is not None:
         coefficients = tuple(stage.perturb(i, c) for i, c in enumerate(coefficients, 1))
-    segre = stage.segre.x1
+    segre = stage.segre
     try:
-        recurrence = determinant_recurrence(d, coefficients).x1
+        recurrence = recurrence_determinants(d, coefficients)[d - 5]
     except ArithmeticError as err:
         return f"d={d}: recurrence: {err}"
     closed = determinant_formula(d - 5, d)
@@ -371,8 +371,8 @@ def check_degree_berzolari(d: int, stage: Stage) -> str | None:
     which keeps that public entry point under the check."""
     reference = berzolari(d)
     degrees = {
-        "segre": class_degree(stage.segre),
-        "recurrence": class_degree(PorteousResult(stage.determinants[d - 5], "recurrence")),
+        "segre": class_degree(stage.segre, "segre"),
+        "recurrence": class_degree(stage.determinants[d - 5], "recurrence"),
         "closed-form": secant3_degree(d, method="closed-form"),
     }
     for method in METHODS:
@@ -405,8 +405,12 @@ def verify_checks(
 ) -> VerifyReport:
     """Run the battery: the whole-range checks, then one pass over d for the
     per-d checks.  A check stops at its first counterexample; its
-    ``elapsed_s`` is its wall time summed over every d it ran on."""
-    _require_range(d_min, d_max)
+    ``elapsed_s`` is its wall time summed over every d it ran on; a range
+    starting below 8, or empty, raises ``ValueError``."""
+    if d_min < 8:
+        raise ValueError("the range must start at d >= 8")
+    if d_max < d_min:
+        raise ValueError("empty range: --d-max is below --d-min")
     elapsed = dict.fromkeys((name for name, _ in CHECKS), 0.0)
     failures: dict[str, str] = {}
 
@@ -456,9 +460,10 @@ def run_verify(args: argparse.Namespace, perturb: PerturbHook | None = None) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.command != "degree" and args.d_max < args.d_min:
+            raise UsageError("empty range: --d-max is below --d-min")
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -468,10 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "table":
             return run_table(args)
         return run_verify(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ArithmeticError, RingMismatchError) as err:
+    except (ArithmeticError, ValueError, RingMismatchError) as err:
         print(f"error: internal inconsistency: {err}", file=sys.stderr)
         return EXIT_VERIFY
     except BrokenPipeError:

@@ -3,15 +3,10 @@ and the secant-variety degree with its classical cross-check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import TYPE_CHECKING
 
 from .ring import AmbientClass, Rational
-
-if TYPE_CHECKING:
-    from .porteous import PorteousResult
 
 __all__ = [
     "THETA_SELF_INTERSECTION",
@@ -21,8 +16,6 @@ __all__ = [
     "secant3_degree",
     "class_degree",
     "berzolari",
-    "DegreeReport",
-    "degree_report",
 ]
 
 # Self-intersection number of the theta divisor on the Picard surface of a
@@ -96,24 +89,24 @@ def secant3_degree(d: int, method: str = "segre") -> int:
     # Imported here: the Porteous pipeline builds on the binomial toolkit above.
     from .porteous import porteous_class
 
-    return class_degree(porteous_class(d, method))
+    return class_degree(porteous_class(d, method), method)
 
 
-def class_degree(result: PorteousResult) -> int:
+def class_degree(locus: AmbientClass, method: str) -> int:
     """Degree of a degeneracy class of total degree d - 5: cut it down by
     five hyperplanes and integrate.  A class that is not homogeneous, or a
-    degree that is not a positive integer, aborts loudly."""
-    locus = result.x1
+    degree that is not a positive integer, aborts loudly, naming d and the
+    route ``method`` that produced the class."""
     d = locus.d
     if not locus.is_homogeneous(d - 5):
         raise ArithmeticError(
-            f"degeneracy class for d={d} ({result.method}) is not homogeneous "
+            f"degeneracy class for d={d} ({method}) is not homogeneous "
             f"of total degree {d - 5}: {locus}"
         )
     paired = degree_pairing(locus * AmbientClass.monomial(d, 0, 5))
     if paired.denominator != 1 or paired <= 0:
         raise ArithmeticError(
-            f"secant degree for d={d} ({result.method}) should be a positive "
+            f"secant degree for d={d} ({method}) should be a positive "
             f"integer, got {paired}"
         )
     return int(paired)
@@ -125,27 +118,3 @@ def berzolari(d: int) -> int:
     if not isinstance(d, int) or d < 8:
         raise ValueError("the trisecant count oracle is used for integer d >= 8")
     return binomial(d - 2, 3) - 2 * (d - 4)
-
-
-@dataclass(frozen=True)
-class DegreeReport:
-    """One row of the degree table: the independent routes side by side."""
-
-    d: int
-    degree_porteous: int
-    degree_closed_form: int
-    degree_berzolari: int
-    methods_agree: bool
-
-
-def degree_report(d: int) -> DegreeReport:
-    via_segre = secant3_degree(d, "segre")
-    via_formula = secant3_degree(d, "closed-form")
-    classical = berzolari(d)
-    return DegreeReport(
-        d=d,
-        degree_porteous=via_segre,
-        degree_closed_form=via_formula,
-        degree_berzolari=classical,
-        methods_agree=via_segre == via_formula == classical,
-    )

@@ -12,6 +12,7 @@ class is (-1)^(d-5) [t^(d-5)] c_t(source) / c_t(target).  Every stage below
 is computed along at least two independent routes (series division against
 closed binomial formulas; the Segre quotient, the determinant recurrence
 and its closed form) and the routes are compared, never trusted singly.
+Each determinant route returns the class itself, an ``AmbientClass``.
 
 The source's series is the residual bundle's, twisted in closed form by the
 splitting principle: c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i),
@@ -25,7 +26,6 @@ division, banded recurrence) run in the graded integer kernel of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .degree import binomial
@@ -35,7 +35,6 @@ from .riemann_roch import BundleData, bundle_characters
 
 __all__ = [
     "METHODS",
-    "PorteousResult",
     "chern_series_from_character",
     "twist_by_hyperplane",
     "source_chern_series",
@@ -47,7 +46,6 @@ __all__ = [
     "chern_coefficients",
     "recurrence_determinants",
     "determinant_segre",
-    "determinant_recurrence",
     "determinant_formula",
     "porteous_class",
 ]
@@ -216,16 +214,7 @@ def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
     return coefficients
 
 
-@dataclass(frozen=True)
-class PorteousResult:
-    """Outcome of one determinant route; the class is homogeneous of total
-    degree d - 5 whenever the inputs are sound."""
-
-    x1: AmbientClass
-    method: str
-
-
-def determinant_segre(d: int) -> PorteousResult:
+def determinant_segre(d: int) -> AmbientClass:
     """Porteous' class as a Segre class: (-1)^n [t^n] c_t(source) / c_t(target)
     with n = d - 5.
 
@@ -239,7 +228,7 @@ def determinant_segre(d: int) -> PorteousResult:
     n = d - 5
     quotient = source_chern_series(d) * target_chern_series(d).inverse()
     x1 = quotient.coefficient(n)
-    return PorteousResult(x1=x1 if n % 2 == 0 else -x1, method="segre")
+    return x1 if n % 2 == 0 else -x1
 
 
 def recurrence_determinants(
@@ -262,13 +251,6 @@ def recurrence_determinants(
         raise ValueError(f"the recurrence needs c_1..c_{n}, got {len(coefficients)}")
     inverse = graded_inverse(ChernSeries([AmbientClass.one(d), *coefficients], n))
     return tuple(q if m % 2 == 0 else -q for m, q in enumerate(inverse.coeffs))
-
-
-def determinant_recurrence(
-    d: int, coefficients: tuple[AmbientClass, ...] | None = None
-) -> PorteousResult:
-    dets = recurrence_determinants(d, coefficients)
-    return PorteousResult(x1=dets[d - 5], method="recurrence")
 
 
 def determinant_formula(n: int, d: int) -> AmbientClass:
@@ -297,14 +279,14 @@ def determinant_formula(n: int, d: int) -> AmbientClass:
     )
 
 
-def porteous_class(d: int, method: str = "segre") -> PorteousResult:
-    """The degeneracy-locus class of the multiplication map, by the chosen
-    determinant route."""
+def porteous_class(d: int, method: str = "segre") -> AmbientClass:
+    """The degeneracy-locus class of the multiplication map, homogeneous of
+    total degree d - 5, by the chosen determinant route."""
     _require_degree(d)
     if method == "segre":
         return determinant_segre(d)
     if method == "recurrence":
-        return determinant_recurrence(d)
+        return recurrence_determinants(d)[d - 5]
     if method == "closed-form":
-        return PorteousResult(x1=determinant_formula(d - 5, d), method="closed-form")
+        return determinant_formula(d - 5, d)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ring import Scalar, ThetaPoly, TruncatedClass, _coordinate, _power
+from .ring import RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _coordinate, _power
 
 __all__ = [
     "CurveClass",
@@ -127,11 +127,21 @@ class UpstreamClass:
     def is_zero(self) -> bool:
         return self.u1.is_zero() and self.uf.is_zero() and self.ug.is_zero()
 
-    def __add__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
+    @staticmethod
+    def _lift(other) -> UpstreamClass:
+        """``other`` lifted as ``TruncatedClass._coerce`` lifts; a theta class by pullback."""
+        if isinstance(other, UpstreamClass):
+            return other
         if isinstance(other, (int, Fraction, ThetaPoly)):
-            other = UpstreamClass(other)
-        if not isinstance(other, UpstreamClass):
-            return NotImplemented
+            return UpstreamClass(other)
+        if isinstance(other, TruncatedClass):
+            raise RingMismatchError(f"UpstreamClass cannot combine with {type(other).__name__}")
+        return NotImplemented
+
+    def __add__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
         return UpstreamClass(self.u1 + other.u1, self.uf + other.uf, self.ug + other.ug)
 
     __radd__ = __add__
@@ -140,22 +150,24 @@ class UpstreamClass:
         return UpstreamClass(-self.u1, -self.uf, -self.ug)
 
     def __sub__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
-        if isinstance(other, (int, Fraction, ThetaPoly)):
-            other = UpstreamClass(other)
-        if not isinstance(other, UpstreamClass):
-            return NotImplemented
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
         return self + (-other)
 
     def __rsub__(self, other: ThetaPoly | Scalar) -> UpstreamClass:
-        if not isinstance(other, (int, Fraction, ThetaPoly)):
-            return NotImplemented
-        return UpstreamClass(other) - self
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
+        return other - self
 
     def __mul__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
         if isinstance(other, (int, Fraction, ThetaPoly)):
+            # Coordinate-wise: a lift would build and multiply three more theta classes.
             return UpstreamClass(self.u1 * other, self.uf * other, self.ug * other)
-        if not isinstance(other, UpstreamClass):
-            return NotImplemented
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
         theta = ThetaPoly.theta()
         # gamma^2 = -2 f T contributes to the fiber coordinate; f^2 and
         # f*gamma vanish outright.
@@ -174,10 +186,12 @@ class UpstreamClass:
         return _power(self, exponent, UpstreamClass.one())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, ThetaPoly)):
-            other = UpstreamClass(other)
-        if not isinstance(other, UpstreamClass):
-            return NotImplemented
+        try:
+            other = self._lift(other)
+        except RingMismatchError:
+            return False
+        if other is NotImplemented:
+            return other
         return (self.u1, self.uf, self.ug) == (other.u1, other.uf, other.ug)
 
     def __hash__(self) -> int:

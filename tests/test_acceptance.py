@@ -17,8 +17,8 @@ from trisecant.porteous import (
     METHODS,
     chern_coefficient_formula,
     determinant_formula,
-    determinant_recurrence,
     determinant_segre,
+    recurrence_determinants,
     virtual_chern_series,
     virtual_chern_series_closed_form,
     virtual_chern_series_expansion,
@@ -79,9 +79,9 @@ def test_criterion_3_determinant_three_way_agreement(divisions):
     failures = []
     for d in range(8, 61):
         coefficients = divisions[d].coeffs[1:]
-        segre = determinant_segre(d).x1
-        from_division = determinant_recurrence(d, coefficients).x1
-        from_formula = determinant_recurrence(d).x1  # formula-sourced inputs
+        segre = determinant_segre(d)
+        from_division = recurrence_determinants(d, coefficients)[d - 5]
+        from_formula = recurrence_determinants(d)[d - 5]  # formula-sourced inputs
         closed = determinant_formula(d - 5, d)
         if not (segre == from_division == from_formula == closed):
             failures.append(d)

@@ -73,8 +73,17 @@ def test_degree_verbose_json(capsys):
     assert inter["secant_class"] == "4h^3 + 9*T*h^2 + 6*T^2*h"
 
 
-def test_degree_below_range_is_usage_error(capsys):
-    assert main(["degree", "--d", "7"]) == EXIT_USAGE
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--d", "7"],
+        ["table", "--d-min", "7", "--d-max", "9"],
+        ["verify", "--d-min", "7"],
+    ],
+    ids=["degree", "table", "verify"],
+)
+def test_degree_below_range_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
 
 
@@ -128,14 +137,14 @@ def test_table_degenerate_range_single_row(capsys):
 
 def test_table_streams_finished_rows_before_an_internal_error(monkeypatch, capsys):
     import trisecant.cli
-    from trisecant.degree import degree_report
+    from trisecant.degree import berzolari
 
     def failing_at_10(d):
         if d == 10:
             raise ArithmeticError("injected at d=10")
-        return degree_report(d)
+        return berzolari(d)
 
-    monkeypatch.setattr(trisecant.cli, "degree_report", failing_at_10)
+    monkeypatch.setattr(trisecant.cli, "berzolari", failing_at_10)
     assert main(["table", "--d-min", "8", "--d-max", "10"]) == EXIT_VERIFY
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
@@ -317,3 +326,22 @@ def test_internal_inconsistency_exits_2_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_engine_value_error_exits_2_not_as_a_usage_error(monkeypatch, capsys):
+    """A ValueError raised inside the engine, after the arguments parsed, is
+    an internal inconsistency: the parser alone decides what is a usage error."""
+    import trisecant.porteous
+    from trisecant.ring import ChernSeries
+
+    original = trisecant.porteous.chern_series_from_character
+
+    def starting_at_2(bundle, d, dual=False):
+        series = original(bundle, d, dual)
+        return ChernSeries([series.coeffs[0] * 2, *series.coeffs[1:]], series.order)
+
+    monkeypatch.setattr(trisecant.porteous, "chern_series_from_character", starting_at_2)
+    assert main(["degree", "--d", "9"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal inconsistency: a total Chern series must start at 1\n"

@@ -2,6 +2,7 @@
 classical cross-check."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,16 +10,14 @@ from hypothesis import strategies as st
 
 from trisecant.degree import (
     THETA_SELF_INTERSECTION,
-    DegreeReport,
     berzolari,
     binomial,
     class_degree,
     degree_pairing,
-    degree_report,
     secant3_degree,
     verify_binomial_identities,
 )
-from trisecant.porteous import PorteousResult, determinant_formula
+from trisecant.porteous import determinant_formula
 from trisecant.ring import AmbientClass
 
 
@@ -96,10 +95,22 @@ def test_class_degree_refuses_a_non_homogeneous_class():
     only the homogeneity check stands between it and a plausible degree."""
     d = 11
     locus = determinant_formula(d - 5, d)
-    assert class_degree(PorteousResult(locus, "closed-form")) == 70
-    stray = PorteousResult(locus + AmbientClass.hyperplane(d), "closed-form")
+    assert class_degree(locus, "closed-form") == 70
+    stray = locus + AmbientClass.hyperplane(d)
     with pytest.raises(ArithmeticError, match=r"d=11 \(closed-form\) is not homogeneous"):
-        class_degree(stray)
+        class_degree(stray, "closed-form")
+
+
+def test_class_degree_refuses_a_degree_that_is_not_a_positive_integer():
+    """Both classes are homogeneous of degree d - 5, so only the positivity
+    and integrality check stands between them and a reported degree."""
+    d = 11
+    negated = -determinant_formula(d - 5, d)
+    half = AmbientClass.monomial(d, 2, d - 7, Fraction(1, 4))  # pairs to 1/2
+    for locus, value in ((negated, "-70"), (half, "1/2")):
+        assert locus.is_homogeneous(d - 5)
+        with pytest.raises(ArithmeticError, match=rf"d=11 \(segre\) .* got {value}$"):
+            class_degree(locus, "segre")
 
 
 def test_spot_degrees():
@@ -128,16 +139,6 @@ def test_berzolari_direct_values():
     assert berzolari(9) == math.comb(7, 3) - 2 * 5
     with pytest.raises(ValueError):
         berzolari(7)
-
-
-def test_degree_report_structure():
-    report = degree_report(9)
-    assert isinstance(report, DegreeReport)
-    assert report.d == 9
-    assert report.degree_porteous == 25
-    assert report.degree_closed_form == 25
-    assert report.degree_berzolari == 25
-    assert report.methods_agree
 
 
 @given(st.integers(8, 30))
