@@ -42,8 +42,8 @@ def main() -> int:
     print()
     sections, residual = bundle_characters(d)
     print("pushforward characters on the Picard surface:")
-    print(f"  ch(sections)  rank {sections.rank}:  {sections.chern_character}")
-    print(f"  ch(residual)  rank {residual.rank}:  {residual.chern_character}")
+    print(f"  ch(sections)  rank {sections.c0}:  {sections}")
+    print(f"  ch(residual)  rank {residual.c0}:  {residual}")
     print()
     print("twisted total Chern series on Pic^3 x P^(d-2):")
     target = target_chern_series(d)

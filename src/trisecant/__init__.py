@@ -34,7 +34,6 @@ from .porteous import (
     virtual_chern_series_expansion,
 )
 from .riemann_roch import (
-    BundleData,
     CurveClass,
     UpstreamClass,
     bundle_characters,
@@ -60,7 +59,6 @@ __all__ = [
     # upstream cohomology and Riemann-Roch
     "CurveClass",
     "UpstreamClass",
-    "BundleData",
     "todd_from_chern",
     "pushforward_to_picard",
     "riemann_roch_pushforward",

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .degree import binomial
 from ._graded import graded_inverse
-from .ring import AmbientClass, ChernSeries
-from .riemann_roch import BundleData, bundle_characters
+from .ring import AmbientClass, ChernSeries, ThetaPoly
+from .riemann_roch import bundle_characters
 
 __all__ = [
     "METHODS",
@@ -58,7 +58,7 @@ def _require_degree(d: int) -> None:
         raise ValueError("the Porteous pipeline requires an integer d >= 8")
 
 
-def chern_series_from_character(bundle: BundleData, d: int, dual: bool = False) -> ChernSeries:
+def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False) -> ChernSeries:
     """Total Chern series of a Picard-surface bundle, pulled back to the
     ambient product.
 
@@ -66,9 +66,8 @@ def chern_series_from_character(bundle: BundleData, d: int, dual: bool = False) 
     c1 = ch_1 and c2 = ch_1^2 / 2 - ch_2.  Dualizing negates the odd part.
     """
     _require_degree(d)
-    ch = bundle.chern_character
-    c1 = ch.c1
-    c2 = c1 * c1 / 2 - ch.c2
+    c1 = character.c1
+    c2 = c1 * c1 / 2 - character.c2
     if dual:
         c1 = -c1
     coeffs = [
@@ -112,7 +111,7 @@ def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
 def source_chern_series(d: int) -> ChernSeries:
     """c_t(residual (x) O(-1)): the source of the multiplication map."""
     _, residual = bundle_characters(d)
-    return twist_by_hyperplane(chern_series_from_character(residual, d), residual.rank)
+    return twist_by_hyperplane(chern_series_from_character(residual, d), int(residual.c0))
 
 
 def target_chern_series(d: int) -> ChernSeries:

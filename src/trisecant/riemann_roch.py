@@ -12,13 +12,16 @@ first Chern class of a normalized Poincare line bundle.  The products
 are input data here (gamma^3 = 0 follows), as is the first Chern class
 3f + gamma of the Poincare bundle itself.  Everything downstream of those
 relations is computed, not quoted.
+
+The Riemann-Roch pushforwards behind the two section bundles run once per
+process: d enters only through exp(d*f) = 1 + d*f, exact because f^2 = 0,
+so the residual character is affine in d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import factorial
 
 from .ring import RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _coordinate, _power
@@ -26,7 +29,6 @@ from .ring import RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _coordin
 __all__ = [
     "CurveClass",
     "UpstreamClass",
-    "BundleData",
     "todd_from_chern",
     "pushforward_to_picard",
     "riemann_roch_pushforward",
@@ -35,12 +37,6 @@ __all__ = [
     "poincare_character",
     "bundle_characters",
 ]
-
-# Entries kept by the one cache keyed on the curve degree d, that of
-# bundle_characters: enough for the 53 values of the acceptance sweep
-# d in [8, 60], with a fixed memory ceiling.
-D_CACHE_SIZE = 64
-
 
 class CurveClass(TruncatedClass):
     """Element ``c0 + c1*P`` of ``Q[P]/(P^2)``: cohomology of the curve
@@ -214,22 +210,6 @@ class UpstreamClass:
         return f"UpstreamClass({self})"
 
 
-@dataclass(frozen=True)
-class BundleData:
-    """Rank and Chern character of one of the pushforward bundles."""
-
-    rank: int
-    chern_character: ThetaPoly
-    label: str
-
-    def __post_init__(self) -> None:
-        if self.chern_character.c0 != self.rank:
-            raise ValueError(
-                f"rank {self.rank} disagrees with the degree-zero character part "
-                f"{self.chern_character.c0}"
-            )
-
-
 def todd_from_chern(c1, c2):
     """Todd class ``1 + c1/2 + (c1^2 + c2)/12`` through complex dimension two.
 
@@ -303,31 +283,39 @@ def riemann_roch_pushforward(character: UpstreamClass) -> ThetaPoly:
     return pushforward_to_picard(character * _product_space_todd())
 
 
-@lru_cache(maxsize=D_CACHE_SIZE)
-def bundle_characters(d: int) -> tuple[BundleData, BundleData]:
-    """Ranks and characters of the two section bundles on the Picard surface.
+@cache
+def _pushforwards() -> tuple[ThetaPoly, ThetaPoly, ThetaPoly]:
+    """The sections character, and the residual one at hyperplane degree 0
+    with its slope in d.  The hyperplane character exp(e*f) = 1 + e*f twisted
+    by the inverse Poincare bundle is affine in e, so e = 0 and 1 fix it."""
+    c1 = poincare_first_chern()
+    sections = riemann_roch_pushforward(line_bundle_character(c1))
+    at_0, at_1 = (
+        riemann_roch_pushforward(
+            line_bundle_character(UpstreamClass.fiber() * e) * line_bundle_character(-c1)
+        )
+        for e in (0, 1)
+    )
+    for character in (sections, at_0, at_1):
+        _require_integer_rank(character)
+    return sections, at_0, at_1 - at_0
+
+
+def bundle_characters(d: int) -> tuple[ThetaPoly, ThetaPoly]:
+    """Chern characters of the two section bundles on the Picard surface.
 
     For each degree-3 divisor class the fibers are the sections of that
     divisor ("sections", rank 2 by Riemann-Roch in genus 2) and the sections
     of the hyperplane divisor minus it ("residual", rank d - 4).  Both
     characters come out of the pushforward machinery; nothing is hard-coded.
+    The rank of each is its degree-zero part.
     """
     if not isinstance(d, int) or d < 8:
         raise ValueError("bundle characters require an integer d >= 8")
-    c1 = poincare_first_chern()
-    sections_ch = riemann_roch_pushforward(line_bundle_character(c1))
-    # The hyperplane bundle restricted to the curve has degree d, hence
-    # character exp(d*f) upstairs; twist by the inverse Poincare bundle.
-    hyperplane_ch = line_bundle_character(UpstreamClass.fiber() * d)
-    residual_ch = riemann_roch_pushforward(hyperplane_ch * line_bundle_character(-c1))
-    return (
-        BundleData(_integer_rank(sections_ch), sections_ch, "sections"),
-        BundleData(_integer_rank(residual_ch), residual_ch, "residual"),
-    )
+    sections, residual_at_0, slope = _pushforwards()
+    return sections, residual_at_0 + slope * d
 
 
-def _integer_rank(character: ThetaPoly) -> int:
-    rank = character.c0
-    if rank.denominator != 1:
-        raise ArithmeticError(f"non-integer rank {rank} out of the pushforward")
-    return int(rank)
+def _require_integer_rank(character: ThetaPoly) -> None:
+    if character.c0.denominator != 1:
+        raise ArithmeticError(f"non-integer rank {character.c0} out of the pushforward")

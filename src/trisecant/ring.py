@@ -356,6 +356,19 @@ class AmbientClass(TruncatedClass):
         return f"AmbientClass(d={self.d}, {self})"
 
 
+def _ring_of(value) -> tuple:
+    # A coefficient's ring is its class, plus its truncation for a ring value.
+    return type(value), getattr(value, "_top", None)
+
+
+def _require_same_ring(left: ChernSeries, right: ChernSeries) -> None:
+    # Checked up front, since zero or constant coefficients may never meet.
+    if _ring_of(left.coeffs[0]) != _ring_of(right.coeffs[0]):
+        raise RingMismatchError(
+            f"series over {left.coeffs[0]!r} cannot combine with one over {right.coeffs[0]!r}"
+        )
+
+
 class ChernSeries:
     """Polynomial in ``t`` truncated at a fixed order, with coefficients in
     one ring: all of one class with one truncation, such as all
@@ -377,10 +390,9 @@ class ChernSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("series order must be non-negative")
-        # A coefficient's ring is its class, plus its truncation for a ring value.
-        ring = (type(coeffs[0]), getattr(coeffs[0], "_top", None))
+        ring = _ring_of(coeffs[0])
         for c in coeffs:
-            if (type(c), getattr(c, "_top", None)) != ring:
+            if _ring_of(c) != ring:
                 raise RingMismatchError(f"one series mixes coefficients {coeffs[0]!r} and {c!r}")
         if len(coeffs) <= order:
             coeffs.extend([coeffs[0].zero_like()] * (order + 1 - len(coeffs)))
@@ -423,6 +435,7 @@ class ChernSeries:
 
     def __mul__(self, other) -> ChernSeries:
         if isinstance(other, ChernSeries):
+            _require_same_ring(self, other)
             order = min(self.order, other.order)
             zero = self.coeffs[0].zero_like()
             out = [zero] * (order + 1)
@@ -490,6 +503,7 @@ class ChernSeries:
         """
         if not isinstance(inner, ChernSeries):
             raise TypeError("compose expects another ChernSeries")
+        _require_same_ring(self, inner)
         if not inner.coeffs[0].is_zero():
             raise ValueError("composition needs an inner series with zero constant term")
         order = self.order

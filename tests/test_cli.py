@@ -285,7 +285,10 @@ def test_pipeline_walkthrough_script():
         [sys.executable, str(WALKTHROUGH), "--d", "9"], capture_output=True, text=True
     )
     assert ok.returncode == 0, ok.stderr
-    assert ok.stdout.splitlines()[-1] == "classical count     = 25"
+    lines = ok.stdout.splitlines()
+    assert "  ch(sections)  rank 2:  2 - T" in lines
+    assert "  ch(residual)  rank 5:  5 - T" in lines
+    assert lines[-1] == "classical count     = 25"
     low = subprocess.run(
         [sys.executable, str(WALKTHROUGH), "--d", "7"], capture_output=True, text=True
     )

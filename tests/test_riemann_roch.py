@@ -10,9 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trisecant.riemann_roch import (
-    BundleData,
     CurveClass,
     UpstreamClass,
+    _require_integer_rank,
     bundle_characters,
     line_bundle_character,
     poincare_character,
@@ -106,12 +106,29 @@ def test_riemann_roch_recovers_fiber_pushforward():
 @pytest.mark.parametrize("d", range(8, 17))
 def test_bundle_characters_derived_not_quoted(d):
     sections, residual = bundle_characters(d)
-    assert sections.chern_character == ThetaPoly(2, -1, 0)
-    assert sections.rank == 2
-    assert sections.label == "sections"
-    assert residual.chern_character == ThetaPoly(d - 4, -1, 0)
-    assert residual.rank == d - 4
-    assert residual.label == "residual"
+    assert sections == ThetaPoly(2, -1, 0)
+    assert sections.c0 == 2
+    assert residual == ThetaPoly(d - 4, -1, 0)
+    assert residual.c0 == d - 4
+
+
+def test_affine_residual_matches_the_pushforward_at_every_d():
+    """The once-per-process derivation against GRR run afresh at each d,
+    past the 64 entries a d-keyed cache used to hold."""
+    sections_reference = riemann_roch_pushforward(poincare_character())
+    inverse_poincare = line_bundle_character(-poincare_first_chern())
+    for d in range(8, 201):
+        sections, residual = bundle_characters(d)
+        hyperplane = line_bundle_character(UpstreamClass.fiber() * d)
+        assert residual == riemann_roch_pushforward(hyperplane * inverse_poincare), d
+        assert sections == sections_reference, d
+
+
+@pytest.mark.parametrize("rank", (Fraction(5, 2), Fraction(-7, 3)))
+def test_non_integer_rank_out_of_the_pushforward_raises(rank):
+    with pytest.raises(ArithmeticError, match=f"non-integer rank {rank}"):
+        _require_integer_rank(ThetaPoly(rank, -1))
+    _require_integer_rank(ThetaPoly(3, -1))
 
 
 def test_bundle_characters_validation():
@@ -121,14 +138,9 @@ def test_bundle_characters_validation():
         bundle_characters("8")
 
 
-def test_bundle_data_checks_rank():
-    with pytest.raises(ValueError):
-        BundleData(rank=3, chern_character=ThetaPoly(2, -1), label="broken")
-
-
 def test_character_ranks_decompose_hyperplane_sections():
     # rank(sections) + rank(residual) = d - 2 = h^0 of the hyperplane bundle
     # restricted to the curve; an honest Riemann-Roch consistency identity.
     for d in range(8, 20):
         sections, residual = bundle_characters(d)
-        assert sections.rank + residual.rank == d - 2
+        assert sections.c0 + residual.c0 == d - 2

@@ -343,6 +343,16 @@ def test_series_rejects_mixed_rings():
         ChernSeries([ThetaPoly(1), AmbientClass.one(8)])
     with pytest.raises(RingMismatchError):
         ChernSeries([AmbientClass.one(8), AmbientClass.hyperplane(9)])
+    # Zero and constant series still meet the other ring, in either order.
+    theta_zero = ChernSeries([ThetaPoly.zero()], 2)
+    ambient_one = ChernSeries([AmbientClass.one(8)], 2)
+    with pytest.raises(RingMismatchError):
+        theta_zero * ambient_one
+    with pytest.raises(RingMismatchError):
+        ambient_one * theta_zero
+    ambient_inner = ChernSeries([AmbientClass.zero(8), AmbientClass.hyperplane(8)], 2)
+    with pytest.raises(RingMismatchError):
+        ChernSeries([ThetaPoly.one()], 2).compose(ambient_inner)
 
 
 def test_series_coefficient_range():
