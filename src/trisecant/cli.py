@@ -339,10 +339,7 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     if stage.perturb is not None:
         coefficients = tuple(stage.perturb(i, c) for i, c in enumerate(coefficients, 1))
     segre = stage.segre
-    try:
-        recurrence = recurrence_determinants(d, coefficients)[d - 5]
-    except ArithmeticError as err:
-        return f"d={d}: recurrence: {err}"
+    recurrence = recurrence_determinants(d, coefficients)[d - 5]
     closed = determinant_formula(d - 5, d)
     if not (segre == recurrence == closed):
         return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
@@ -402,9 +399,11 @@ def verify_checks(
     d_min: int, d_max: int, perturb: PerturbHook | None = None
 ) -> VerifyReport:
     """Run the battery: the whole-range checks, then one pass over d for the
-    per-d checks.  A check stops at its first counterexample; its
-    ``elapsed_s`` is its wall time summed over every d it ran on; a range
-    starting below 8, or empty, raises ``ValueError``."""
+    per-d checks.  A check stops at its first counterexample, which may be an
+    ``ArithmeticError``, ``ValueError`` or ``RingMismatchError`` it raised
+    (after ``d=<d>: `` for a per-d check); its ``elapsed_s`` is its wall time
+    summed over every d it ran on; a range starting below 8, or empty, raises
+    ``ValueError``."""
     if d_min < 8:
         raise ValueError("the range must start at d >= 8")
     if d_max < d_min:
@@ -412,22 +411,25 @@ def verify_checks(
     elapsed = dict.fromkeys((name for name, _ in CHECKS), 0.0)
     failures: dict[str, str] = {}
 
-    def run(name: str, *args) -> None:
+    def run(name: str, args: tuple, where: str = "") -> None:
         check = globals()["check_" + name.replace("-", "_")]
         start = time.perf_counter()
-        counterexample = check(*args)
+        try:
+            counterexample = check(*args)
+        except (ArithmeticError, ValueError, RingMismatchError) as err:
+            counterexample = f"{where}{err}"
         elapsed[name] += time.perf_counter() - start
         if counterexample is not None:
             failures[name] = counterexample
 
     for name, per_d in CHECKS:
         if not per_d:
-            run(name, d_min, d_max)
+            run(name, (d_min, d_max))
     for d in range(d_min, d_max + 1):
         stage = Stage(d, perturb)
         for name, per_d in CHECKS:
             if per_d and name not in failures:
-                run(name, d, stage)
+                run(name, (d, stage), f"d={d}: ")
     checks = tuple(
         CheckResult(name, name not in failures, failures.get(name), elapsed[name])
         for name, _ in CHECKS

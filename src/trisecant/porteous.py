@@ -132,18 +132,21 @@ def virtual_chern_series_closed_form(d: int) -> ChernSeries:
 
         (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t)),
 
-    assembled from inversion, exponential and product only; no division by
-    the source series is involved.
+    assembled from a geometric inverse, an exponential and the binomial tail
+    (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k; no division by the
+    source series is involved.
     """
     _require_degree(d)
     order = d - 5
-    one = AmbientClass.one(d)
     h = AmbientClass.hyperplane(d)
     theta = AmbientClass.theta(d)
-    one_minus = ChernSeries([one, -h], order)
+    one_minus = ChernSeries([AmbientClass.one(d), -h], order)
     numerator = ChernSeries([AmbientClass.zero(d), theta * 2, -(theta * h)], order)
     argument = numerator * one_minus.inverse()
-    return (one_minus ** (d - 4)).inverse() * argument.exp()
+    tail = ChernSeries(
+        [AmbientClass.monomial(d, 0, k, binomial(d - 5 + k, k)) for k in range(order + 1)]
+    )
+    return tail * argument.exp()
 
 
 def virtual_chern_series_expansion(d: int) -> ChernSeries:

@@ -63,7 +63,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 def _power(base, exponent: int, one):
     """``base ** exponent`` by square-and-multiply, starting from the unit
-    ``one`` of the base's ring; shared by every ring and series type."""
+    ``one`` of the base's ring; shared by every ring type."""
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("ring powers need a non-negative integer exponent")
     result = one
@@ -144,7 +144,10 @@ class TruncatedClass:
         return self._terms.get((a, b), _ZERO)
 
     def nonzero_terms(self) -> Iterator[tuple[int, int, Fraction]]:
-        """``(a, b, coefficient)`` for every nonzero term, sorted by ``(a, b)``."""
+        """``(a, b, coefficient)`` for every nonzero term, sorted by ``(a, b)``.
+
+        The benchmark's per-layer tracer (bench/layers.py) counts the term
+        products of every traced ``AmbientClass`` product with it."""
         return ((a, b, c) for (a, b), c in sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
@@ -361,23 +364,13 @@ def _ring_of(value) -> tuple:
     return type(value), getattr(value, "_top", None)
 
 
-def _require_same_ring(left: ChernSeries, right: ChernSeries) -> None:
-    # Checked up front, since zero or constant coefficients may never meet.
-    if _ring_of(left.coeffs[0]) != _ring_of(right.coeffs[0]):
-        raise RingMismatchError(
-            f"series over {left.coeffs[0]!r} cannot combine with one over {right.coeffs[0]!r}"
-        )
-
-
 class ChernSeries:
     """Polynomial in ``t`` truncated at a fixed order, with coefficients in
     one ring: all of one class with one truncation, such as all
     ``ThetaPoly``, or all ``AmbientClass`` with one ``d``.
 
     Binary operations truncate at the smaller operand order.  Coefficients
-    beyond the stored order are unknown and never invented, with one
-    documented exception: :meth:`compose` treats the inner series as a
-    polynomial, reading absent coefficients as zero.
+    beyond the stored order are unknown and never invented.
     """
 
     __slots__ = ("order", "coeffs")
@@ -425,17 +418,14 @@ class ChernSeries:
             order,
         )
 
-    def __neg__(self) -> ChernSeries:
-        return ChernSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other: ChernSeries) -> ChernSeries:
-        if not isinstance(other, ChernSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> ChernSeries:
         if isinstance(other, ChernSeries):
-            _require_same_ring(self, other)
+            # Checked up front, since zero or constant coefficients may never meet.
+            if _ring_of(self.coeffs[0]) != _ring_of(other.coeffs[0]):
+                raise RingMismatchError(
+                    f"series over {self.coeffs[0]!r} cannot combine with one over "
+                    f"{other.coeffs[0]!r}"
+                )
             order = min(self.order, other.order)
             zero = self.coeffs[0].zero_like()
             out = [zero] * (order + 1)
@@ -452,10 +442,6 @@ class ChernSeries:
         return ChernSeries([c * other for c in self.coeffs], self.order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> ChernSeries:
-        one = ChernSeries.constant(self.coeffs[0].one_like(), self.order)
-        return _power(self, exponent, one)
 
     def inverse(self) -> ChernSeries:
         """Multiplicative inverse; the constant term must be the ring unit."""
@@ -494,31 +480,6 @@ class ChernSeries:
                 break
             total = total + term
         return total
-
-    def compose(self, inner: ChernSeries) -> ChernSeries:
-        """Substitution ``self(inner(t))``, truncated at this series' order.
-
-        The inner series must have zero constant term; its coefficients
-        beyond the stored order are taken to be zero.
-        """
-        if not isinstance(inner, ChernSeries):
-            raise TypeError("compose expects another ChernSeries")
-        _require_same_ring(self, inner)
-        if not inner.coeffs[0].is_zero():
-            raise ValueError("composition needs an inner series with zero constant term")
-        order = self.order
-        inner = ChernSeries(inner.coeffs[: order + 1], order)  # zero-padded when shorter
-        top = 0
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                top = k
-        result = ChernSeries.constant(self.coeffs[top], order)
-        for k in range(top - 1, -1, -1):
-            result = result * inner
-            result = ChernSeries(
-                (result.coeffs[0] + self.coeffs[k],) + result.coeffs[1:], order
-            )
-        return result
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coeffs)

@@ -181,15 +181,13 @@ def test_criterion_8_property_suites():
     if not verify_binomial_identities(12):
         failures.append("binomial-identities")
 
-    # series contracts: inverse, exponential group law, substitution
-    def random_series(constant: ThetaPoly | None) -> ChernSeries:
+    # series contracts: inverse, exponential group law
+    def random_series(constant: ThetaPoly) -> ChernSeries:
         coeffs = [random_theta() for _ in range(rng.randint(1, 5))]
-        if constant is not None:
-            coeffs[0] = constant
+        coeffs[0] = constant
         return ChernSeries(coeffs, 4)
 
     one = ChernSeries.constant(ThetaPoly.one(), 4)
-    identity = ChernSeries([ThetaPoly.zero(), ThetaPoly.one()], 4)
     for _ in range(200):
         s = random_series(ThetaPoly.one())
         if s * s.inverse() != one:
@@ -200,12 +198,6 @@ def test_criterion_8_property_suites():
         b = random_series(ThetaPoly.zero())
         if a.exp() * b.exp() != (a + b).exp():
             failures.append("series-exp")
-            break
-    for _ in range(200):
-        s, t = random_series(None), random_series(None)
-        g = random_series(ThetaPoly.zero())
-        if s.compose(identity) != s or (s * t).compose(g) != s.compose(g) * t.compose(g):
-            failures.append("series-subst")
             break
 
     ok = not failures

@@ -256,6 +256,51 @@ def test_ring_axioms_cover_a_range_above_d_12(monkeypatch, capsys):
     assert "9/10 checks passed for d in [20, 20]" in out
 
 
+def _flip_sections_c1(monkeypatch):
+    """Every caller of bundle_characters sees the sections character 2 + T."""
+    import trisecant.cli
+    import trisecant.porteous
+    import trisecant.riemann_roch
+    from trisecant.ring import ThetaPoly
+
+    original = trisecant.riemann_roch.bundle_characters
+
+    def flipped(d):
+        sections, residual = original(d)
+        return ThetaPoly(sections.c0, -sections.c1, sections.c2), residual
+
+    for module in (trisecant.riemann_roch, trisecant.porteous, trisecant.cli):
+        monkeypatch.setattr(module, "bundle_characters", flipped)
+
+
+def test_a_check_that_raises_is_its_counterexample(monkeypatch, capsys):
+    """The flipped c1 makes class_degree raise inside degree-berzolari; that
+    error is the check's counterexample at d=8, and the battery goes on."""
+    _flip_sections_c1(monkeypatch)
+    assert main(["verify", "--d-min", "8", "--d-max", "12"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "FAIL bundle-characters: d=8: sections character 2 + T" in lines
+    assert lines[-2] == (
+        "FAIL degree-berzolari: d=8: secant degree for d=8 (segre) "
+        "should be a positive integer, got 0"
+    )
+    assert lines[-1] == "4/10 checks passed for d in [8, 12]"
+
+
+def test_a_check_that_raises_keeps_the_json_report_whole(monkeypatch, capsys):
+    _flip_sections_c1(monkeypatch)
+    argv = ["verify", "--d-min", "8", "--d-max", "12", "--format", "json"]
+    assert main(argv) == EXIT_VERIFY
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    checks = {check["name"]: check for check in payload["checks"]}
+    assert list(checks) == EXPECTED_CHECK_NAMES
+    assert sum(check["passed"] for check in checks.values()) == 4
+    assert checks["degree-berzolari"]["counterexample"].startswith("d=8: secant degree")
+
+
 def test_identity_perturbation_passes():
     report = verify_checks(8, 8, perturb=lambda i, c: c)
     assert report.passed
