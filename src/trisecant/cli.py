@@ -28,7 +28,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .degree import berzolari, class_degree, secant3_degree, verify_binomial_identities
 from .porteous import (
@@ -66,12 +66,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-# Test-only hook type: maps (index i, coefficient c_i) to a replacement
-# coefficient before the determinants are evaluated.  A replacement that is
-# not homogeneous of degree i is reported as a counterexample.
-PerturbHook = Callable[[int, AmbientClass], AmbientClass]
-
 
 class UsageError(Exception):
     """Bad command line; reported on stderr with exit code 1."""
@@ -206,7 +200,6 @@ class Stage:
     on first use, so its cost falls to the check that first reads it."""
 
     d: int
-    perturb: PerturbHook | None = None
 
     @cached_property
     def division(self) -> ChernSeries:
@@ -328,18 +321,9 @@ def check_series_binomial_expansion(d: int, stage: Stage) -> str | None:
 
 def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     """Segre quotient, recurrence and closed form must produce the same class.
-
-    The recurrence runs on the coefficients of the series division.
-    ``stage.perturb`` is a test-only fault-injection hook: it rewrites those
-    coefficients, while the Segre route and the closed form stay untouched,
-    so any tampering has to surface as a mismatch, or as the recurrence's
-    refusal of a coefficient that is not homogeneous of its degree.
-    """
-    coefficients = stage.division_coefficients
-    if stage.perturb is not None:
-        coefficients = tuple(stage.perturb(i, c) for i, c in enumerate(coefficients, 1))
+    The recurrence runs on the coefficients of the series division."""
     segre = stage.segre
-    recurrence = recurrence_determinants(d, coefficients)[d - 5]
+    recurrence = recurrence_determinants(d, stage.division_coefficients)[d - 5]
     closed = determinant_formula(d - 5, d)
     if not (segre == recurrence == closed):
         return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
@@ -395,9 +379,7 @@ CHECKS = (
 )
 
 
-def verify_checks(
-    d_min: int, d_max: int, perturb: PerturbHook | None = None
-) -> VerifyReport:
+def verify_checks(d_min: int, d_max: int) -> VerifyReport:
     """Run the battery: the whole-range checks, then one pass over d for the
     per-d checks.  A check stops at its first counterexample, which may be an
     ``ArithmeticError``, ``ValueError`` or ``RingMismatchError`` it raised
@@ -426,7 +408,7 @@ def verify_checks(
         if not per_d:
             run(name, (d_min, d_max))
     for d in range(d_min, d_max + 1):
-        stage = Stage(d, perturb)
+        stage = Stage(d)
         for name, per_d in CHECKS:
             if per_d and name not in failures:
                 run(name, (d, stage), f"d={d}: ")
@@ -437,8 +419,8 @@ def verify_checks(
     return VerifyReport(d_min=d_min, d_max=d_max, checks=checks)
 
 
-def run_verify(args: argparse.Namespace, perturb: PerturbHook | None = None) -> int:
-    report = verify_checks(args.d_min, args.d_max, perturb)
+def run_verify(args: argparse.Namespace) -> int:
+    report = verify_checks(args.d_min, args.d_max)
     if args.format == "json":
         payload = {
             "d_min": report.d_min,

@@ -70,6 +70,10 @@ class CurveClass(TruncatedClass):
         return cls(0, 1)
 
 
+# The theta class gamma^2 / f of the product rule gamma^2 = -2 f T.
+_GAMMA_SQUARED_OVER_F = ThetaPoly(0, -2)
+
+
 class UpstreamClass:
     """Class on (curve) x (Picard surface): ``u1 + uf*f + ug*gamma`` with
     theta-ring coordinates.
@@ -158,20 +162,16 @@ class UpstreamClass:
         return other - self
 
     def __mul__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
-        if isinstance(other, (int, Fraction, ThetaPoly)):
-            # Coordinate-wise: a lift would build and multiply three more theta classes.
-            return UpstreamClass(self.u1 * other, self.uf * other, self.ug * other)
         other = self._lift(other)
         if other is NotImplemented:
             return other
-        theta = ThetaPoly.theta()
         # gamma^2 = -2 f T contributes to the fiber coordinate; f^2 and
         # f*gamma vanish outright.
         u1 = self.u1 * other.u1
         uf = (
             self.u1 * other.uf
             + self.uf * other.u1
-            - self.ug * other.ug * theta * 2
+            + self.ug * other.ug * _GAMMA_SQUARED_OVER_F
         )
         ug = self.u1 * other.ug + self.ug * other.u1
         return UpstreamClass(u1, uf, ug)

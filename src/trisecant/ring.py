@@ -186,13 +186,7 @@ class TruncatedClass:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            prior = acc.pop(key, None)
-            total = -c if prior is None else prior - c
-            if total:
-                acc[key] = total
-        return self._new(acc)
+        return self + -other
 
     def __rsub__(self, other: Scalar) -> TruncatedClass:
         other = self._coerce(other)

@@ -1,5 +1,5 @@
 """Command-line contract: output formats, exit codes, and the verify
-battery including its fault-injection hook."""
+battery."""
 
 import json
 import subprocess
@@ -12,9 +12,7 @@ from trisecant.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    build_parser,
     main,
-    run_verify,
     verify_checks,
 )
 
@@ -190,28 +188,6 @@ def test_verify_default_range_is_8_to_40():
     assert namespace.d_max == 40
 
 
-def _bump_c2(i, coefficient):
-    return coefficient + coefficient.one_like() if i == 2 else coefficient
-
-
-def test_fault_injection_breaks_three_way_check():
-    """Perturbing c_2 on its way into the determinants must be caught."""
-    report = verify_checks(8, 9, perturb=_bump_c2)
-    result = report.checks[EXPECTED_CHECK_NAMES.index("determinant-three-way")]
-    assert not result.passed
-    assert result.name == "determinant-three-way"
-    assert result.counterexample is not None
-    assert "d=8" in result.counterexample
-
-
-def test_fault_injection_flows_through_run_verify(capsys):
-    args = build_parser().parse_args(["verify", "--d-min", "8", "--d-max", "8"])
-    assert run_verify(args, perturb=_bump_c2) == EXIT_VERIFY
-    out = capsys.readouterr().out
-    assert "FAIL determinant-three-way:" in out
-    assert "9/10 checks passed" in out
-
-
 def test_a_fault_at_one_d_fails_only_its_check(monkeypatch, capsys):
     """verify walks d once for all per-d checks: a fault at d=10 fails the
     check that meets it, at d=10, and every other check still runs to d=12."""
@@ -299,11 +275,6 @@ def test_a_check_that_raises_keeps_the_json_report_whole(monkeypatch, capsys):
     assert list(checks) == EXPECTED_CHECK_NAMES
     assert sum(check["passed"] for check in checks.values()) == 4
     assert checks["degree-berzolari"]["counterexample"].startswith("d=8: secant degree")
-
-
-def test_identity_perturbation_passes():
-    report = verify_checks(8, 8, perturb=lambda i, c: c)
-    assert report.passed
 
 
 def test_verify_checks_report_shape():

@@ -1,0 +1,159 @@
+"""Which checks of the verify battery catch which engine fault.
+
+Each row applies one fault with ``monkeypatch`` and asserts the exact set of
+checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
+power shows up as a changed set.  Two faults are caught by one check alone:
+a wrong theta self-intersection only by ``degree-berzolari``, the quoted
+count, and a wrong negative-upper binomial only by ``binomial-identities``.
+
+A patched function is rebound in every loaded ``trisecant`` module, because
+``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
+is cached per process, so a fault upstream of it goes in at
+``bundle_characters``.
+"""
+
+import sys
+
+import pytest
+
+from trisecant import cli, degree, porteous, riemann_roch
+from trisecant.ring import AmbientClass, ThetaPoly
+
+NAMES = [name for name, _ in cli.CHECKS]
+PER_D = {name for name, per_d in cli.CHECKS if per_d}
+
+SERIES_FIVE = {
+    "chern-coefficient-formula",
+    "series-exponential-form",
+    "series-binomial-expansion",
+    "determinant-three-way",
+    "degree-berzolari",
+}
+RECURRENCE_THREE = {"determinant-three-way", "determinant-closed-form", "degree-berzolari"}
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Bind ``replacement`` wherever a loaded trisecant module binds ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "trisecant" or name.startswith("trisecant."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def residual_rank_plus_one(monkeypatch):
+    def source(d):
+        _, residual = riemann_roch.bundle_characters(d)
+        residual = residual + 1
+        series = porteous.chern_series_from_character(residual, d)
+        return porteous.twist_by_hyperplane(series, int(residual.c0))
+
+    _rebind(monkeypatch, porteous.source_chern_series, source)
+
+
+def twist_rank_minus_one(monkeypatch):
+    def source(d):
+        _, residual = riemann_roch.bundle_characters(d)
+        series = porteous.chern_series_from_character(residual, d)
+        return porteous.twist_by_hyperplane(series, int(residual.c0) - 1)
+
+    _rebind(monkeypatch, porteous.source_chern_series, source)
+
+
+def c2_without_halving(monkeypatch):
+    """c2 = c1^2 - ch2: the original fed a ch2 lowered by c1^2 / 2."""
+    original = porteous.chern_series_from_character
+
+    def series(character, d, dual=False):
+        lowered = character - ThetaPoly(0, 0, character.c1 * character.c1 / 2)
+        return original(lowered, d, dual)
+
+    _rebind(monkeypatch, original, series)
+
+
+def sections_c1_flipped(monkeypatch):
+    original = riemann_roch.bundle_characters
+
+    def flipped(d):
+        sections, residual = original(d)
+        return ThetaPoly(sections.c0, -sections.c1, sections.c2), residual
+
+    _rebind(monkeypatch, original, flipped)
+
+
+def theta_self_intersection_one(monkeypatch):
+    monkeypatch.setattr(degree, "THETA_SELF_INTERSECTION", 1)
+
+
+def negative_binomial_off_at_k2(monkeypatch):
+    original = degree.binomial
+
+    def binomial(n, k):
+        return original(n, k) + (1 if n < 0 and k == 2 else 0)
+
+    _rebind(monkeypatch, original, binomial)
+
+
+def c2_bumped_into_recurrence(monkeypatch):
+    """c_2 + 1 on every call of the recurrence that passes its coefficients."""
+    original = porteous.recurrence_determinants
+
+    def bumped(d, coefficients=None):
+        if coefficients is not None:
+            coefficients = (coefficients[0], coefficients[1] + 1, *coefficients[2:])
+        return original(d, coefficients)
+
+    _rebind(monkeypatch, original, bumped)
+
+
+def coefficient_formula_off_at_3(monkeypatch):
+    original = porteous.chern_coefficient_formula
+
+    def formula(i, d):
+        value = original(i, d)
+        return value + AmbientClass.monomial(d, 2, 1) if i == 3 else value
+
+    _rebind(monkeypatch, original, formula)
+
+
+def determinant_formula_off_at_top(monkeypatch):
+    original = porteous.determinant_formula
+
+    def formula(n, d):
+        value = original(n, d)
+        return value + AmbientClass.monomial(d, 2, n - 2) if n == d - 5 else value
+
+    _rebind(monkeypatch, original, formula)
+
+
+def segre_sign_flipped(monkeypatch):
+    original = porteous.determinant_segre
+    _rebind(monkeypatch, original, lambda d: -original(d))
+
+
+FAULTS = [
+    (residual_rank_plus_one, SERIES_FIVE),
+    (twist_rank_minus_one, SERIES_FIVE),
+    (c2_without_halving, SERIES_FIVE),
+    (sections_c1_flipped, SERIES_FIVE | {"bundle-characters"}),
+    (theta_self_intersection_one, {"degree-berzolari"}),
+    (negative_binomial_off_at_k2, {"binomial-identities"}),
+    (c2_bumped_into_recurrence, RECURRENCE_THREE),
+    (
+        coefficient_formula_off_at_3,
+        {"chern-coefficient-formula", "determinant-closed-form", "degree-berzolari"},
+    ),
+    (determinant_formula_off_at_top, RECURRENCE_THREE),
+    (segre_sign_flipped, {"determinant-three-way", "degree-berzolari"}),
+]
+
+
+@pytest.mark.parametrize("fault, expected", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS])
+def test_fault_fails_exactly_its_checks(fault, expected, monkeypatch):
+    assert expected <= set(NAMES)
+    fault(monkeypatch)
+    report = cli.verify_checks(8, 14)
+    failed = {check.name: check.counterexample for check in report.checks if not check.passed}
+    assert set(failed) == expected
+    for name in PER_D & set(failed):
+        assert failed[name].startswith(("d=8: ", "d=8, ")), failed[name]

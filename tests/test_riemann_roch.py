@@ -69,6 +69,7 @@ def test_pushforward_lemma():
 def test_pushforward_is_theta_linear(x, y, scale):
     assert pushforward_to_picard(x + y) == pushforward_to_picard(x) + pushforward_to_picard(y)
     assert pushforward_to_picard(x * scale) == pushforward_to_picard(x) * scale
+    assert x * scale == scale * x == x * UpstreamClass(scale)
 
 
 @given(upstream_classes, upstream_classes, upstream_classes)
