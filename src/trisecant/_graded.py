@@ -26,11 +26,13 @@ def graded_inverse(series: ChernSeries) -> ChernSeries:
     # The columns of x0, x1 and X2 over c_1..c_order, ints where integral.
     a0, a1, a2 = columns = [[0] * series.order for _ in range(3)]
     for k, c in enumerate(series.coeffs[1:], 1):
-        for (a, b), value in c._terms.items():
+        den = c._den
+        for (a, b), numerator in c._terms.items():
             if a + b != k:
                 raise ArithmeticError(f"c_{k} = {c} is not homogeneous of degree {k}")
-            value = value * 2 if a == 2 else value
-            columns[a][k - 1] = value.numerator if value.denominator == 1 else value
+            numerator = numerator * 2 if a == 2 else numerator
+            whole, rest = divmod(numerator, den)
+            columns[a][k - 1] = Fraction(numerator, den) if rest else whole
     q0, q1, q2 = [1], [0], [0]
 
     def conv(x: list, q: list):

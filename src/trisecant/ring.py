@@ -1,23 +1,22 @@
 """Exact arithmetic in the truncated monomial rings of the engine, plus
 truncated Chern-series calculus over them.
 
-Coefficients are exact rationals throughout (``fractions.Fraction``); the
-engine has no floating-point mode.  Every ring is served by one sparse
-class, :class:`TruncatedClass`, whose values are elements of
-``Q[x, y]/(x^(top_a+1), y^(top_b+1))`` that carry their truncation
-``(top_a, top_b)``.  Three thin subclasses name the rings of the computation:
+Every ring is served by one sparse class, :class:`TruncatedClass`, whose
+values are elements of ``Q[x, y]/(x^(top_a+1), y^(top_b+1))`` that carry
+their truncation ``(top_a, top_b)``.  A value stores integer numerators over
+one common denominator and hands every coefficient out as an exact
+``fractions.Fraction``; the engine has no floating-point mode.  Three thin
+subclasses name the rings of the computation:
 
-* ``CurveClass`` (in :mod:`trisecant.riemann_roch`) classes on the genus-2
-  curve, written as ``c0 + c1*P`` in ``Q[P]/(P^2)`` where ``P`` is the class
-  of a point;
-* ``ThetaPoly``    classes on the degree-3 Picard surface of the curve,
-  written as ``c0 + c1*T + c2*T^2`` in ``Q[T]/(T^3)`` where ``T`` is the
-  theta-divisor class (the surface has complex dimension two, so the cube
-  of any divisor class vanishes);
-* ``AmbientClass`` classes on the product of that surface with ``P^(d-2)``,
-  written in ``Q[T, h]/(T^3, h^(d-1))`` where ``h`` is the hyperplane class
-  of the projective factor and the curve degree ``d >= 8`` travels with the
-  value as its truncation.
+* ``CurveClass`` (in :mod:`trisecant.riemann_roch`), ``c0 + c1*P`` in
+  ``Q[P]/(P^2)`` on the genus-2 curve, where ``P`` is the class of a point;
+* ``ThetaPoly``, ``c0 + c1*T + c2*T^2`` in ``Q[T]/(T^3)`` on the degree-3
+  Picard surface of the curve, where ``T`` is the theta-divisor class (the
+  surface has complex dimension two, so the cube of any divisor vanishes);
+* ``AmbientClass``, ``Q[T, h]/(T^3, h^(d-1))`` on the product of that
+  surface with ``P^(d-2)``, where ``h`` is the hyperplane class of the
+  projective factor and the curve degree ``d >= 8`` travels with the value
+  as its truncation.
 
 ``ChernSeries`` is a polynomial in a formal variable ``t`` truncated at a
 fixed order, with coefficients in one ring.  All values are immutable
@@ -28,6 +27,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -45,20 +45,14 @@ Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class RingMismatchError(TypeError):
     """Raised when combining ring elements from incompatible contexts."""
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact rational coefficient required, got {type(value).__name__}")
+def _is_exact(value) -> bool:
+    """An int that is not a bool, or a Fraction: both carry ``numerator`` and ``denominator``."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def _power(base, exponent: int, one):
@@ -78,17 +72,20 @@ def _power(base, exponent: int, one):
 
 def _coordinate(a: int) -> property:
     """The coefficient of ``x^a`` (with ``y^0``) as a read-only attribute."""
-    return property(lambda self: self._terms.get((a, 0), _ZERO))
+    return property(lambda self: Fraction(self._terms.get((a, 0), 0), self._den))
 
 
 class TruncatedClass:
     """Element of ``Q[x, y]/(x^(top_a+1), y^(top_b+1))``.
 
-    Stored sparsely: a dict maps each exponent pair ``(a, b)`` whose
-    coefficient is nonzero to the coefficient of ``x^a * y^b``, so every
-    operation costs time in the number of nonzero terms, not in the
-    truncation.  Constructors reduce modulo the relations, so exponents
-    beyond the truncation simply vanish.
+    Stored sparsely: ``_terms`` maps each exponent pair ``(a, b)`` whose
+    coefficient is nonzero to the integer numerator of the coefficient of
+    ``x^a * y^b`` over the common denominator ``_den > 0``.  Values are kept
+    in lowest terms, ``gcd(_den, *_terms.values()) == 1``, so equal values
+    store equal data.  Every operation costs time in the number of nonzero
+    terms, not in the truncation; a product is one integer convolution and
+    one gcd.  Constructors reduce modulo the relations, so exponents beyond
+    the truncation simply vanish.
 
     The ring of a value is its class together with its truncation.  A
     scalar lifts into any ring, two values of one ring combine, a value of
@@ -96,7 +93,7 @@ class TruncatedClass:
     and any other operand gives ``NotImplemented``.
     """
 
-    __slots__ = ("_top", "_terms")
+    __slots__ = ("_top", "_terms", "_den")
 
     # Names of x and y in str, and whether terms print descending in (b, a).
     _variables = ("x", "y")
@@ -104,30 +101,41 @@ class TruncatedClass:
 
     def __init__(self, top: tuple[int, int], terms: Mapping | None = None) -> None:
         top_a, top_b = top
-        acc: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (a, b), value in terms.items():
-                if not isinstance(a, int) or not isinstance(b, int) or a < 0 or b < 0:
-                    raise ValueError(f"exponents must be non-negative integers, got ({a}, {b})")
-                coeff = _as_fraction(value)
-                if a <= top_a and b <= top_b and coeff:
-                    acc[(a, b)] = coeff
+        coeffs: dict[tuple[int, int], Scalar] = {}
+        den = 1
+        for (a, b), value in (terms or {}).items():
+            if not (type(a) is type(b) is int and a >= 0 and b >= 0):
+                raise ValueError(f"exponents must be non-negative integers, got ({a}, {b})")
+            if not _is_exact(value):
+                kind = type(value).__name__
+                raise TypeError(f"exact rational coefficient required, got {kind}")
+            if a <= top_a and b <= top_b and value:
+                coeffs[(a, b)] = value
+                den = lcm(den, value.denominator)
+        # Over the lcm of reduced denominators the numerators share no factor with it.
         self._top = top
-        self._terms = acc
+        self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._den = den
 
-    def _new(self, acc: dict[tuple[int, int], Fraction]) -> TruncatedClass:
-        """A value of this ring; ``acc`` must hold only in-range, nonzero
-        terms and is taken over, not copied."""
+    def _new(self, terms: dict[tuple[int, int], int], den: int = 1) -> TruncatedClass:
+        """A value of this ring from in-range, nonzero integer numerators over
+        ``den > 0``, brought to lowest terms; ``terms`` is taken over."""
+        if den != 1:
+            common = gcd(den, *terms.values())
+            if common != 1:
+                terms = {key: c // common for key, c in terms.items()}
+                den //= common
         out = object.__new__(type(self))
         out._top = self._top
-        out._terms = acc
+        out._terms = terms
+        out._den = den
         return out
 
     def _coerce(self, other) -> TruncatedClass:
         """``other`` lifted into this ring when it is a scalar; a value of
         another ring raises, and any other operand gives NotImplemented."""
-        if isinstance(other, (int, Fraction)):
-            return self._new({(0, 0): _as_fraction(other)} if other else {})
+        if _is_exact(other):
+            return self._new({(0, 0): other.numerator} if other else {}, other.denominator)
         if isinstance(other, TruncatedClass):
             raise RingMismatchError(
                 f"{type(self).__name__} truncated at {self._top} cannot combine with "
@@ -141,14 +149,14 @@ class TruncatedClass:
         top_a, top_b = self._top
         if not (0 <= a <= top_a and 0 <= b <= top_b):
             raise IndexError(f"exponents ({a}, {b}) out of range for truncation {self._top}")
-        return self._terms.get((a, b), _ZERO)
+        return Fraction(self._terms.get((a, b), 0), self._den)
 
     def nonzero_terms(self) -> Iterator[tuple[int, int, Fraction]]:
         """``(a, b, coefficient)`` for every nonzero term, sorted by ``(a, b)``.
 
         The benchmark's per-layer tracer (bench/layers.py) counts the term
         products of every traced ``AmbientClass`` product with it."""
-        return ((a, b, c) for (a, b), c in sorted(self._terms.items()))
+        return ((a, b, Fraction(c, self._den)) for (a, b), c in sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -161,48 +169,48 @@ class TruncatedClass:
         return self._new({})
 
     def one_like(self) -> TruncatedClass:
-        return self._new({(0, 0): _ONE})
+        return self._new({(0, 0): 1})
 
     def __add__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
         if type(other) is not type(self) or other._top != self._top:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            prior = acc.pop(key, None)
-            total = c if prior is None else prior + c
+        den = self._den
+        if other._den == den:
+            acc, right = dict(self._terms), other._terms.items()
+        else:
+            den = lcm(den, other._den)
+            left_scale, right_scale = den // self._den, den // other._den
+            acc = {key: c * left_scale for key, c in self._terms.items()}
+            right = ((key, c * right_scale) for key, c in other._terms.items())
+        for key, c in right:
+            total = acc.pop(key, 0) + c
             if total:
                 acc[key] = total
-        return self._new(acc)
+        return self._new(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> TruncatedClass:
-        return self._new({key: -c for key, c in self._terms.items()})
+        return self._new({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
+        if not (isinstance(other, TruncatedClass) or _is_exact(other)):
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other: Scalar) -> TruncatedClass:
+        return (-self).__add__(other)
+
+    def __mul__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
         if type(other) is not type(self) or other._top != self._top:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        return self + -other
-
-    def __rsub__(self, other: Scalar) -> TruncatedClass:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return other - self
-
-    def __mul__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
-        if type(other) is not type(self) or other._top != self._top:
-            if not isinstance(other, (int, Fraction)):
-                return self._coerce(other)  # raises, or gives NotImplemented
-            q = _as_fraction(other)
-            return self._new({key: c * q for key, c in self._terms.items()} if q else {})
         top_a, top_b = self._top
         right = other._terms.items()
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in right:
                 a = a1 + a2
@@ -212,9 +220,8 @@ class TruncatedClass:
                 if b > top_b:
                     continue
                 key = (a, b)
-                prior = acc.get(key)
-                acc[key] = c1 * c2 if prior is None else prior + c1 * c2
-        return self._new({key: c for key, c in acc.items() if c})
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return self._new({key: c for key, c in acc.items() if c}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -223,19 +230,16 @@ class TruncatedClass:
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self) or other._top != self._top:
-            if isinstance(other, (int, Fraction)):
-                other = self._coerce(other)
-            elif isinstance(other, TruncatedClass):
-                return False
-            else:
-                return NotImplemented
-        return self._terms == other._terms
+            if not _is_exact(other):
+                return False if isinstance(other, TruncatedClass) else NotImplemented
+            other = self._coerce(other)
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         # A constant equals its scalar, so it must hash like one.
         if self._terms.keys() <= {(0, 0)}:
-            return hash(self._terms.get((0, 0), _ZERO))
-        return hash((type(self).__name__, self._top, frozenset(self._terms.items())))
+            return hash(Fraction(self._terms.get((0, 0), 0), self._den))
+        return hash((type(self).__name__, self._top, self._den, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         """ASCII text such as ``4h^3 + 9*T*h^2 + 6*T^2*h``: an integer
@@ -246,7 +250,8 @@ class TruncatedClass:
         ordered = sorted(
             self._terms.items(), key=lambda item: item[0][::-1], reverse=self._descending
         )
-        for (a, b), coeff in ordered:
+        for (a, b), numerator in ordered:
+            coeff = Fraction(numerator, self._den)
             factors = []
             if a:
                 factors.append(x if a == 1 else f"{x}^{a}")
@@ -406,11 +411,8 @@ class ChernSeries:
     def __add__(self, other: ChernSeries) -> ChernSeries:
         if not isinstance(other, ChernSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        return ChernSeries(
-            [a + b for a, b in zip(self.coeffs[: order + 1], other.coeffs[: order + 1])],
-            order,
-        )
+        # zip stops at the smaller order, which the result then takes.
+        return ChernSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other) -> ChernSeries:
         if isinstance(other, ChernSeries):
@@ -421,8 +423,7 @@ class ChernSeries:
                     f"{other.coeffs[0]!r}"
                 )
             order = min(self.order, other.order)
-            zero = self.coeffs[0].zero_like()
-            out = [zero] * (order + 1)
+            out = [self.coeffs[0].zero_like()] * (order + 1)
             left = [(i, c) for i, c in enumerate(self.coeffs[: order + 1]) if not c.is_zero()]
             right = [(j, c) for j, c in enumerate(other.coeffs[: order + 1]) if not c.is_zero()]
             for i, ci in left:
@@ -465,9 +466,7 @@ class ChernSeries:
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("series exponential needs a zero constant term")
-        one = ChernSeries.constant(self.coeffs[0].one_like(), self.order)
-        total = one
-        term = one
+        total = term = ChernSeries.constant(self.coeffs[0].one_like(), self.order)
         for j in range(1, self.order + 1):
             term = term * self * Fraction(1, j)
             if term.is_zero():

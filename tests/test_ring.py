@@ -3,6 +3,7 @@
 import operator
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -270,6 +271,70 @@ def test_ambient_additive_inverse(triple):
 
 def test_ring_mismatch_is_not_a_usage_error():
     assert not issubclass(RingMismatchError, ValueError)
+
+
+def test_bools_are_not_exact_numbers():
+    with pytest.raises(TypeError, match="exact rational coefficient required, got bool"):
+        ThetaPoly(True, False)
+    with pytest.raises(ValueError, match=r"exponents must be non-negative integers, got \(True, 0\)"):
+        AmbientClass(10, {(True, 0): 1})
+    # an operator meets a bool as a foreign operand
+    assert ThetaPoly(1) != True  # noqa: E712
+    with pytest.raises(TypeError):
+        ThetaPoly(1) + True
+
+
+# ----------------------------------------------------------- canonical form
+
+
+def _assert_canonical(x):
+    """Integer numerators over one positive denominator, in lowest terms."""
+    assert x._den > 0
+    assert all(type(c) is int and c for c in x._terms.values())
+    assert gcd(x._den, *x._terms.values()) == 1
+
+
+# Two fractional values of one ring: theta classes, or ambient classes sharing d.
+same_ring_pairs = st.one_of(
+    st.tuples(theta_polys, theta_polys), ambient_triples().map(lambda triple: triple[:2])
+)
+
+
+@given(same_ring_pairs, small_fractions)
+def test_values_stay_in_lowest_terms(pair, q):
+    x, y = pair
+    for value in (x, x + y, x - y, x * y, -x, x * q, q - x, x - x, x ** 2):
+        _assert_canonical(value)
+
+
+@given(same_ring_pairs)
+def test_equal_values_store_equal_data(pair):
+    x, y = pair
+    for via in (x * Fraction(1, 3) * 3, (x + y) - y):
+        assert via == x
+        assert (via._den, via._terms) == (x._den, x._terms)
+        assert hash(via) == hash(x)
+    assert (x - x)._den == 1
+    assert x - x == x.zero_like()
+
+
+def test_reduced_constant_hashes_like_its_fraction():
+    assert hash(ThetaPoly(Fraction(3, 6))) == hash(Fraction(1, 2))
+    assert ThetaPoly(Fraction(3, 6)) == Fraction(1, 2)
+    # 1/2 + 1/2 leaves the denominator 2 behind unless it is reduced
+    half = AmbientClass.monomial(8, 1, 1, Fraction(1, 2))
+    assert (half + half)._den == 1
+    assert hash(AmbientClass.one(8) * Fraction(1, 2) * 2) == hash(1)
+
+
+@given(theta_polys, ambient_triples())
+def test_every_accessor_hands_out_fractions(x, triple):
+    a = triple[0]
+    values = [x.c0, x.c1, x.c2, CurveClass(1, Fraction(1, 2)).c1]
+    values += [x.coefficient(i) for i in range(3)]
+    values += [a.coefficient(i, j) for i in range(3) for j in range(a.d - 1)]
+    values += [c for _, _, c in a.nonzero_terms()]
+    assert all(type(c) is Fraction for c in values)
 
 
 # ------------------------------------------------------- one rule, three rings
