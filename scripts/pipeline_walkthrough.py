@@ -61,7 +61,7 @@ def main() -> int:
     for method in METHODS:
         print(f"  {method:<11} -> {porteous_class(d, method=method)}")
     print()
-    paired = degree_pairing(porteous_class(d) * AmbientClass.monomial(d, 0, 5))
+    paired = degree_pairing(porteous_class(d) * AmbientClass(d, {(0, 5): 1}))
     print(f"pairing against h^5 and the theta square: {paired}")
     print(f"secant3_degree({d}) = {secant3_degree(d)}")
     print(f"classical count     = {berzolari(d)}")

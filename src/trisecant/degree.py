@@ -103,7 +103,7 @@ def class_degree(locus: AmbientClass, method: str) -> int:
             f"degeneracy class for d={d} ({method}) is not homogeneous "
             f"of total degree {d - 5}: {locus}"
         )
-    paired = degree_pairing(locus * AmbientClass.monomial(d, 0, 5))
+    paired = degree_pairing(locus * AmbientClass(d, {(0, 5): 1}))
     if paired.denominator != 1 or paired <= 0:
         raise ArithmeticError(
             f"secant degree for d={d} ({method}) should be a positive "

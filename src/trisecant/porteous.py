@@ -70,11 +70,7 @@ def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False
     c2 = c1 * c1 / 2 - character.c2
     if dual:
         c1 = -c1
-    coeffs = [
-        AmbientClass.one(d),
-        AmbientClass.monomial(d, 1, 0, c1),
-        AmbientClass.monomial(d, 2, 0, c2),
-    ]
+    coeffs = [AmbientClass.one(d), AmbientClass(d, {(1, 0): c1}), AmbientClass(d, {(2, 0): c2})]
     return ChernSeries(coeffs, d - 5)
 
 
@@ -103,7 +99,7 @@ def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
         if c.is_zero():
             continue
         for k in range(order - i + 1):
-            power = AmbientClass.monomial(d, 0, k, binomial(rank - i, k) * (-1) ** k)
+            power = AmbientClass(d, {(0, k): binomial(rank - i, k) * (-1) ** k})
             coeffs[i + k] = coeffs[i + k] + c * power
     return ChernSeries(coeffs, order)
 
@@ -144,7 +140,7 @@ def virtual_chern_series_closed_form(d: int) -> ChernSeries:
     numerator = ChernSeries([AmbientClass.zero(d), theta * 2, -(theta * h)], order)
     argument = numerator * one_minus.inverse()
     tail = ChernSeries(
-        [AmbientClass.monomial(d, 0, k, binomial(d - 5 + k, k)) for k in range(order + 1)]
+        [AmbientClass(d, {(0, k): binomial(d - 5 + k, k)}) for k in range(order + 1)]
     )
     return tail * argument.exp()
 
@@ -153,30 +149,24 @@ def virtual_chern_series_expansion(d: int) -> ChernSeries:
     """Term-by-term binomial expansion of the virtual quotient.
 
     Grouping the three powers of (1 - h*t) over the common tail
-    (1 - h*t)^(2-d) = sum_k binomial(d+k-3, k) h^k t^k leaves five shifted
-    sums, evaluated here coefficient by coefficient.
+    (1 - h*t)^(2-d) = sum_k b(k) h^k t^k, b(k) = binomial(d+k-3, k), leaves
+    five shifted sums, evaluated here coefficient by coefficient: the t^m
+    coefficient gathers b(m-j) for j in 0..4 (b vanishes below 0).
     """
     _require_degree(d)
     order = d - 5
-    half = Fraction(1, 2)
-    mono = AmbientClass.monomial
-    coeffs = [AmbientClass.zero(d) for _ in range(order + 1)]
-    for k in range(order + 1):
-        b = Fraction(binomial(d + k - 3, k))
-        coeffs[k] = coeffs[k] + mono(d, 0, k, b)
-        if k + 1 <= order:
-            coeffs[k + 1] = coeffs[k + 1] + mono(d, 1, k, 2 * b) + mono(d, 0, k + 1, -2 * b)
-        if k + 2 <= order:
-            coeffs[k + 2] = (
-                coeffs[k + 2]
-                + mono(d, 2, k, 2 * b)
-                + mono(d, 1, k + 1, -3 * b)
-                + mono(d, 0, k + 2, b)
-            )
-        if k + 3 <= order:
-            coeffs[k + 3] = coeffs[k + 3] + mono(d, 1, k + 2, b) + mono(d, 2, k + 1, -2 * b)
-        if k + 4 <= order:
-            coeffs[k + 4] = coeffs[k + 4] + mono(d, 2, k + 2, half * b)
+
+    def b(k: int) -> int:
+        return binomial(d + k - 3, k)
+
+    coeffs = []
+    for m in range(order + 1):
+        values = (
+            b(m) - 2 * b(m - 1) + b(m - 2),
+            2 * b(m - 1) - 3 * b(m - 2) + b(m - 3),
+            2 * b(m - 2) - 2 * b(m - 3) + Fraction(b(m - 4), 2),
+        )
+        coeffs.append(AmbientClass(d, {(a, m - a): c for a, c in enumerate(values) if a <= m}))
     return ChernSeries(coeffs, order)
 
 
@@ -186,16 +176,13 @@ def chern_coefficient_formula(i: int, d: int) -> AmbientClass:
     _require_degree(d)
     if not isinstance(i, int) or not 1 <= i <= d - 5:
         raise ValueError(f"coefficient index must lie in 1..{d - 5}, got {i}")
-    half = Fraction(1, 2)
-    value = AmbientClass.monomial(d, 0, i, binomial(d - 5 + i, i))
-    value = value + AmbientClass.monomial(
-        d, 1, i - 1, binomial(d - 5 + i, i - 1) + binomial(d - 6 + i, i - 1)
-    )
+    terms = {
+        (0, i): binomial(d - 5 + i, i),
+        (1, i - 1): binomial(d - 5 + i, i - 1) + binomial(d - 6 + i, i - 1),
+    }
     if i >= 2:
-        value = value + AmbientClass.monomial(
-            d, 2, i - 2, 2 * binomial(d - 6 + i, i - 2) + half * binomial(d - 7 + i, i - 4)
-        )
-    return value
+        terms[2, i - 2] = 2 * binomial(d - 6 + i, i - 2) + Fraction(binomial(d - 7 + i, i - 4), 2)
+    return AmbientClass(d, terms)
 
 
 def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
@@ -270,15 +257,11 @@ def determinant_formula(n: int, d: int) -> AmbientClass:
         raise ValueError("the closed determinant form starts at n = 3; use the recurrence below that")
     if n > d - 5:
         raise ValueError(f"determinant size must not exceed d - 5 = {d - 5}")
-    half = Fraction(1, 2)
-    return (
-        AmbientClass.monomial(d, 0, n, binomial(d - 4, n))
-        + AmbientClass.monomial(d, 1, n - 1, binomial(d - 3, n) - binomial(d - 5, n))
-        + AmbientClass.monomial(
-            d, 2, n - 2,
-            half * binomial(d - 2, n) - binomial(d - 4, n) + half * binomial(d - 6, n),
-        )
-    )
+    return AmbientClass(d, {
+        (0, n): binomial(d - 4, n),
+        (1, n - 1): binomial(d - 3, n) - binomial(d - 5, n),
+        (2, n - 2): Fraction(binomial(d - 2, n) + binomial(d - 6, n), 2) - binomial(d - 4, n),
+    })
 
 
 def porteous_class(d: int, method: str = "segre") -> AmbientClass:

@@ -24,7 +24,9 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .ring import RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _coordinate, _power
+from .ring import (
+    RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _coordinate, _is_exact, _power
+)
 
 __all__ = [
     "CurveClass",
@@ -132,7 +134,7 @@ class UpstreamClass:
         """``other`` lifted as ``TruncatedClass._coerce`` lifts; a theta class by pullback."""
         if isinstance(other, UpstreamClass):
             return other
-        if isinstance(other, (int, Fraction, ThetaPoly)):
+        if _is_exact(other) or isinstance(other, ThetaPoly):
             return UpstreamClass(other)
         if isinstance(other, TruncatedClass):
             raise RingMismatchError(f"UpstreamClass cannot combine with {type(other).__name__}")

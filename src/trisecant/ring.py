@@ -350,23 +350,22 @@ class AmbientClass(TruncatedClass):
     def hyperplane(cls, d: int) -> AmbientClass:
         return cls(d, {(0, 1): 1})
 
-    @classmethod
-    def monomial(cls, d: int, theta_pow: int, h_pow: int, coeff: Scalar = 1) -> AmbientClass:
-        return cls(d, {(theta_pow, h_pow): coeff})
-
     def __repr__(self) -> str:
         return f"AmbientClass(d={self.d}, {self})"
 
 
 def _ring_of(value) -> tuple:
-    # A coefficient's ring is its class, plus its truncation for a ring value.
-    return type(value), getattr(value, "_top", None)
+    # A series coefficient's ring is its class and its truncation; it must be a ring value.
+    if not isinstance(value, TruncatedClass):
+        raise TypeError(f"series coefficients must be ring values, got {type(value).__name__}")
+    return type(value), value._top
 
 
 class ChernSeries:
     """Polynomial in ``t`` truncated at a fixed order, with coefficients in
     one ring: all of one class with one truncation, such as all
-    ``ThetaPoly``, or all ``AmbientClass`` with one ``d``.
+    ``ThetaPoly``, or all ``AmbientClass`` with one ``d``.  A coefficient
+    that is not a ring value, such as a scalar, raises ``TypeError``.
 
     Binary operations truncate at the smaller operand order.  Coefficients
     beyond the stored order are unknown and never invented.

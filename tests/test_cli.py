@@ -2,6 +2,7 @@
 battery."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -283,22 +284,32 @@ def test_verify_checks_report_shape():
     assert [check.name for check in report.checks] == EXPECTED_CHECK_NAMES
 
 
+CHECKOUT = Path(__file__).resolve().parents[1]
+# Child interpreters import this checkout's package, whatever PYTHONPATH holds.
+CHILD_PATH = [str(CHECKOUT / "src"), os.environ.get("PYTHONPATH")]
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, CHILD_PATH))}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trisecant", "degree", "--d", "8"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
 
 
-WALKTHROUGH = Path(__file__).resolve().parents[1] / "scripts" / "pipeline_walkthrough.py"
+WALKTHROUGH = CHECKOUT / "scripts" / "pipeline_walkthrough.py"
 
 
 def test_pipeline_walkthrough_script():
     ok = subprocess.run(
-        [sys.executable, str(WALKTHROUGH), "--d", "9"], capture_output=True, text=True
+        [sys.executable, str(WALKTHROUGH), "--d", "9"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
     )
     assert ok.returncode == 0, ok.stderr
     lines = ok.stdout.splitlines()
@@ -306,7 +317,10 @@ def test_pipeline_walkthrough_script():
     assert "  ch(residual)  rank 5:  5 - T" in lines
     assert lines[-1] == "classical count     = 25"
     low = subprocess.run(
-        [sys.executable, str(WALKTHROUGH), "--d", "7"], capture_output=True, text=True
+        [sys.executable, str(WALKTHROUGH), "--d", "7"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
     )
     assert low.returncode != 0
     assert "Traceback" not in low.stderr
@@ -320,6 +334,7 @@ def test_closed_pipe_exits_1_without_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=CHILD_ENV,
     ) as proc:
         assert proc.stdout.readline().startswith("d,degree_porteous")
         proc.stdout.close()

@@ -70,9 +70,9 @@ def test_verify_binomial_identities():
 
 def test_degree_pairing_reads_the_top_cell():
     assert THETA_SELF_INTERSECTION == 2
-    assert degree_pairing(AmbientClass.monomial(8, 2, 6)) == 2
-    assert degree_pairing(AmbientClass.monomial(8, 2, 6, 3)) == 6
-    assert degree_pairing(AmbientClass.monomial(8, 1, 6)) == 0
+    assert degree_pairing(AmbientClass(8, {(2, 6): 1})) == 2
+    assert degree_pairing(AmbientClass(8, {(2, 6): 3})) == 6
+    assert degree_pairing(AmbientClass(8, {(1, 6): 1})) == 0
     assert degree_pairing(AmbientClass.zero(8)) == 0
 
 
@@ -85,8 +85,8 @@ def test_degree_pairing_reads_the_top_cell():
     st.integers(0, 6),
 )
 def test_degree_pairing_is_linear(a, b, p1, q1, p2, q2):
-    x = AmbientClass.monomial(8, p1, q1, 3)
-    y = AmbientClass.monomial(8, p2, q2, 5)
+    x = AmbientClass(8, {(p1, q1): 3})
+    y = AmbientClass(8, {(p2, q2): 5})
     assert degree_pairing(x * a + y * b) == a * degree_pairing(x) + b * degree_pairing(y)
 
 
@@ -106,7 +106,7 @@ def test_class_degree_refuses_a_degree_that_is_not_a_positive_integer():
     and integrality check stands between them and a reported degree."""
     d = 11
     negated = -determinant_formula(d - 5, d)
-    half = AmbientClass.monomial(d, 2, d - 7, Fraction(1, 4))  # pairs to 1/2
+    half = AmbientClass(d, {(2, d - 7): Fraction(1, 4)})  # pairs to 1/2
     for locus, value in ((negated, "-70"), (half, "1/2")):
         assert locus.is_homogeneous(d - 5)
         with pytest.raises(ArithmeticError, match=rf"d=11 \(segre\) .* got {value}$"):

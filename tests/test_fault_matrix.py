@@ -2,9 +2,12 @@
 
 Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
-power shows up as a changed set.  Two faults are caught by one check alone:
+power shows up as a changed set.  Four faults are caught by one check alone:
 a wrong theta self-intersection only by ``degree-berzolari``, the quoted
-count, and a wrong negative-upper binomial only by ``binomial-identities``.
+count; a wrong negative-upper binomial only by ``binomial-identities``; and a
+wrong top coefficient of the binomial expansion or of the exponential form
+only by that form's own check, ``series-binomial-expansion`` or
+``series-exponential-form``.
 
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
@@ -17,7 +20,7 @@ import sys
 import pytest
 
 from trisecant import cli, degree, porteous, riemann_roch
-from trisecant.ring import AmbientClass, ThetaPoly
+from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly
 
 NAMES = [name for name, _ in cli.CHECKS]
 PER_D = {name for name, per_d in cli.CHECKS if per_d}
@@ -111,7 +114,7 @@ def coefficient_formula_off_at_3(monkeypatch):
 
     def formula(i, d):
         value = original(i, d)
-        return value + AmbientClass.monomial(d, 2, 1) if i == 3 else value
+        return value + AmbientClass(d, {(2, 1): 1}) if i == 3 else value
 
     _rebind(monkeypatch, original, formula)
 
@@ -121,9 +124,31 @@ def determinant_formula_off_at_top(monkeypatch):
 
     def formula(n, d):
         value = original(n, d)
-        return value + AmbientClass.monomial(d, 2, n - 2) if n == d - 5 else value
+        return value + AmbientClass(d, {(2, n - 2): 1}) if n == d - 5 else value
 
     _rebind(monkeypatch, original, formula)
+
+
+def _top_t_squared_bumped(form):
+    """``form`` with T^2 h^(n-2) added to its top coefficient t^n."""
+
+    def bumped(d):
+        series = form(d)
+        n = series.order
+        top = series.coeffs[n] + AmbientClass(d, {(2, n - 2): 1})
+        return ChernSeries([*series.coeffs[:n], top], n)
+
+    return bumped
+
+
+def expansion_top_bumped(monkeypatch):
+    original = porteous.virtual_chern_series_expansion
+    _rebind(monkeypatch, original, _top_t_squared_bumped(original))
+
+
+def exponential_form_top_bumped(monkeypatch):
+    original = porteous.virtual_chern_series_closed_form
+    _rebind(monkeypatch, original, _top_t_squared_bumped(original))
 
 
 def segre_sign_flipped(monkeypatch):
@@ -145,6 +170,8 @@ FAULTS = [
     ),
     (determinant_formula_off_at_top, RECURRENCE_THREE),
     (segre_sign_flipped, {"determinant-three-way", "degree-berzolari"}),
+    (expansion_top_bumped, {"series-binomial-expansion"}),
+    (exponential_form_top_bumped, {"series-exponential-form"}),
 ]
 
 

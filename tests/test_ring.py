@@ -121,10 +121,10 @@ def test_ambient_truncation():
     for d in (8, 200):
         h = AmbientClass.hyperplane(d)
         assert (h ** (d - 1)).is_zero()  # h^(d-1) = 0
-        assert h ** (d - 2) == AmbientClass.monomial(d, 0, d - 2)
+        assert h ** (d - 2) == AmbientClass(d, {(0, d - 2): 1})
         assert (AmbientClass.theta(d) ** 3).is_zero()
-        assert AmbientClass.monomial(d, 0, d - 1).is_zero()
-        assert AmbientClass.monomial(d, 3, 0).is_zero()
+        assert AmbientClass(d, {(0, d - 1): 1}).is_zero()
+        assert AmbientClass(d, {(3, 0): 1}).is_zero()
         # the cut inside a product: only the terms below h^(d-1) survive
         x = AmbientClass(d, {(0, d - 3): 2, (1, 1): 3})
         y = AmbientClass(d, {(0, 1): 5, (1, d - 3): 7})
@@ -160,7 +160,7 @@ def test_ambient_homogeneity():
 def test_ambient_str_goldens():
     x = AmbientClass(8, {(0, 3): 4, (1, 2): 9, (2, 1): 6})
     assert str(x) == "4h^3 + 9*T*h^2 + 6*T^2*h"
-    assert str(AmbientClass.monomial(8, 0, 2, Fraction(25, 2))) == "25/2*h^2"
+    assert str(AmbientClass(8, {(0, 2): Fraction(25, 2)})) == "25/2*h^2"
     assert str(-AmbientClass.hyperplane(8)) == "-h"
     assert str(AmbientClass.zero(9)) == "0"
     assert str(AmbientClass(8, {(1, 0): 2, (0, 1): 4})) == "4h + 2*T"
@@ -181,7 +181,7 @@ def test_ambient_equality_ignores_insertion_order():
     assert x == y
     assert hash(x) == hash(y)
     # the same value reached through different sums
-    z = AmbientClass.monomial(8, 2, 1, -6) + AmbientClass(8, {(1, 2): Fraction(9, 2), (0, 3): 4})
+    z = AmbientClass(8, {(2, 1): -6}) + AmbientClass(8, {(1, 2): Fraction(9, 2), (0, 3): 4})
     assert z == x
     assert hash(z) == hash(x)
 
@@ -210,7 +210,7 @@ def test_equal_values_hash_alike(value, equal):
 
 def test_ambient_nonzero_terms_sorted_and_zero_free():
     x = AmbientClass(9, {(2, 0): 1, (0, 5): 0, (1, 3): -2, (0, 1): 3})
-    x = x + AmbientClass.monomial(9, 2, 0, -1)  # cancels a term
+    x = x + AmbientClass(9, {(2, 0): -1})  # cancels a term
     terms = list(x.nonzero_terms())
     assert terms == [(0, 1, 3), (1, 3, -2)]
     assert terms == sorted(terms)
@@ -282,6 +282,10 @@ def test_bools_are_not_exact_numbers():
     assert ThetaPoly(1) != True  # noqa: E712
     with pytest.raises(TypeError):
         ThetaPoly(1) + True
+    # and so does the upstream ring, which lifts scalars by the same rule
+    assert UpstreamClass.one() != True  # noqa: E712
+    with pytest.raises(TypeError, match="unsupported operand"):
+        UpstreamClass.one() + True
 
 
 # ----------------------------------------------------------- canonical form
@@ -322,7 +326,7 @@ def test_reduced_constant_hashes_like_its_fraction():
     assert hash(ThetaPoly(Fraction(3, 6))) == hash(Fraction(1, 2))
     assert ThetaPoly(Fraction(3, 6)) == Fraction(1, 2)
     # 1/2 + 1/2 leaves the denominator 2 behind unless it is reduced
-    half = AmbientClass.monomial(8, 1, 1, Fraction(1, 2))
+    half = AmbientClass(8, {(1, 1): Fraction(1, 2)})
     assert (half + half)._den == 1
     assert hash(AmbientClass.one(8) * Fraction(1, 2) * 2) == hash(1)
 
@@ -415,6 +419,16 @@ def test_series_rejects_mixed_rings():
         theta_zero * ambient_one
     with pytest.raises(RingMismatchError):
         ambient_one * theta_zero
+    # A coefficient must be a ring value: no scalar, and no upstream class.
+    for coeffs in (
+        [1.0, 2.0],
+        [1, 2],
+        [Fraction(1, 2)],
+        [ThetaPoly(1), 2],
+        [UpstreamClass(1)],
+    ):
+        with pytest.raises(TypeError, match="series coefficients must be ring values"):
+            ChernSeries(coeffs, 3)
 
 
 def test_series_coefficient_range():
