@@ -2,10 +2,11 @@
 
 There c_k is homogeneous of degree k, so it is the triple (x0, x1, X2) of its
 coefficients of h^k, T h^(k-1) and 2*T^2 h^(k-2).  With T^2 doubled, the
-pipeline's triples are ints and a product is
-(a0 b0, a0 b1 + a1 b0, a0 B2 + 2 a1 b1 + A2 b0), with no division.  The
-truncation h^(d-1) = 0 is graded, so it commutes with the kernel and is
-applied once, when a triple turns back into an ``AmbientClass``.
+pipeline's triples are ints and a product is (a0 b0, a0 b1 + a1 b0,
+a0 B2 + 2 a1 b1 + A2 b0), with no division.  A series is three columns of
+such entries, and its inverse, exponential and products share one dot product
+of column triples.  The truncation h^(d-1) = 0 is graded, so it commutes
+with the kernel and is applied once, on the way back to ``AmbientClass``.
 """
 
 from __future__ import annotations
@@ -16,39 +17,77 @@ from operator import mul
 from .ring import AmbientClass, ChernSeries
 
 
-def graded_inverse(series: ChernSeries) -> ChernSeries:
-    """``series.inverse()`` for an ambient series whose c_k is homogeneous of
-    degree k, as q_m = -sum_(i>=1) c_i q_(m-i) on triples: six scalar
-    convolutions per m.  A c_k of another degree raises ArithmeticError."""
+def _exact(numerator, denominator: int):
+    """numerator / denominator, an int where it divides exactly."""
+    whole, rest = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if rest else whole
+
+
+def _columns(series: ChernSeries, constant: int | None = None) -> list[list]:
+    """The columns of x0, x1 and X2 over c_0..c_order.  A coefficient that is
+    not ``AmbientClass`` raises TypeError, a c_0 other than a given
+    ``constant`` ValueError, a c_k not homogeneous of degree k ArithmeticError."""
     first = series.coeffs[0]
-    if first != first.one_like():
-        raise ValueError("series inversion needs constant term 1")
-    # The columns of x0, x1 and X2 over c_1..c_order, ints where integral.
-    a0, a1, a2 = columns = [[0] * series.order for _ in range(3)]
-    for k, c in enumerate(series.coeffs[1:], 1):
-        den = c._den
+    if not isinstance(first, AmbientClass):
+        raise TypeError("the graded kernel needs ambient coefficients")
+    if constant is not None and first != constant:
+        raise ValueError(f"this series operation needs constant term {constant}")
+    columns = [[0] * (series.order + 1) for _ in range(3)]
+    for k, c in enumerate(series.coeffs):
         for (a, b), numerator in c._terms.items():
             if a + b != k:
                 raise ArithmeticError(f"c_{k} = {c} is not homogeneous of degree {k}")
-            numerator = numerator * 2 if a == 2 else numerator
-            whole, rest = divmod(numerator, den)
-            columns[a][k - 1] = Fraction(numerator, den) if rest else whole
-    q0, q1, q2 = [1], [0], [0]
+            columns[a][k] = _exact(numerator * 2 if a == 2 else numerator, c._den)
+    return columns
 
-    def conv(x: list, q: list):
-        """sum_(i>=1) x_i q_(m-i), with q holding q_0..q_(m-1)."""
-        return sum(map(mul, x, reversed(q)))
 
-    for _ in range(series.order):
-        s0 = conv(a0, q0)
-        s1 = conv(a0, q1) + conv(a1, q0)
-        s2 = conv(a0, q2) + conv(a2, q0) + 2 * conv(a1, q1)
-        q0.append(-s0)
-        q1.append(-s1)
-        q2.append(-s2)
-    d = first.d
-    inverse = [
+def _series(like: ChernSeries, triples) -> ChernSeries:
+    """The ambient series over the d of ``like`` whose t^k coefficient is the k-th triple."""
+    d = like.coeffs[0].d
+    return ChernSeries([
         AmbientClass(d, {(a, k - a): x for a, x in enumerate((x0, x1, Fraction(x2, 2))) if x})
-        for k, (x0, x1, x2) in enumerate(zip(q0, q1, q2))
-    ]
-    return ChernSeries(inverse, series.order)
+        for k, (x0, x1, x2) in enumerate(triples)
+    ])
+
+
+def _dot(a, b) -> tuple:
+    """The degree-graded dot product sum_i a_i b_i of two column triples, as a triple."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (
+        sum(map(mul, a0, b0)),
+        sum(map(mul, a0, b1)) + sum(map(mul, a1, b0)),
+        sum(map(mul, a0, b2)) + 2 * sum(map(mul, a1, b1)) + sum(map(mul, a2, b0)),
+    )
+
+
+def _solve(columns, divisor) -> list[list]:
+    """The columns of q with q_0 = 1 and divisor(m) q_m = sum_(k>=1) c_k q_(m-k)."""
+    order = len(columns[0]) - 1
+    backwards = [column[::-1] for column in columns]
+    q = [1], [0], [0]
+    for m in range(1, order + 1):
+        # backwards[.][order - m:] runs c_m..c_0, so it meets q_0..q_(m-1) in the dot.
+        for column, x in zip(q, _dot([column[order - m:] for column in backwards], q)):
+            column.append(_exact(x, divisor(m)))
+    return q
+
+
+def _exp(columns) -> list[list]:
+    """exp of a series with zero constant term, by m e_m = sum_k k x_k e_(m-k)."""
+    return _solve([[k * x for k, x in enumerate(column)] for column in columns], lambda m: m)
+
+
+def graded_inverse(series: ChernSeries) -> ChernSeries:
+    """``series.inverse()`` for an ambient series whose c_k is homogeneous of
+    degree k (another degree raises ArithmeticError), by q_m = -sum c_i q_(m-i)."""
+    return _series(series, zip(*_solve(_columns(series, 1), lambda m: -1)))
+
+
+def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
+    """``factor * series.exp()`` for two such ambient series of one d; the
+    exponential stays in columns for the product."""
+    left, exponent = _columns(factor), _columns(series, 0)
+    order = min(factor.order, series.order)
+    backwards = [column[order::-1] for column in _exp(exponent)]
+    triples = (_dot([column[order - m:] for column in backwards], left) for m in range(order + 1))
+    return _series(series, triples)

@@ -18,10 +18,10 @@ The source's series is the residual bundle's, twisted in closed form by the
 splitting principle: c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i),
 one binomial sum, so the pipeline never substitutes one series into another.
 
-Each c_k here is homogeneous of degree k, so the two O(d^2) loops (series
-division, banded recurrence) run in the graded integer kernel of
-:mod:`trisecant._graded`; the O(d) stages and the reference forms stay on
-``AmbientClass``.
+Each c_k here is homogeneous of degree k, so the O(d^2) loops (series
+division, banded recurrence, the exponential form's exp and tail product) run
+in the graded integer kernel of :mod:`trisecant._graded`; the O(d) stages
+and the binomial forms stay on ``AmbientClass``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .degree import binomial
-from ._graded import graded_inverse
+from ._graded import graded_exp_product, graded_inverse
 from .ring import AmbientClass, ChernSeries, ThetaPoly
 from .riemann_roch import bundle_characters
 
@@ -129,8 +129,8 @@ def virtual_chern_series_closed_form(d: int) -> ChernSeries:
         (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t)),
 
     assembled from a geometric inverse, an exponential and the binomial tail
-    (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k; no division by the
-    source series is involved.
+    (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k, with no division by
+    the source series; the exp and the tail product run in the graded kernel.
     """
     _require_degree(d)
     order = d - 5
@@ -142,7 +142,7 @@ def virtual_chern_series_closed_form(d: int) -> ChernSeries:
     tail = ChernSeries(
         [AmbientClass(d, {(0, k): binomial(d - 5 + k, k)}) for k in range(order + 1)]
     )
-    return tail * argument.exp()
+    return graded_exp_product(tail, argument)
 
 
 def virtual_chern_series_expansion(d: int) -> ChernSeries:

@@ -2,12 +2,13 @@
 
 Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
-power shows up as a changed set.  Four faults are caught by one check alone:
+power shows up as a changed set.  Five faults are caught by one check alone:
 a wrong theta self-intersection only by ``degree-berzolari``, the quoted
-count; a wrong negative-upper binomial only by ``binomial-identities``; and a
+count; a wrong negative-upper binomial only by ``binomial-identities``; a
 wrong top coefficient of the binomial expansion or of the exponential form
 only by that form's own check, ``series-binomial-expansion`` or
-``series-exponential-form``.
+``series-exponential-form``; and a lost T^2 column in the graded kernel's
+exponential only by ``series-exponential-form``, the one check that runs it.
 
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
@@ -16,10 +17,11 @@ is cached per process, so a fault upstream of it goes in at
 """
 
 import sys
+from operator import mul
 
 import pytest
 
-from trisecant import cli, degree, porteous, riemann_roch
+from trisecant import _graded, cli, degree, porteous, riemann_roch
 from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly
 
 NAMES = [name for name, _ in cli.CHECKS]
@@ -156,6 +158,31 @@ def segre_sign_flipped(monkeypatch):
     _rebind(monkeypatch, original, lambda d: -original(d))
 
 
+def graded_exp_t_squared_zeroed(monkeypatch):
+    original = _graded._exp
+
+    def exp(columns):
+        e0, e1, e2 = original(columns)
+        return e0, e1, [e2[0]] + [0] * (len(e2) - 1)
+
+    monkeypatch.setattr(_graded, "_exp", exp)
+
+
+def graded_dot_cross_term_lost(monkeypatch):
+    """The 2 a1 b1 term of the kernel's dot product dropped: it feeds the
+    division, the recurrence and the exponential form alike."""
+
+    def dot(a, b):
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        return (
+            sum(map(mul, a0, b0)),
+            sum(map(mul, a0, b1)) + sum(map(mul, a1, b0)),
+            sum(map(mul, a0, b2)) + sum(map(mul, a2, b0)),
+        )
+
+    monkeypatch.setattr(_graded, "_dot", dot)
+
+
 FAULTS = [
     (residual_rank_plus_one, SERIES_FIVE),
     (twist_rank_minus_one, SERIES_FIVE),
@@ -172,6 +199,8 @@ FAULTS = [
     (segre_sign_flipped, {"determinant-three-way", "degree-berzolari"}),
     (expansion_top_bumped, {"series-binomial-expansion"}),
     (exponential_form_top_bumped, {"series-exponential-form"}),
+    (graded_exp_t_squared_zeroed, {"series-exponential-form"}),
+    (graded_dot_cross_term_lost, SERIES_FIVE | {"determinant-closed-form"}),
 ]
 
 

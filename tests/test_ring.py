@@ -6,10 +6,10 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisecant._graded import graded_inverse
+from trisecant._graded import graded_exp_product, graded_inverse
 from trisecant.riemann_roch import CurveClass, UpstreamClass
 from trisecant.ring import AmbientClass, ChernSeries, RingMismatchError, ThetaPoly
 
@@ -555,3 +555,62 @@ def test_graded_inverse_needs_constant_term_one():
     series = ChernSeries([AmbientClass.one(d) * 2, AmbientClass.hyperplane(d)], 3)
     with pytest.raises(ValueError, match="constant term 1"):
         graded_inverse(series)
+
+
+def _without_constant(series):
+    return ChernSeries([series.coeffs[0].zero_like(), *series.coeffs[1:]], series.order)
+
+
+@settings(max_examples=30)
+@given(graded_series())
+def test_graded_exp_matches_series_exp(series):
+    argument = _without_constant(series)
+    one = ChernSeries.constant(series.coeffs[0], series.order)
+    assert graded_exp_product(one, argument) == argument.exp()
+
+
+@settings(max_examples=30)
+@given(graded_series(), st.integers(0, 15), small_fractions)
+def test_graded_product_matches_series_product(series, cut, scale):
+    """The product in ``graded_exp_product`` against ``ChernSeries.__mul__``,
+    for a factor of any constant term and an order at, below or past the
+    argument's.  The factor is cut from the drawn series, since drawing is
+    the slow part; the graded exp is checked against ``ChernSeries.exp`` above."""
+    argument = _without_constant(series)
+    factor = ChernSeries(series.coeffs[: cut + 1], cut) * scale
+    one = ChernSeries.constant(series.coeffs[0], series.order)
+    assert graded_exp_product(factor, argument) == factor * graded_exp_product(one, argument)
+
+
+def test_graded_exp_needs_constant_term_zero():
+    series = ChernSeries([AmbientClass.one(8), AmbientClass.hyperplane(8)], 3)
+    with pytest.raises(ValueError, match="constant term 0"):
+        graded_exp_product(series, series)
+
+
+# Each entry point of the kernel, with the series under test as the inverted
+# series, the factor of an exp or the exponent (after an ambient factor 1).
+GRADED_ENTRY_POINTS = [
+    graded_inverse,
+    lambda series: graded_exp_product(series, _without_constant(series)),
+    lambda series: graded_exp_product(
+        ChernSeries.constant(AmbientClass.one(8), 3), _without_constant(series)
+    ),
+]
+GRADED_ENTRY_IDS = ["inverse", "factor", "exponent"]
+
+
+@pytest.mark.parametrize("kernel", GRADED_ENTRY_POINTS, ids=GRADED_ENTRY_IDS)
+def test_graded_kernel_needs_homogeneous_coefficients(kernel):
+    d = 8
+    c1 = AmbientClass(d, {(0, 1): 1, (1, 1): 1})
+    series = ChernSeries([AmbientClass.one(d), c1], 3)
+    with pytest.raises(ArithmeticError, match=r"c_1 = .* is not homogeneous of degree 1"):
+        kernel(series)
+
+
+@pytest.mark.parametrize("kernel", GRADED_ENTRY_POINTS, ids=GRADED_ENTRY_IDS)
+def test_graded_kernel_needs_ambient_coefficients(kernel):
+    series = ChernSeries([ThetaPoly.one(), ThetaPoly.theta()], 3)
+    with pytest.raises(TypeError, match="the graded kernel needs ambient coefficients"):
+        kernel(series)
