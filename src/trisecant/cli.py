@@ -12,8 +12,8 @@ d and share that d's intermediates through a :class:`Stage`.
 Exit codes: 0 on success; 1 on a usage problem, which the parser alone
 decides (bad flags, a d below 8, an empty range), or when the reader closes
 stdout early (a broken pipe, no traceback); 2 when a check fails or the
-engine raises an ``ArithmeticError``, ``ValueError`` or ``RingMismatchError``
-(an internal inconsistency), reported as one ``error:`` line on stderr.
+engine raises one of ``INTERNAL_ERRORS`` (an internal inconsistency),
+reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "EXIT_OK",
     "EXIT_USAGE",
     "EXIT_VERIFY",
+    "INTERNAL_ERRORS",
     "CHECKS",
     "CheckResult",
     "Stage",
@@ -66,6 +67,10 @@ __all__ = [
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+
+# An internal inconsistency: a check's counterexample in verify, exit 2 in main.
+INTERNAL_ERRORS = (ArithmeticError, LookupError, ValueError, RingMismatchError)
+
 
 class UsageError(Exception):
     """Bad command line; reported on stderr with exit code 1."""
@@ -206,10 +211,6 @@ class Stage:
         return virtual_chern_series(self.d)
 
     @cached_property
-    def division_coefficients(self) -> tuple[AmbientClass, ...]:
-        return self.division.coeffs[1:]
-
-    @cached_property
     def formula(self) -> tuple[AmbientClass, ...]:
         return tuple(chern_coefficient_formula(i, self.d) for i in range(1, self.d - 4))
 
@@ -223,43 +224,42 @@ class Stage:
         return determinant_segre(self.d)
 
 
+def _broken_law(draw, count: int) -> tuple | None:
+    """``(law, a, b, c)`` for the first of ``count`` triples ``draw()`` that breaks
+    distributivity, associativity or commutativity; ``a*b`` and ``b*c`` formed once."""
+    for _ in range(count):
+        a, b, c = draw(), draw(), draw()
+        ab, bc = a * b, b * c
+        if (a + b) * c != a * c + bc:
+            return "distributivity", a, b, c
+        if ab * c != a * bc:
+            return "associativity", a, b, c
+        if ab != b * a:
+            return "commutativity", a, b, c
+    return None
+
+
 def check_ring_axioms(d_min: int, d_max: int) -> str | None:
     """Random distributivity, associativity and commutativity triples in both
     rings, plus the defining nilpotency relations; the ambient ring is
-    exercised on the first five d of the range."""
+    exercised on the first five d of the range.  Values are drawn from fixed pools:
+    grid keys, and coefficients n/m, |n| <= 9, m <= 4 (theta) or 3 (ambient)."""
     rng = random.Random(271828)
-
-    def random_theta() -> ThetaPoly:
-        return ThetaPoly(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)))
-
-    for _ in range(350):
-        a, b, c = random_theta(), random_theta(), random_theta()
-        if (a + b) * c != a * c + b * c:
-            return f"theta distributivity: {a}; {b}; {c}"
-        if (a * b) * c != a * (b * c):
-            return f"theta associativity: {a}; {b}; {c}"
-        if a * b != b * a:
-            return f"theta commutativity: {a}; {b}"
+    pool = [Fraction(n, m) for n in range(-9, 10) for m in range(1, 5)]
+    broken = _broken_law(lambda: ThetaPoly(*rng.choices(pool, k=3)), 350)
+    if broken:
+        return "theta {}: {}; {}; {}".format(*broken)
     if not (ThetaPoly.theta() ** 3).is_zero():
         return "T^3 != 0 in the theta ring"
 
+    pool = [Fraction(n, m) for n in range(-9, 10) for m in range(1, 4)]
     for d in range(d_min, min(d_max, d_min + 4) + 1):
-
-        def random_ambient() -> AmbientClass:
-            terms = {}
-            for _ in range(4):
-                key = (rng.randint(0, 2), rng.randint(0, d - 2))
-                terms[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            return AmbientClass(d, terms)
-
-        for _ in range(120):
-            a, b, c = random_ambient(), random_ambient(), random_ambient()
-            if (a + b) * c != a * c + b * c:
-                return f"ambient distributivity at d={d}"
-            if (a * b) * c != a * (b * c):
-                return f"ambient associativity at d={d}"
-            if a * b != b * a:
-                return f"ambient commutativity at d={d}"
+        grid = [(a, b) for a in range(3) for b in range(d - 1)]
+        broken = _broken_law(
+            lambda: AmbientClass(d, dict(zip(rng.choices(grid, k=4), rng.choices(pool, k=4)))), 120
+        )
+        if broken:
+            return f"ambient {broken[0]} at d={d}"
         if not (AmbientClass.hyperplane(d) ** (d - 1)).is_zero():
             return f"h^(d-1) != 0 at d={d}"
         if not (AmbientClass.theta(d) ** 3).is_zero():
@@ -300,7 +300,7 @@ def check_bundle_characters(d: int, stage: Stage) -> str | None:
 
 def check_chern_coefficient_formula(d: int, stage: Stage) -> str | None:
     """Series division against the closed binomial formula, every index."""
-    pairs = zip(stage.division_coefficients, stage.formula)
+    pairs = zip(stage.division.coeffs[1:], stage.formula)
     for i, (division, formula) in enumerate(pairs, start=1):
         if division != formula:
             return f"d={d}, i={i}: division {division} vs formula {formula}"
@@ -321,9 +321,10 @@ def check_series_binomial_expansion(d: int, stage: Stage) -> str | None:
 
 def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     """Segre quotient, recurrence and closed form must produce the same class.
-    The recurrence runs on the coefficients of the series division."""
+    The recurrence is the stage's, on the formula's coefficients, which
+    ``chern-coefficient-formula`` holds equal to the division's."""
     segre = stage.segre
-    recurrence = recurrence_determinants(d, stage.division_coefficients)[d - 5]
+    recurrence = stage.determinants[d - 5]
     closed = determinant_formula(d - 5, d)
     if not (segre == recurrence == closed):
         return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
@@ -381,11 +382,10 @@ CHECKS = (
 
 def verify_checks(d_min: int, d_max: int) -> VerifyReport:
     """Run the battery: the whole-range checks, then one pass over d for the
-    per-d checks.  A check stops at its first counterexample, which may be an
-    ``ArithmeticError``, ``ValueError`` or ``RingMismatchError`` it raised
-    (after ``d=<d>: `` for a per-d check); its ``elapsed_s`` is its wall time
-    summed over every d it ran on; a range starting below 8, or empty, raises
-    ``ValueError``."""
+    per-d checks.  A check stops at its first counterexample, which may be one
+    of ``INTERNAL_ERRORS`` it raised (after ``d=<d>: `` for a per-d check);
+    its ``elapsed_s`` is its wall time summed over every d it ran on; a range
+    starting below 8, or empty, raises ``ValueError``."""
     if d_min < 8:
         raise ValueError("the range must start at d >= 8")
     if d_max < d_min:
@@ -398,7 +398,7 @@ def verify_checks(d_min: int, d_max: int) -> VerifyReport:
         start = time.perf_counter()
         try:
             counterexample = check(*args)
-        except (ArithmeticError, ValueError, RingMismatchError) as err:
+        except INTERNAL_ERRORS as err:
             counterexample = f"{where}{err}"
         elapsed[name] += time.perf_counter() - start
         if counterexample is not None:
@@ -455,7 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "table":
             return run_table(args)
         return run_verify(args)
-    except (ArithmeticError, ValueError, RingMismatchError) as err:
+    except INTERNAL_ERRORS as err:
         print(f"error: internal inconsistency: {err}", file=sys.stderr)
         return EXIT_VERIFY
     except BrokenPipeError:

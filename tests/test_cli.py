@@ -233,6 +233,47 @@ def test_ring_axioms_cover_a_range_above_d_12(monkeypatch, capsys):
     assert "9/10 checks passed for d in [20, 20]" in out
 
 
+def test_ring_axioms_keep_their_sample_size(monkeypatch):
+    """350 theta triples, then 120 ambient triples on each of the first five d,
+    counted as the values built in each ring: three per triple, plus the
+    generators of the nilpotency checks (T in the theta ring; h and T at each d)."""
+    from collections import Counter
+
+    from trisecant.cli import check_ring_axioms
+    from trisecant.ring import TruncatedClass
+
+    built = Counter()
+    original = TruncatedClass.__init__
+
+    def counting(self, top, terms=None):
+        built[top] += 1
+        original(self, top, terms)
+
+    monkeypatch.setattr(TruncatedClass, "__init__", counting)
+    assert check_ring_axioms(8, 40) is None
+    assert built == {(2, 0): 3 * 350 + 1, **{(2, d - 2): 3 * 120 + 2 for d in range(8, 13)}}
+
+
+def test_verify_runs_one_recurrence_per_d(monkeypatch):
+    """The three-way check reads the stage's determinants, so the battery runs
+    the banded recurrence once per d, not a second time on the division's
+    coefficients."""
+    import trisecant.cli
+    import trisecant.porteous
+
+    calls = []
+    original = trisecant.porteous.recurrence_determinants
+
+    def counted(d, coefficients=None):
+        calls.append(d)
+        return original(d, coefficients)
+
+    for module in (trisecant.porteous, trisecant.cli):
+        monkeypatch.setattr(module, "recurrence_determinants", counted)
+    assert verify_checks(8, 14).passed
+    assert calls == list(range(8, 15))
+
+
 def _flip_sections_c1(monkeypatch):
     """Every caller of bundle_characters sees the sections character 2 + T."""
     import trisecant.cli
@@ -379,3 +420,22 @@ def test_engine_value_error_exits_2_not_as_a_usage_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal inconsistency: a total Chern series must start at 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["degree", "--d", "9"], ["table", "--d-min", "9", "--d-max", "10"]),
+    ids=("degree", "table"),
+)
+def test_an_engine_index_error_exits_2_with_one_error_line(argv, monkeypatch, capsys):
+    """An engine read past the truncation raises IndexError, a LookupError: an
+    internal inconsistency like any other, not a traceback and exit 1."""
+    import trisecant.degree
+
+    monkeypatch.setattr(
+        trisecant.degree, "degree_pairing", lambda value: value.coefficient(2, value.d - 1)
+    )
+    assert main(argv) == EXIT_VERIFY
+    assert capsys.readouterr().err == (
+        "error: internal inconsistency: exponents (2, 8) out of range for truncation (2, 7)\n"
+    )

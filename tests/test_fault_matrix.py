@@ -2,13 +2,16 @@
 
 Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
-power shows up as a changed set.  Five faults are caught by one check alone:
-a wrong theta self-intersection only by ``degree-berzolari``, the quoted
+power shows up as a changed set.  Eight faults are caught by one check alone:
+a wrong theta self-intersection, and a pairing that reads past the
+truncation and raises ``IndexError``, only by ``degree-berzolari``, the quoted
 count; a wrong negative-upper binomial only by ``binomial-identities``; a
 wrong top coefficient of the binomial expansion or of the exponential form
 only by that form's own check, ``series-binomial-expansion`` or
-``series-exponential-form``; and a lost T^2 column in the graded kernel's
-exponential only by ``series-exponential-form``, the one check that runs it.
+``series-exponential-form``; a lost T^2 column in the graded kernel's
+exponential only by ``series-exponential-form``, the one check that runs it;
+and a faulty sum or theta product on operands no pipeline value has only by
+``ring-axioms``, whose random draws have them.
 
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
@@ -17,12 +20,13 @@ is cached per process, so a fault upstream of it goes in at
 """
 
 import sys
+from fractions import Fraction
 from operator import mul
 
 import pytest
 
 from trisecant import _graded, cli, degree, porteous, riemann_roch
-from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly
+from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly, TruncatedClass
 
 NAMES = [name for name, _ in cli.CHECKS]
 PER_D = {name for name, per_d in cli.CHECKS if per_d}
@@ -183,6 +187,48 @@ def graded_dot_cross_term_lost(monkeypatch):
     monkeypatch.setattr(_graded, "_dot", dot)
 
 
+def sum_drops_a_term_of_four(monkeypatch):
+    """A sum loses the last term of a four-term operand over another
+    denominator.  Only the ring axioms' random ambient classes have four terms.
+    ``AmbientClass`` binds the operators in its own namespace, so both go."""
+    original = TruncatedClass.__add__
+
+    def add(self, other):
+        if isinstance(other, TruncatedClass) and len(other._terms) == 4:
+            if other._den != self._den:
+                other = other._new(dict(list(other._terms.items())[:3]), other._den)
+        return original(self, other)
+
+    for cls in (TruncatedClass, AmbientClass):
+        monkeypatch.setattr(cls, "__add__", add)
+        monkeypatch.setattr(cls, "__radd__", add)
+
+
+def theta_product_drops_t_squared(monkeypatch):
+    """A theta product of two three-term factors loses its T^2 term; no
+    pipeline product has two such factors."""
+    original = TruncatedClass.__mul__
+
+    def product(self, other):
+        value = original(self, other)
+        if isinstance(other, ThetaPoly) and len(self._terms) == len(other._terms) == 3:
+            return ThetaPoly(value.c0, value.c1)
+        return value
+
+    monkeypatch.setattr(ThetaPoly, "__mul__", product)
+    monkeypatch.setattr(ThetaPoly, "__rmul__", product)
+
+
+def pairing_reads_past_the_top(monkeypatch):
+    """The pairing reads T^2 h^(d-1), one past the truncation: an IndexError."""
+
+    def pairing(value):
+        top = value.coefficient(2, value.d - 1)
+        return Fraction(degree.THETA_SELF_INTERSECTION) * top
+
+    _rebind(monkeypatch, degree.degree_pairing, pairing)
+
+
 FAULTS = [
     (residual_rank_plus_one, SERIES_FIVE),
     (twist_rank_minus_one, SERIES_FIVE),
@@ -193,7 +239,7 @@ FAULTS = [
     (c2_bumped_into_recurrence, RECURRENCE_THREE),
     (
         coefficient_formula_off_at_3,
-        {"chern-coefficient-formula", "determinant-closed-form", "degree-berzolari"},
+        {"chern-coefficient-formula"} | RECURRENCE_THREE,
     ),
     (determinant_formula_off_at_top, RECURRENCE_THREE),
     (segre_sign_flipped, {"determinant-three-way", "degree-berzolari"}),
@@ -201,6 +247,9 @@ FAULTS = [
     (exponential_form_top_bumped, {"series-exponential-form"}),
     (graded_exp_t_squared_zeroed, {"series-exponential-form"}),
     (graded_dot_cross_term_lost, SERIES_FIVE | {"determinant-closed-form"}),
+    (sum_drops_a_term_of_four, {"ring-axioms"}),
+    (theta_product_drops_t_squared, {"ring-axioms"}),
+    (pairing_reads_past_the_top, {"degree-berzolari"}),
 ]
 
 

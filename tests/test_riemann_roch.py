@@ -53,6 +53,10 @@ def test_todd_lemma_all_three_cases():
     assert todd_from_chern(
         UpstreamClass.fiber() * (-2), UpstreamClass.zero()
     ) == UpstreamClass(1, -1)
+    # All three have c1^2 + c2 = 0.  The projective plane, c1 = 3H and
+    # c2 = 3H^2, does not: its H^2 coefficient 1 is all (c1^2 + c2) / 12.
+    td_plane = todd_from_chern(ThetaPoly(0, 3), ThetaPoly(0, 0, 3))
+    assert td_plane == ThetaPoly(1, Fraction(3, 2), 1)
 
 
 def test_pushforward_lemma():
