@@ -16,7 +16,10 @@ Each determinant route returns the class itself, an ``AmbientClass``.
 
 The source's series is the residual bundle's, twisted in closed form by the
 splitting principle: c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i),
-one binomial sum, so the pipeline never substitutes one series into another.
+one binomial sum per coefficient, so the pipeline never substitutes one series
+into another.  The Segre route reads only its t^(d-5), t^(d-6) and t^(d-7)
+coefficients, against three of the target's inverse: O(1) ring operations
+per d.
 
 Each c_k here is homogeneous of degree k, so the O(d^2) loops (series
 division, banded recurrence, the exponential form's exp and tail product) run
@@ -74,17 +77,12 @@ def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False
     return ChernSeries(coeffs, d - 5)
 
 
-def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
-    """Chern series of (bundle tensor O(-1)) from the bundle's series.
-
-    Every Chern root shifts by -h, so by the splitting principle
-    (Fulton, Intersection Theory, Example 3.2.2)
-
-        c_t  |-->  sum_i c_i t^i (1 - h*t)^(rank - i),
-
-    each power expanded by the binomial theorem; for i > rank the upper
-    argument is negative and the expansion is the full geometric tail.
-    """
+def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[AmbientClass]:
+    """The t^k coefficients, for each k in ``ks`` up to the series' order, of
+    the twist sum_i c_i t^i (1 - h*t)^(rank - i): one binomial term
+    c_i binomial(rank - i, k - i) (-h)^(k - i) per nonzero c_i with i <= k.
+    For i > rank the upper argument is negative and the expansion is the
+    full geometric tail."""
     first = series.coeffs[0]
     if not isinstance(first, AmbientClass):
         raise TypeError("hyperplane twists need ambient coefficients")
@@ -93,15 +91,31 @@ def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
     if not isinstance(rank, int) or rank < 0:
         raise ValueError("rank must be a non-negative integer")
     d = first.d
+    nonzero = [(i, c) for i, c in enumerate(series.coeffs) if not c.is_zero()]
+    out = []
+    for k in ks:
+        total = first.zero_like()
+        for i, c in nonzero:
+            if i > k:
+                break
+            power = AmbientClass(d, {(0, k - i): binomial(rank - i, k - i) * (-1) ** (k - i)})
+            total = total + c * power
+        out.append(total)
+    return out
+
+
+def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
+    """Chern series of (bundle tensor O(-1)) from the bundle's series.
+
+    Every Chern root shifts by -h, so by the splitting principle
+    (Fulton, Intersection Theory, Example 3.2.2)
+
+        c_t  |-->  sum_i c_i t^i (1 - h*t)^(rank - i),
+
+    read coefficient by coefficient up to the series' order.
+    """
     order = series.order
-    coeffs = [first.zero_like()] * (order + 1)
-    for i, c in enumerate(series.coeffs):
-        if c.is_zero():
-            continue
-        for k in range(order - i + 1):
-            power = AmbientClass(d, {(0, k): binomial(rank - i, k) * (-1) ** k})
-            coeffs[i + k] = coeffs[i + k] + c * power
-    return ChernSeries(coeffs, order)
+    return ChernSeries(_twisted_coefficients(series, rank, range(order + 1)), order)
 
 
 def source_chern_series(d: int) -> ChernSeries:
@@ -209,14 +223,20 @@ def determinant_segre(d: int) -> AmbientClass:
 
     The banded recurrence reads D(t) * c_(-t)(target - source) = 1, so the
     determinants are the coefficients of the quotient with the sign of t
-    flipped.  The target series is exp(T t) = 1 + T t + T^2 t^2 / 2, whose
-    inverse has three nonzero coefficients: the product costs O(d) ring
-    operations, with no band and no division by the source series.
+    flipped.  The target's c_k is a multiple of T^k, so the t^j coefficient
+    of its inverse is a multiple of T^j and vanishes for j >= 3, as T^3 = 0:
+    the inverse taken at order 2 is exact.  The t^n coefficient therefore
+    reads three twisted source coefficients, t^n, t^(n-1) and t^(n-2),
+    against three of the inverse, a fixed number of ring operations whatever
+    d is, with no band, no whole series and no division by the source.
     """
     _require_degree(d)
     n = d - 5
-    quotient = source_chern_series(d) * target_chern_series(d).inverse()
-    x1 = quotient.coefficient(n)
+    _, residual = bundle_characters(d)
+    source = chern_series_from_character(residual, d)
+    s0, s1, s2 = _twisted_coefficients(source, int(residual.c0), (n, n - 1, n - 2))
+    _, u1, u2 = ChernSeries(target_chern_series(d).coeffs[:3]).inverse().coeffs
+    x1 = s0 + s1 * u1 + s2 * u2
     return x1 if n % 2 == 0 else -x1
 
 

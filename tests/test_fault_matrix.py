@@ -50,23 +50,35 @@ def _rebind(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def residual_rank_plus_one(monkeypatch):
-    def source(d):
-        _, residual = riemann_roch.bundle_characters(d)
-        residual = residual + 1
-        series = porteous.chern_series_from_character(residual, d)
-        return porteous.twist_by_hyperplane(series, int(residual.c0))
+def _twist_rank_shifted(monkeypatch, shift):
+    """The hyperplane twist reads the residual's rank off by ``shift``.  The
+    fault goes in at the per-coefficient twist, which both the series
+    division and the Segre route read."""
+    original = porteous._twisted_coefficients
 
-    _rebind(monkeypatch, porteous.source_chern_series, source)
+    def twisted(series, rank, ks):
+        return original(series, rank + shift, ks)
+
+    monkeypatch.setattr(porteous, "_twisted_coefficients", twisted)
+
+
+def residual_rank_plus_one(monkeypatch):
+    _twist_rank_shifted(monkeypatch, 1)
 
 
 def twist_rank_minus_one(monkeypatch):
-    def source(d):
-        _, residual = riemann_roch.bundle_characters(d)
-        series = porteous.chern_series_from_character(residual, d)
-        return porteous.twist_by_hyperplane(series, int(residual.c0) - 1)
+    _twist_rank_shifted(monkeypatch, -1)
 
-    _rebind(monkeypatch, porteous.source_chern_series, source)
+
+def twisted_t_cubed_negated(monkeypatch):
+    """The twist's t^3 coefficient negated: at d = 8 the Segre route reads
+    t^1..t^3, the division the whole series."""
+    original = porteous._twisted_coefficients
+
+    def twisted(series, rank, ks):
+        return [-c if k == 3 else c for k, c in zip(ks, original(series, rank, ks))]
+
+    monkeypatch.setattr(porteous, "_twisted_coefficients", twisted)
 
 
 def c2_without_halving(monkeypatch):
@@ -232,6 +244,7 @@ def pairing_reads_past_the_top(monkeypatch):
 FAULTS = [
     (residual_rank_plus_one, SERIES_FIVE),
     (twist_rank_minus_one, SERIES_FIVE),
+    (twisted_t_cubed_negated, SERIES_FIVE),
     (c2_without_halving, SERIES_FIVE),
     (sections_c1_flipped, SERIES_FIVE | {"bundle-characters"}),
     (theta_self_intersection_one, {"degree-berzolari"}),

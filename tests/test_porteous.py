@@ -86,6 +86,20 @@ def test_twist_validation():
         twist_by_hyperplane(ChernSeries.constant(ThetaPoly.one(), 4), 3)
 
 
+def test_segre_route_validates_the_source_like_the_twist(monkeypatch):
+    """The Segre route reads the twist without building the source series,
+    and still refuses a source series that does not start at 1."""
+    original = chern_series_from_character
+
+    def starting_at_2(character, d, dual=False):
+        series = original(character, d, dual)
+        return ChernSeries([series.coeffs[0] * 2, *series.coeffs[1:]], series.order)
+
+    monkeypatch.setattr("trisecant.porteous.chern_series_from_character", starting_at_2)
+    with pytest.raises(ValueError, match="a total Chern series must start at 1"):
+        determinant_segre(9)
+
+
 def test_multiplication_map_bundles_shape():
     """The source is the residual bundle (rank d - 4) twisted by O(-1); the
     target is the dual of the sections bundle (rank 2), untwisted."""
@@ -201,6 +215,35 @@ def test_segre_quotient_matches_recurrence_determinants():
             sign = 1 if m % 2 == 0 else -1
             assert quotient.coefficient(m) * sign == dets[m], (d, m)
         assert determinant_segre(d) == dets[d - 5]
+
+
+
+@pytest.mark.parametrize("d", (8, 9, 10, 60, 200))
+def test_segre_reads_the_whole_quotient_coefficient(d):
+    """The route's three-coefficient read equals (-1)^n [t^n] of the whole
+    quotient c_t(source) / c_t(target), n = d - 5."""
+    n = d - 5
+    quotient = source_chern_series(d) * target_chern_series(d).inverse()
+    assert determinant_segre(d) == quotient.coefficient(n) * (-1) ** n
+
+
+def test_segre_cost_does_not_grow_with_d(monkeypatch):
+    """The Segre route makes as many ring products at d = 400 as at d = 20."""
+    calls = []
+    product = AmbientClass.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(AmbientClass, "__mul__", counted)
+    monkeypatch.setattr(AmbientClass, "__rmul__", counted)
+    counts = []
+    for d in (20, 400):
+        calls.clear()
+        determinant_segre(d)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _band(d: int) -> list[list[AmbientClass]]:
