@@ -13,7 +13,7 @@ comparing each degree with binomial(d-2, 3) - 2(d-4).  A mutant is
 
 Standard library only.  Usage:
 
-    python3 scripts/mutation_sweep.py [--root CHECKOUT] [--jobs N]
+    python3 scripts/mutation_sweep.py [--root CHECKOUT]
 """
 
 import argparse
@@ -93,11 +93,7 @@ def main() -> int:
         "--root", type=Path, default=Path(__file__).resolve().parents[1],
         help="checkout whose src/ is mutated (default: this one)",
     )
-    cpus = os.cpu_count() or 1
-    parser.add_argument("--jobs", type=int, default=cpus, help=f"workers, 1..{cpus}")
     args = parser.parse_args()
-    if not 1 <= args.jobs <= cpus:
-        parser.error(f"--jobs must lie in 1..{cpus}")
     src = args.root / "src"
     source = (args.root / MODULE).read_text()
     lines = source.splitlines()
@@ -116,7 +112,7 @@ def main() -> int:
         text, _, _ = mutate(source, site[0])
         return run(src, text)
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         outcomes = list(pool.map(one, mutants))
 
     counts = {kind: outcomes.count(kind) for kind in ("killed", "raised", "survived")}

@@ -118,10 +118,15 @@ def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
     return ChernSeries(_twisted_coefficients(series, rank, range(order + 1)), order)
 
 
+def _residual_series(d: int) -> tuple[ChernSeries, int]:
+    """c_t(residual) and the residual's rank, the untwisted source."""
+    _, residual = bundle_characters(d)
+    return chern_series_from_character(residual, d), int(residual.c0)
+
+
 def source_chern_series(d: int) -> ChernSeries:
     """c_t(residual (x) O(-1)): the source of the multiplication map."""
-    _, residual = bundle_characters(d)
-    return twist_by_hyperplane(chern_series_from_character(residual, d), int(residual.c0))
+    return twist_by_hyperplane(*_residual_series(d))
 
 
 def target_chern_series(d: int) -> ChernSeries:
@@ -232,9 +237,8 @@ def determinant_segre(d: int) -> AmbientClass:
     """
     _require_degree(d)
     n = d - 5
-    _, residual = bundle_characters(d)
-    source = chern_series_from_character(residual, d)
-    s0, s1, s2 = _twisted_coefficients(source, int(residual.c0), (n, n - 1, n - 2))
+    source, rank = _residual_series(d)
+    s0, s1, s2 = _twisted_coefficients(source, rank, (n, n - 1, n - 2))
     _, u1, u2 = ChernSeries(target_chern_series(d).coeffs[:3]).inverse().coeffs
     x1 = s0 + s1 * u1 + s2 * u2
     return x1 if n % 2 == 0 else -x1

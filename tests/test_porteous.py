@@ -217,11 +217,11 @@ def test_segre_quotient_matches_recurrence_determinants():
         assert determinant_segre(d) == dets[d - 5]
 
 
-
-@pytest.mark.parametrize("d", (8, 9, 10, 60, 200))
+@pytest.mark.parametrize("d", (10, 60, 200))
 def test_segre_reads_the_whole_quotient_coefficient(d):
     """The route's three-coefficient read equals (-1)^n [t^n] of the whole
-    quotient c_t(source) / c_t(target), n = d - 5."""
+    quotient c_t(source) / c_t(target), n = d - 5; the test above covers
+    d = 8 and 9 through the banded determinants."""
     n = d - 5
     quotient = source_chern_series(d) * target_chern_series(d).inverse()
     assert determinant_segre(d) == quotient.coefficient(n) * (-1) ** n
