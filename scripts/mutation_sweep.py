@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation sweep of ``src/trisecant/porteous.py``.
+"""Mutation sweep of ``src/trisecant/porteous.py`` and ``src/trisecant/_graded.py``.
 
-Each mutant makes one change to the module: a ``+`` swapped for ``-`` or back
+Each mutant makes one change to one module: a ``+`` swapped for ``-`` or back
 (binary, augmented or unary), or one integer constant raised by 1.  It runs
 in a fresh interpreter on its own copy of ``src/``, which runs
 ``verify_checks(8, 12)`` and then every determinant route for d in [8, 15],
@@ -10,6 +10,8 @@ comparing each degree with binomial(d-2, 3) - 2(d-4).  A mutant is
   killed    when a check fails or a route returns a wrong degree,
   raised    when an exception escapes, or it runs past 120 seconds,
   survived  otherwise; each survivor is listed with its line.
+
+One count line is printed per module, then that module's survivors.
 
 Standard library only.  Usage:
 
@@ -26,7 +28,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-MODULE = Path("src", "trisecant", "porteous.py")
+MODULES = (Path("src", "trisecant", "porteous.py"), Path("src", "trisecant", "_graded.py"))
 KILLED = 10
 TIMEOUT = 120
 
@@ -70,13 +72,13 @@ def mutate(source: str, index: int) -> tuple[str, int, int]:
     return ast.unparse(tree), node.lineno, node.col_offset
 
 
-def run(src: Path, text: str | None) -> str:
-    """Outcome of the child on a copy of ``src`` whose module reads ``text``."""
+def run(src: Path, module: Path | None = None, text: str = "") -> str:
+    """Outcome of the child on a copy of ``src`` where ``module``, if given, reads ``text``."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         copy = Path(scratch, "src")
         shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        if text is not None:
-            Path(scratch, MODULE).write_text(text)
+        if module is not None:
+            Path(scratch, module).write_text(text)
         env = {**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"}
         try:
             proc = subprocess.run(
@@ -95,34 +97,38 @@ def main() -> int:
     )
     args = parser.parse_args()
     src = args.root / "src"
-    source = (args.root / MODULE).read_text()
-    lines = source.splitlines()
-    functions = [
-        (node.lineno, node.end_lineno, node.name)
-        for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef)
-    ]
-
-    if run(src, None) != "survived":
-        print("the unmutated module does not pass; nothing to measure", file=sys.stderr)
+    if run(src) != "survived":
+        print("the unmutated modules do not pass; nothing to measure", file=sys.stderr)
         return 1
-    mutants = sites(ast.parse(source))
+    sources = {module: (args.root / module).read_text() for module in MODULES}
+    mutants = [(module, site) for module in MODULES for site in sites(ast.parse(sources[module]))]
 
-    def one(site):
-        text, _, _ = mutate(source, site[0])
-        return run(src, text)
+    def one(mutant):
+        module, (index, _) = mutant
+        text, _, _ = mutate(sources[module], index)
+        return run(src, module, text)
 
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         outcomes = list(pool.map(one, mutants))
 
-    counts = {kind: outcomes.count(kind) for kind in ("killed", "raised", "survived")}
-    print(f"{args.root / MODULE}: {len(mutants)} mutants, "
-          + ", ".join(f"{kind} {n}" for kind, n in counts.items()))
-    for (index, change), outcome in zip(mutants, outcomes):
-        if outcome == "survived":
-            _, line, column = mutate(source, index)
-            where = next((name for a, b, name in functions if a <= line <= b), "<module>")
-            print(f"  line {line}:{column} in {where}: {change}  | {lines[line - 1].strip()}")
+    for module in MODULES:
+        source = sources[module]
+        lines = source.splitlines()
+        functions = [
+            (node.lineno, node.end_lineno, node.name)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        mine = [(site, out) for (owner, site), out in zip(mutants, outcomes) if owner == module]
+        kinds = [out for _, out in mine]
+        counts = {kind: kinds.count(kind) for kind in ("killed", "raised", "survived")}
+        print(f"{args.root / module}: {len(mine)} mutants, "
+              + ", ".join(f"{kind} {n}" for kind, n in counts.items()))
+        for (index, change), outcome in mine:
+            if outcome == "survived":
+                _, line, column = mutate(source, index)
+                where = next((name for a, b, name in functions if a <= line <= b), "<module>")
+                print(f"  line {line}:{column} in {where}: {change}  | {lines[line - 1].strip()}")
     return 0
 
 

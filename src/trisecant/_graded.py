@@ -41,13 +41,16 @@ def _columns(series: ChernSeries, constant: int | None = None) -> list[list]:
     return columns
 
 
+def _ambient(d: int, k: int, triple) -> AmbientClass:
+    """The class over d, homogeneous of degree k, whose (x0, x1, X2) is ``triple``."""
+    x0, x1, x2 = triple
+    return AmbientClass(d, {(a, k - a): x for a, x in enumerate((x0, x1, Fraction(x2, 2))) if x})
+
+
 def _series(like: ChernSeries, triples) -> ChernSeries:
     """The ambient series over the d of ``like`` whose t^k coefficient is the k-th triple."""
     d = like.coeffs[0].d
-    return ChernSeries([
-        AmbientClass(d, {(a, k - a): x for a, x in enumerate((x0, x1, Fraction(x2, 2))) if x})
-        for k, (x0, x1, x2) in enumerate(triples)
-    ])
+    return ChernSeries([_ambient(d, k, triple) for k, triple in enumerate(triples)])
 
 
 def _dot(a, b) -> tuple:
@@ -61,7 +64,8 @@ def _dot(a, b) -> tuple:
 
 
 def _solve(columns, divisor) -> list[list]:
-    """The columns of q with q_0 = 1 and divisor(m) q_m = sum_(k>=1) c_k q_(m-k)."""
+    """The columns of q with q_0 = 1 and divisor(m) q_m = sum_(k>=1) c_k q_(m-k).
+    The entries of c_0 are never read."""
     order = len(columns[0]) - 1
     backwards = [column[::-1] for column in columns]
     q = [1], [0], [0]

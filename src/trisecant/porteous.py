@@ -23,8 +23,10 @@ per d.
 
 Each c_k here is homogeneous of degree k, so the O(d^2) loops (series
 division, banded recurrence, the exponential form's exp and tail product) run
-in the graded integer kernel of :mod:`trisecant._graded`; the O(d) stages
-and the binomial forms stay on ``AmbientClass``.
+in the graded integer kernel of :mod:`trisecant._graded`.  The recurrence
+route stays in the kernel's integer columns from the closed formula's triples
+to its one determinant, d_(d-5), the only class it builds; the binomial forms
+and the twist stay on ``AmbientClass``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .degree import binomial
-from ._graded import graded_exp_product, graded_inverse
+from ._graded import _ambient, _columns, _solve, graded_exp_product, graded_inverse
 from .ring import AmbientClass, ChernSeries, ThetaPoly
 from .riemann_roch import bundle_characters
 
@@ -189,19 +191,24 @@ def virtual_chern_series_expansion(d: int) -> ChernSeries:
     return ChernSeries(coeffs, order)
 
 
+def _formula_triple(i: int, d: int) -> tuple[int, int, int]:
+    """The closed binomial formula for c_i as the graded kernel's integer
+    triple (x0, x1, X2) of h^i, T h^(i-1) and 2 T^2 h^(i-2); at i = 0 it
+    reads (1, 0, 0), since binomial(n, k) vanishes for k < 0."""
+    return (
+        binomial(d - 5 + i, i),
+        binomial(d - 5 + i, i - 1) + binomial(d - 6 + i, i - 1),
+        4 * binomial(d - 6 + i, i - 2) + binomial(d - 7 + i, i - 4),
+    )
+
+
 def chern_coefficient_formula(i: int, d: int) -> AmbientClass:
     """Closed binomial formula for the i-th virtual Chern coefficient,
     valid on 1 <= i <= d - 5."""
     _require_degree(d)
     if not isinstance(i, int) or not 1 <= i <= d - 5:
         raise ValueError(f"coefficient index must lie in 1..{d - 5}, got {i}")
-    terms = {
-        (0, i): binomial(d - 5 + i, i),
-        (1, i - 1): binomial(d - 5 + i, i - 1) + binomial(d - 6 + i, i - 1),
-    }
-    if i >= 2:
-        terms[2, i - 2] = 2 * binomial(d - 6 + i, i - 2) + Fraction(binomial(d - 7 + i, i - 4), 2)
-    return AmbientClass(d, terms)
+    return _ambient(d, i, _formula_triple(i, d))
 
 
 def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
@@ -244,26 +251,40 @@ def determinant_segre(d: int) -> AmbientClass:
     return x1 if n % 2 == 0 else -x1
 
 
+def _determinant_columns(
+    d: int, coefficients: tuple[AmbientClass, ...] | None = None
+) -> list[list]:
+    """The graded kernel's columns of the determinants of
+    :func:`recurrence_determinants`, solved with the sign (-1)^(i-1) put on
+    the columns of c_i.  The c_i are the closed formula's integer triples
+    unless ``coefficients`` are given."""
+    _require_degree(d)
+    n = d - 5
+    if coefficients is None:
+        columns = zip(*(_formula_triple(i, d) for i in range(n + 1)))
+    elif len(coefficients) < n:
+        raise ValueError(f"the recurrence needs c_1..c_{n}, got {len(coefficients)}")
+    else:
+        columns = _columns(ChernSeries([AmbientClass.one(d), *coefficients], n))
+    signed = [[x if i % 2 else -x for i, x in enumerate(column)] for column in columns]
+    return _solve(signed, lambda m: 1)
+
+
 def recurrence_determinants(
     d: int, coefficients: tuple[AmbientClass, ...] | None = None
 ) -> tuple[AmbientClass, ...]:
     """All banded determinants d_0..d_(d-5) through the alternating
-    recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i).  That makes d_m the t^m
-    coefficient of 1 / (1 + sum_i c_i (-t)^i), which the graded integer
-    kernel inverts; a c_i not homogeneous of degree i raises
-    ``ArithmeticError`` naming i.
+    recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i), which the graded integer
+    kernel solves on integer columns; a c_i not homogeneous of degree i
+    raises ``ArithmeticError`` naming i, fewer than d - 5 of them
+    ``ValueError``.
 
-    Unless overridden, the coefficients come from the closed binomial
-    formula, making this route independent of the series division.
+    Unless overridden, the coefficients are the closed binomial formula's
+    triples, never built as classes, making this route independent of the
+    series division.
     """
-    _require_degree(d)
-    n = d - 5
-    if coefficients is None:
-        coefficients = [chern_coefficient_formula(i, d) for i in range(1, n + 1)]
-    if len(coefficients) < n:
-        raise ValueError(f"the recurrence needs c_1..c_{n}, got {len(coefficients)}")
-    inverse = graded_inverse(ChernSeries([AmbientClass.one(d), *coefficients], n))
-    return tuple(q if m % 2 == 0 else -q for m, q in enumerate(inverse.coeffs))
+    columns = _determinant_columns(d, coefficients)
+    return tuple(_ambient(d, m, triple) for m, triple in enumerate(zip(*columns)))
 
 
 def determinant_formula(n: int, d: int) -> AmbientClass:
@@ -295,7 +316,7 @@ def porteous_class(d: int, method: str = "segre") -> AmbientClass:
     if method == "segre":
         return determinant_segre(d)
     if method == "recurrence":
-        return recurrence_determinants(d)[d - 5]
+        return _ambient(d, d - 5, [column[-1] for column in _determinant_columns(d)])
     if method == "closed-form":
         return determinant_formula(d - 5, d)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

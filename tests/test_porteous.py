@@ -30,7 +30,7 @@ from trisecant.porteous import (
     virtual_chern_series_expansion,
 )
 from trisecant.riemann_roch import bundle_characters
-from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly
+from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly, TruncatedClass
 
 
 def _repeated_product(series, n):
@@ -58,6 +58,18 @@ def test_dualizing_negates_only_the_odd_part():
     dual = chern_series_from_character(sections, d, dual=True)
     assert dual.coefficient(1) == -plain.coefficient(1)
     assert dual.coefficient(2) == plain.coefficient(2)
+
+
+def test_second_chern_class_subtracts_ch2():
+    """c2 = ch_1^2 / 2 - ch_2.  Both pushforward characters have ch_2 = 0, so
+    a character with ch_2 != 0 pins the sign: ch = 3 + T + T^2 gives
+    c1 = T and c2 = -T^2/2, and dualizing negates c1 alone."""
+    d = 8
+    theta = AmbientClass.theta(d)
+    for dual, c1 in ((False, theta), (True, -theta)):
+        series = chern_series_from_character(ThetaPoly(3, 1, 1), d, dual=dual)
+        assert series.coefficient(1) == c1
+        assert series.coefficient(2) == theta * theta * Fraction(-1, 2)
 
 
 def test_twist_of_trivial_series_is_binomial():
@@ -374,3 +386,51 @@ def test_recurrence_needs_every_coefficient():
     coefficients = [chern_coefficient_formula(i, d) for i in range(1, d - 5)]
     with pytest.raises(ValueError, match="c_1..c_4"):
         recurrence_determinants(d, coefficients)
+
+
+@pytest.mark.parametrize("d", (8, 9, 60, 200))
+def test_recurrence_route_is_the_top_determinant(d):
+    """The route solves the recurrence on the formula's integer columns and
+    builds d_(d-5) alone; it is the last of the d - 4 determinants."""
+    dets = recurrence_determinants(d)
+    assert len(dets) == d - 4
+    assert porteous_class(d, "recurrence") == dets[d - 5]
+
+
+@pytest.mark.parametrize("i", (1, 4))
+def test_recurrence_names_a_non_homogeneous_coefficient_at_either_end(i):
+    d = 9
+    coefficients = list(chern_coefficients(d))
+    coefficients[i - 1] = coefficients[i - 1] + AmbientClass(d, {(0, i + 1): 1})
+    with pytest.raises(ArithmeticError, match=rf"c_{i} .* not homogeneous of degree {i}"):
+        recurrence_determinants(d, coefficients)
+
+
+def test_recurrence_refuses_an_empty_coefficient_list():
+    """An empty tuple is too few coefficients, not a request for the formula's."""
+    with pytest.raises(ValueError, match=r"c_1..c_4, got 0"):
+        recurrence_determinants(9, ())
+
+
+def test_recurrence_route_cost_does_not_grow_with_d(monkeypatch):
+    """The recurrence route builds as many ring values at d = 200 as at
+    d = 20: its O(d^2) solve runs on integer columns, not on classes."""
+    built = []
+    construct, new = TruncatedClass.__init__, TruncatedClass._new
+
+    def constructed(self, top, terms=None):
+        built.append(top)
+        construct(self, top, terms)
+
+    def derived(self, terms, den=1):
+        built.append(self._top)
+        return new(self, terms, den)
+
+    monkeypatch.setattr(TruncatedClass, "__init__", constructed)
+    monkeypatch.setattr(TruncatedClass, "_new", derived)
+    counts = []
+    for d in (20, 200):
+        built.clear()
+        porteous_class(d, "recurrence")
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
