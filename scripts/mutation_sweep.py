@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation sweep of ``src/trisecant/porteous.py`` and ``src/trisecant/_graded.py``.
+"""Mutation sweep of ``src/trisecant/porteous.py``, ``_graded.py`` and ``degree.py``.
 
 Each mutant makes one change to one module: a ``+`` swapped for ``-`` or back
 (binary, augmented or unary), or one integer constant raised by 1.  It runs
@@ -28,7 +28,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-MODULES = (Path("src", "trisecant", "porteous.py"), Path("src", "trisecant", "_graded.py"))
+MODULES = tuple(Path("src", "trisecant", name) for name in ("porteous.py", "_graded.py", "degree.py"))
 KILLED = 10
 TIMEOUT = 120
 

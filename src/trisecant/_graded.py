@@ -4,9 +4,10 @@ There c_k is homogeneous of degree k, so it is the triple (x0, x1, X2) of its
 coefficients of h^k, T h^(k-1) and 2*T^2 h^(k-2).  With T^2 doubled, the
 pipeline's triples are ints and a product is (a0 b0, a0 b1 + a1 b0,
 a0 B2 + 2 a1 b1 + A2 b0), with no division.  A series is three columns of
-such entries, and its inverse, exponential and products share one dot product
-of column triples.  The truncation h^(d-1) = 0 is graded, so it commutes
-with the kernel and is applied once, on the way back to ``AmbientClass``.
+such entries.  One solver gives its quotients and exponential, and one dot
+product of column triples serves them and its products.  The truncation
+h^(d-1) = 0 is graded, so it commutes with the kernel and is applied once, on
+the way back to ``AmbientClass``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,17 @@ def _exact(numerator, denominator: int):
     return Fraction(numerator, denominator) if rest else whole
 
 
-def _columns(series: ChernSeries, constant: int | None = None) -> list[list]:
+def _triple(k: int, c: AmbientClass) -> list:
+    """The (x0, x1, X2) of c; a c not homogeneous of degree k raises ArithmeticError."""
+    triple = [0, 0, 0]
+    for (a, b), numerator in c._terms.items():
+        if a + b != k:
+            raise ArithmeticError(f"c_{k} = {c} is not homogeneous of degree {k}")
+        triple[a] = _exact(numerator * 2 if a == 2 else numerator, c._den)
+    return triple
+
+
+def _columns(series: ChernSeries, constant: int | None = None) -> list[tuple]:
     """The columns of x0, x1 and X2 over c_0..c_order.  A coefficient that is
     not ``AmbientClass`` raises TypeError, a c_0 other than a given
     ``constant`` ValueError, a c_k not homogeneous of degree k ArithmeticError."""
@@ -32,13 +43,7 @@ def _columns(series: ChernSeries, constant: int | None = None) -> list[list]:
         raise TypeError("the graded kernel needs ambient coefficients")
     if constant is not None and first != constant:
         raise ValueError(f"this series operation needs constant term {constant}")
-    columns = [[0] * (series.order + 1) for _ in range(3)]
-    for k, c in enumerate(series.coeffs):
-        for (a, b), numerator in c._terms.items():
-            if a + b != k:
-                raise ArithmeticError(f"c_{k} = {c} is not homogeneous of degree {k}")
-            columns[a][k] = _exact(numerator * 2 if a == 2 else numerator, c._den)
-    return columns
+    return list(zip(*(_triple(k, c) for k, c in enumerate(series.coeffs))))
 
 
 def _ambient(d: int, k: int, triple) -> AmbientClass:
@@ -49,8 +54,7 @@ def _ambient(d: int, k: int, triple) -> AmbientClass:
 
 def _series(like: ChernSeries, triples) -> ChernSeries:
     """The ambient series over the d of ``like`` whose t^k coefficient is the k-th triple."""
-    d = like.coeffs[0].d
-    return ChernSeries([_ambient(d, k, triple) for k, triple in enumerate(triples)])
+    return ChernSeries([_ambient(like.coeffs[0].d, k, t) for k, t in enumerate(triples)])
 
 
 def _dot(a, b) -> tuple:
@@ -63,17 +67,23 @@ def _dot(a, b) -> tuple:
     )
 
 
-def _solve(columns, divisor) -> list[list]:
-    """The columns of q with q_0 = 1 and divisor(m) q_m = sum_(k>=1) c_k q_(m-k).
-    The entries of c_0 are never read."""
+def _solve(columns, divisor, numerator=((1,), (0,), (0,))) -> list[list]:
+    """The columns of q with q_0 = n_0 and divisor(m) q_m = n_m + sum_(k>=1) c_k q_(m-k),
+    to the order of c; n, by default 1, reads 0 past its end, and c_0 is never read."""
     order = len(columns[0]) - 1
     backwards = [column[::-1] for column in columns]
-    q = [1], [0], [0]
+    q = [list(column[:1]) for column in numerator]
     for m in range(1, order + 1):
         # backwards[.][order - m:] runs c_m..c_0, so it meets q_0..q_(m-1) in the dot.
-        for column, x in zip(q, _dot([column[order - m:] for column in backwards], q)):
-            column.append(_exact(x, divisor(m)))
+        for column, n, x in zip(q, numerator, _dot([c[order - m:] for c in backwards], q)):
+            column.append(_exact(x + n[m] if m < len(n) else x, divisor(m)))
     return q
+
+
+def _quotient(numerator, columns) -> list[list]:
+    """The columns of numerator / series from both columns, to the smaller order; c_0 is 1."""
+    size = min(len(numerator[0]), len(columns[0]))
+    return _solve([[-x for x in column[:size]] for column in columns], lambda m: 1, numerator)
 
 
 def _exp(columns) -> list[list]:
@@ -81,10 +91,11 @@ def _exp(columns) -> list[list]:
     return _solve([[k * x for k, x in enumerate(column)] for column in columns], lambda m: m)
 
 
-def graded_inverse(series: ChernSeries) -> ChernSeries:
-    """``series.inverse()`` for an ambient series whose c_k is homogeneous of
-    degree k (another degree raises ArithmeticError), by q_m = -sum c_i q_(m-i)."""
-    return _series(series, zip(*_solve(_columns(series, 1), lambda m: -1)))
+def graded_quotient(numerator: ChernSeries, series: ChernSeries) -> ChernSeries:
+    """``numerator * series.inverse()`` for two ambient series of one d whose
+    c_k is homogeneous of degree k (another degree raises ArithmeticError);
+    ``series`` needs constant term 1.  Its inverse is the quotient of 1."""
+    return _series(series, zip(*_quotient(_columns(numerator), _columns(series, 1))))
 
 
 def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:

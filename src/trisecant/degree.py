@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 from .ring import AmbientClass, Rational
 
@@ -54,11 +55,12 @@ def verify_binomial_identities(sample_bound: int) -> bool:
         for m in range(sample_bound + 1):
             if binomial(-r, m) != (-1) ** m * binomial(r + m - 1, m):
                 return False
+    table = [[binomial(n, k) for k in range(sample_bound + 1)] for n in range(2 * sample_bound + 1)]
     for m in range(sample_bound + 1):
         for s in range(sample_bound + 1):
             for r in range(sample_bound + 1):
-                total = sum(binomial(m, k) * binomial(s, r - k) for k in range(r + 1))
-                if total != binomial(m + s, r):
+                total = sum(map(mul, table[m][: r + 1], table[s][r::-1]))
+                if total != table[m + s][r]:
                     return False
     return True
 

@@ -16,17 +16,17 @@ Each determinant route returns the class itself, an ``AmbientClass``.
 
 The source's series is the residual bundle's, twisted in closed form by the
 splitting principle: c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i),
-one binomial sum per coefficient, so the pipeline never substitutes one series
-into another.  The Segre route reads only its t^(d-5), t^(d-6) and t^(d-7)
-coefficients, against three of the target's inverse: O(1) ring operations
-per d.
+one binomial sum of the kernel's integer triples per coefficient, so the
+pipeline never substitutes one series into another.  The Segre route reads
+only its t^(d-5), t^(d-6) and t^(d-7) coefficients, against three of the
+target's inverse: O(1) ring operations per d.
 
 Each c_k here is homogeneous of degree k, so the O(d^2) loops (series
 division, banded recurrence, the exponential form's exp and tail product) run
-in the graded integer kernel of :mod:`trisecant._graded`.  The recurrence
-route stays in the kernel's integer columns from the closed formula's triples
-to its one determinant, d_(d-5), the only class it builds; the binomial forms
-and the twist stay on ``AmbientClass``.
+in the graded integer kernel of :mod:`trisecant._graded`.  The division
+solves the target's columns over the twisted triples, the recurrence route
+the formula's triples; each builds classes only on the way out.  The binomial
+expansion and the exponential form's 1/(1 - h t) stay on ``AmbientClass``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .degree import binomial
-from ._graded import _ambient, _columns, _solve, graded_exp_product, graded_inverse
+from ._graded import _ambient, _columns, _quotient, _series, _solve, _triple, graded_exp_product
 from .ring import AmbientClass, ChernSeries, ThetaPoly
 from .riemann_roch import bundle_characters
 
@@ -79,12 +79,12 @@ def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False
     return ChernSeries(coeffs, d - 5)
 
 
-def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[AmbientClass]:
+def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[list]:
     """The t^k coefficients, for each k in ``ks`` up to the series' order, of
-    the twist sum_i c_i t^i (1 - h*t)^(rank - i): one binomial term
-    c_i binomial(rank - i, k - i) (-h)^(k - i) per nonzero c_i with i <= k.
-    For i > rank the upper argument is negative and the expansion is the
-    full geometric tail."""
+    the twist sum_i c_i t^i (1 - h*t)^(rank - i), as the graded kernel's triples
+    sum_i binomial(rank - i, k - i) (-1)^(k - i) triple(c_i) over the nonzero c_i
+    with i <= k (h^(k-i) keeps a triple).  For i > rank the upper argument is
+    negative and the expansion is the full geometric tail."""
     first = series.coeffs[0]
     if not isinstance(first, AmbientClass):
         raise TypeError("hyperplane twists need ambient coefficients")
@@ -92,17 +92,11 @@ def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[AmbientCla
         raise ValueError("a total Chern series must start at 1")
     if not isinstance(rank, int) or rank < 0:
         raise ValueError("rank must be a non-negative integer")
-    d = first.d
-    nonzero = [(i, c) for i, c in enumerate(series.coeffs) if not c.is_zero()]
+    nonzero = [(i, _triple(i, c)) for i, c in enumerate(series.coeffs) if not c.is_zero()]
     out = []
     for k in ks:
-        total = first.zero_like()
-        for i, c in nonzero:
-            if i > k:
-                break
-            power = AmbientClass(d, {(0, k - i): binomial(rank - i, k - i) * (-1) ** (k - i)})
-            total = total + c * power
-        out.append(total)
+        scaled = [(binomial(rank - i, k - i) * (-1) ** (k - i), t) for i, t in nonzero if i <= k]
+        out.append([sum(s * t[a] for s, t in scaled) for a in range(3)])
     return out
 
 
@@ -116,8 +110,7 @@ def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
 
     read coefficient by coefficient up to the series' order.
     """
-    order = series.order
-    return ChernSeries(_twisted_coefficients(series, rank, range(order + 1)), order)
+    return _series(series, _twisted_coefficients(series, rank, range(series.order + 1)))
 
 
 def _residual_series(d: int) -> tuple[ChernSeries, int]:
@@ -138,10 +131,13 @@ def target_chern_series(d: int) -> ChernSeries:
 
 
 def virtual_chern_series(d: int) -> ChernSeries:
-    """c_t(target - source) by honest series division; the source series is
-    inverted in the graded integer kernel of :mod:`trisecant._graded`."""
+    """c_t(target - source) by honest series division: the target's columns
+    divided by the twisted source's triples in one solve of the graded integer
+    kernel of :mod:`trisecant._graded`, turned back into a series once."""
     _require_degree(d)
-    return target_chern_series(d) * graded_inverse(source_chern_series(d))
+    source, rank = _residual_series(d)
+    twisted = zip(*_twisted_coefficients(source, rank, range(source.order + 1)))
+    return _series(source, zip(*_quotient(_columns(target_chern_series(d)), list(twisted))))
 
 
 def virtual_chern_series_closed_form(d: int) -> ChernSeries:
@@ -245,7 +241,8 @@ def determinant_segre(d: int) -> AmbientClass:
     _require_degree(d)
     n = d - 5
     source, rank = _residual_series(d)
-    s0, s1, s2 = _twisted_coefficients(source, rank, (n, n - 1, n - 2))
+    ks = (n, n - 1, n - 2)
+    s0, s1, s2 = map(_ambient, [d] * 3, ks, _twisted_coefficients(source, rank, ks))
     _, u1, u2 = ChernSeries(target_chern_series(d).coeffs[:3]).inverse().coeffs
     x1 = s0 + s1 * u1 + s2 * u2
     return x1 if n % 2 == 0 else -x1

@@ -52,8 +52,8 @@ def _rebind(monkeypatch, original, replacement):
 
 def _twist_rank_shifted(monkeypatch, shift):
     """The hyperplane twist reads the residual's rank off by ``shift``.  The
-    fault goes in at the per-coefficient twist, which both the series
-    division and the Segre route read."""
+    fault goes in at the per-coefficient twist on kernel triples, which the
+    series division, ``twist_by_hyperplane`` and the Segre route all read."""
     original = porteous._twisted_coefficients
 
     def twisted(series, rank, ks):
@@ -71,12 +71,13 @@ def twist_rank_minus_one(monkeypatch):
 
 
 def twisted_t_cubed_negated(monkeypatch):
-    """The twist's t^3 coefficient negated: at d = 8 the Segre route reads
+    """The twist's t^3 triple negated: at d = 8 the Segre route reads
     t^1..t^3, the division the whole series."""
     original = porteous._twisted_coefficients
 
     def twisted(series, rank, ks):
-        return [-c if k == 3 else c for k, c in zip(ks, original(series, rank, ks))]
+        triples = original(series, rank, ks)
+        return [[-x for x in t] if k == 3 else t for k, t in zip(ks, triples)]
 
     monkeypatch.setattr(porteous, "_twisted_coefficients", twisted)
 

@@ -98,6 +98,17 @@ def test_twist_validation():
         twist_by_hyperplane(ChernSeries.constant(ThetaPoly.one(), 4), 3)
 
 
+@pytest.mark.parametrize("i", (1, 2))
+def test_twist_refuses_a_non_homogeneous_coefficient(i):
+    """The twist works on the kernel's triples, so a c_i that is not
+    homogeneous of degree i is refused with the kernel's message naming i."""
+    d = 8
+    coeffs = [AmbientClass.one(d), AmbientClass.hyperplane(d), AmbientClass.theta(d) ** 2]
+    coeffs[i] = coeffs[i] + 1
+    with pytest.raises(ArithmeticError, match=rf"c_{i} = .* is not homogeneous of degree {i}"):
+        twist_by_hyperplane(ChernSeries(coeffs, 4), 3)
+
+
 def test_segre_route_validates_the_source_like_the_twist(monkeypatch):
     """The Segre route reads the twist without building the source series,
     and still refuses a source series that does not start at 1."""

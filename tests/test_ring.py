@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisecant._graded import graded_exp_product, graded_inverse
+from trisecant._graded import graded_exp_product, graded_quotient
 from trisecant.riemann_roch import CurveClass, UpstreamClass
 from trisecant.ring import AmbientClass, ChernSeries, RingMismatchError, ThetaPoly
 
@@ -529,32 +529,60 @@ def test_series_exp_group_law(a, b):
 
 
 @st.composite
-def graded_series(draw):
-    """1 + sum_k c_k t^k with c_k homogeneous of degree k, up to three orders
-    past the truncation h^(d-1) = 0.  A T^2 coefficient shifted by 1/6 has a
+def graded_series(draw, d=None):
+    """1 + sum_k c_k t^k with c_k homogeneous of degree k, over a drawn d
+    unless one is given, up to three orders past the truncation h^(d-1) = 0.
+    Each coefficient is n/m, |n| <= 24, m <= 4, drawn as two plain integer
+    lists, several times cheaper than one ``st.fractions`` draw per coefficient.
+    A T^2 coefficient shifted by 1/6 (one bit of ``shifts`` per k) has a
     doubled value that is not an integer, so the kernel meets Fractions."""
-    d = draw(st.integers(8, 12))
+    if d is None:
+        d = draw(st.integers(8, 12))
     order = draw(st.integers(1, d + 3))
+    size = 3 * order
+    numerators = draw(st.lists(st.integers(-24, 24), min_size=size, max_size=size))
+    denominators = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    shifts = draw(st.integers(0, 2 ** order - 1))
+    values = map(Fraction, numerators, denominators)
     coeffs = [AmbientClass.one(d)]
     for k in range(1, order + 1):
-        terms = {(0, k): draw(small_fractions)}
-        terms[(1, k - 1)] = draw(small_fractions)
+        terms = {(0, k): next(values), (1, k - 1): next(values)}
+        t_squared = next(values) + Fraction(shifts >> (k - 1) & 1, 6)
         if k >= 2:
-            terms[(2, k - 2)] = draw(small_fractions) + draw(st.sampled_from((0, Fraction(1, 6))))
+            terms[(2, k - 2)] = t_squared
         coeffs.append(AmbientClass(d, terms))
     return ChernSeries(coeffs, order)
 
 
+def _one_like(series):
+    return ChernSeries.constant(series.coeffs[0].one_like(), series.order)
+
+
 @given(graded_series())
 def test_graded_inverse_matches_series_inverse(series):
-    assert graded_inverse(series) == series.inverse()
+    """The kernel's inverse is its quotient of 1."""
+    assert graded_quotient(_one_like(series), series) == series.inverse()
+
+
+@given(graded_series(), st.data())
+def test_graded_quotient_matches_product_with_inverse(series, data):
+    """quotient(a, b) == a * b.inverse() for a numerator of any constant term
+    and an order at, below or past the divisor's."""
+    numerator = data.draw(graded_series(series.coeffs[0].d)) * data.draw(small_fractions)
+    assert graded_quotient(numerator, series) == numerator * series.inverse()
+
+
+def test_graded_quotient_at_order_zero():
+    d = 8
+    numerator = ChernSeries.constant(AmbientClass.one(d) * 3, 0)
+    assert graded_quotient(numerator, _one_like(numerator)) == numerator
 
 
 def test_graded_inverse_needs_constant_term_one():
     d = 8
     series = ChernSeries([AmbientClass.one(d) * 2, AmbientClass.hyperplane(d)], 3)
     with pytest.raises(ValueError, match="constant term 1"):
-        graded_inverse(series)
+        graded_quotient(_one_like(series), series)
 
 
 def _without_constant(series):
@@ -588,16 +616,18 @@ def test_graded_exp_needs_constant_term_zero():
         graded_exp_product(series, series)
 
 
-# Each entry point of the kernel, with the series under test as the inverted
-# series, the factor of an exp or the exponent (after an ambient factor 1).
+# Each entry point of the kernel, with the series under test as the divisor of
+# 1 (the inverse), the numerator over 1, the factor of an exp or the exponent
+# (after an ambient factor 1).
 GRADED_ENTRY_POINTS = [
-    graded_inverse,
+    lambda series: graded_quotient(_one_like(series), series),
+    lambda series: graded_quotient(series, ChernSeries.constant(AmbientClass.one(8), 3)),
     lambda series: graded_exp_product(series, _without_constant(series)),
     lambda series: graded_exp_product(
         ChernSeries.constant(AmbientClass.one(8), 3), _without_constant(series)
     ),
 ]
-GRADED_ENTRY_IDS = ["inverse", "factor", "exponent"]
+GRADED_ENTRY_IDS = ["inverse", "numerator", "factor", "exponent"]
 
 
 @pytest.mark.parametrize("kernel", GRADED_ENTRY_POINTS, ids=GRADED_ENTRY_IDS)
