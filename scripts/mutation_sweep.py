@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation sweep of ``src/trisecant/porteous.py``, ``_graded.py`` and ``degree.py``.
+"""Mutation sweep of ``src/trisecant/porteous.py``, ``_graded.py``, ``degree.py``
+and ``riemann_roch.py``.
 
 Each mutant makes one change to one module: a ``+`` swapped for ``-`` or back
 (binary, augmented or unary), or one integer constant raised by 1.  It runs
@@ -28,7 +29,10 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-MODULES = tuple(Path("src", "trisecant", name) for name in ("porteous.py", "_graded.py", "degree.py"))
+MODULES = tuple(
+    Path("src", "trisecant", name)
+    for name in ("porteous.py", "_graded.py", "degree.py", "riemann_roch.py")
+)
 KILLED = 10
 TIMEOUT = 120
 
@@ -58,6 +62,18 @@ def sites(tree: ast.AST) -> list[tuple[int, str]]:
             found.append((index, swap))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found.append((index, f"{node.value} -> {node.value + 1}"))
+    return found
+
+
+def owners(tree: ast.Module) -> list[tuple[int, int, str]]:
+    """(first line, last line, name) of each function and ``Class.method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+            found += [(n.lineno, n.end_lineno, f"{node.name}.{n.name}") for n in methods]
+        elif isinstance(node, ast.FunctionDef):
+            found.append((node.lineno, node.end_lineno, node.name))
     return found
 
 
@@ -114,11 +130,7 @@ def main() -> int:
     for module in MODULES:
         source = sources[module]
         lines = source.splitlines()
-        functions = [
-            (node.lineno, node.end_lineno, node.name)
-            for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef)
-        ]
+        functions = owners(ast.parse(source))
         mine = [(site, out) for (owner, site), out in zip(mutants, outcomes) if owner == module]
         kinds = [out for _, out in mine]
         counts = {kind: kinds.count(kind) for kind in ("killed", "raised", "survived")}

@@ -94,14 +94,18 @@ def _exp(columns) -> list[list]:
 def graded_quotient(numerator: ChernSeries, series: ChernSeries) -> ChernSeries:
     """``numerator * series.inverse()`` for two ambient series of one d whose
     c_k is homogeneous of degree k (another degree raises ArithmeticError);
-    ``series`` needs constant term 1.  Its inverse is the quotient of 1."""
-    return _series(series, zip(*_quotient(_columns(numerator), _columns(series, 1))))
+    ``series`` needs constant term 1.  Its inverse is the quotient of 1.  Two
+    series over different d raise ``RingMismatchError``."""
+    columns = _columns(numerator), _columns(series, 1)
+    numerator._check_ring(series)
+    return _series(series, zip(*_quotient(*columns)))
 
 
 def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
-    """``factor * series.exp()`` for two such ambient series of one d; the
-    exponential stays in columns for the product."""
+    """``factor * series.exp()`` for two such ambient series of one d (or
+    ``RingMismatchError``); the exponential stays in columns for the product."""
     left, exponent = _columns(factor), _columns(series, 0)
+    factor._check_ring(series)
     order = min(factor.order, series.order)
     backwards = [column[order::-1] for column in _exp(exponent)]
     triples = (_dot([column[order - m:] for column in backwards], left) for m in range(order + 1))

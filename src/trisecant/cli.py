@@ -201,8 +201,9 @@ def run_table(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class Stage:
-    """The intermediates of one d that several checks share.  Each is built
-    on first use, so its cost falls to the check that first reads it."""
+    """The intermediates of one d that several checks share: the series
+    division, the recurrence's determinants and the Segre class.  Each is
+    built on first use, so its cost falls to the check that first reads it."""
 
     d: int
 
@@ -211,13 +212,9 @@ class Stage:
         return virtual_chern_series(self.d)
 
     @cached_property
-    def formula(self) -> tuple[AmbientClass, ...]:
-        return tuple(chern_coefficient_formula(i, self.d) for i in range(1, self.d - 4))
-
-    @cached_property
     def determinants(self) -> tuple[AmbientClass, ...]:
-        """Banded determinants d_0..d_(d-5) of the formula coefficients."""
-        return recurrence_determinants(self.d, self.formula)
+        """Banded determinants d_0..d_(d-5), on the formula's integer triples."""
+        return recurrence_determinants(self.d)
 
     @cached_property
     def segre(self) -> AmbientClass:
@@ -300,8 +297,8 @@ def check_bundle_characters(d: int, stage: Stage) -> str | None:
 
 def check_chern_coefficient_formula(d: int, stage: Stage) -> str | None:
     """Series division against the closed binomial formula, every index."""
-    pairs = zip(stage.division.coeffs[1:], stage.formula)
-    for i, (division, formula) in enumerate(pairs, start=1):
+    for i, division in enumerate(stage.division.coeffs[1:], start=1):
+        formula = chern_coefficient_formula(i, d)
         if division != formula:
             return f"d={d}, i={i}: division {division} vs formula {formula}"
     return None

@@ -248,39 +248,22 @@ def determinant_segre(d: int) -> AmbientClass:
     return x1 if n % 2 == 0 else -x1
 
 
-def _determinant_columns(
-    d: int, coefficients: tuple[AmbientClass, ...] | None = None
-) -> list[list]:
+def _determinant_columns(d: int) -> list[list]:
     """The graded kernel's columns of the determinants of
-    :func:`recurrence_determinants`, solved with the sign (-1)^(i-1) put on
-    the columns of c_i.  The c_i are the closed formula's integer triples
-    unless ``coefficients`` are given."""
+    :func:`recurrence_determinants`, solved on the closed formula's integer
+    triples with the sign (-1)^(i-1) put on the columns of c_i."""
     _require_degree(d)
-    n = d - 5
-    if coefficients is None:
-        columns = zip(*(_formula_triple(i, d) for i in range(n + 1)))
-    elif len(coefficients) < n:
-        raise ValueError(f"the recurrence needs c_1..c_{n}, got {len(coefficients)}")
-    else:
-        columns = _columns(ChernSeries([AmbientClass.one(d), *coefficients], n))
+    columns = zip(*(_formula_triple(i, d) for i in range(d - 4)))
     signed = [[x if i % 2 else -x for i, x in enumerate(column)] for column in columns]
     return _solve(signed, lambda m: 1)
 
 
-def recurrence_determinants(
-    d: int, coefficients: tuple[AmbientClass, ...] | None = None
-) -> tuple[AmbientClass, ...]:
+def recurrence_determinants(d: int) -> tuple[AmbientClass, ...]:
     """All banded determinants d_0..d_(d-5) through the alternating
     recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i), which the graded integer
-    kernel solves on integer columns; a c_i not homogeneous of degree i
-    raises ``ArithmeticError`` naming i, fewer than d - 5 of them
-    ``ValueError``.
-
-    Unless overridden, the coefficients are the closed binomial formula's
-    triples, never built as classes, making this route independent of the
-    series division.
-    """
-    columns = _determinant_columns(d, coefficients)
+    kernel solves on the closed binomial formula's triples, never built as
+    classes, making this route independent of the series division."""
+    columns = _determinant_columns(d)
     return tuple(_ambient(d, m, triple) for m, triple in enumerate(zip(*columns)))
 
 

@@ -413,14 +413,16 @@ class ChernSeries:
         # zip stops at the smaller order, which the result then takes.
         return ChernSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
+    def _check_ring(self, other: ChernSeries) -> None:
+        # Checked up front, since zero or constant coefficients may never meet.
+        if _ring_of(self.coeffs[0]) != _ring_of(other.coeffs[0]):
+            raise RingMismatchError(
+                f"series over {self.coeffs[0]!r} cannot combine with one over {other.coeffs[0]!r}"
+            )
+
     def __mul__(self, other) -> ChernSeries:
         if isinstance(other, ChernSeries):
-            # Checked up front, since zero or constant coefficients may never meet.
-            if _ring_of(self.coeffs[0]) != _ring_of(other.coeffs[0]):
-                raise RingMismatchError(
-                    f"series over {self.coeffs[0]!r} cannot combine with one over "
-                    f"{other.coeffs[0]!r}"
-                )
+            self._check_ring(other)
             order = min(self.order, other.order)
             out = [self.coeffs[0].zero_like()] * (order + 1)
             left = [(i, c) for i, c in enumerate(self.coeffs[: order + 1]) if not c.is_zero()]

@@ -255,18 +255,17 @@ def test_ring_axioms_keep_their_sample_size(monkeypatch):
 
 
 def test_verify_runs_one_recurrence_per_d(monkeypatch):
-    """The three-way check reads the stage's determinants, so the battery runs
-    the banded recurrence once per d, not a second time on the division's
-    coefficients."""
+    """The three-way, closed-form and Berzolari checks all read the stage's
+    determinants, so the battery runs the banded recurrence once per d."""
     import trisecant.cli
     import trisecant.porteous
 
     calls = []
     original = trisecant.porteous.recurrence_determinants
 
-    def counted(d, coefficients=None):
+    def counted(d):
         calls.append(d)
-        return original(d, coefficients)
+        return original(d)
 
     for module in (trisecant.porteous, trisecant.cli):
         monkeypatch.setattr(module, "recurrence_determinants", counted)

@@ -16,11 +16,14 @@ and a faulty sum or theta product on operands no pipeline value has only by
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
 is cached per process, so a fault upstream of it goes in at
-``bundle_characters``.
+``bundle_characters``, or with a fresh cache of its own that goes out with
+the fault.  A sign flip of gamma^2 upstairs escapes ``degree-berzolari``: it
+sends T to -T in both characters, and the degree reads only T^2.
 """
 
 import sys
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 import pytest
@@ -117,25 +120,28 @@ def negative_binomial_off_at_k2(monkeypatch):
 
 
 def c2_bumped_into_recurrence(monkeypatch):
-    """c_2 + 1 on every call of the recurrence that passes its coefficients."""
-    original = porteous.recurrence_determinants
+    """c_2 + T^2 in the recurrence alone.  Its solve reads the formula's
+    columns signed by (-1)^(i-1), so c_2's doubled T^2 part X2 goes in
+    negated, and lowering it by 2 raises c_2 by T^2."""
+    original = porteous._solve
 
-    def bumped(d, coefficients=None):
-        if coefficients is not None:
-            coefficients = (coefficients[0], coefficients[1] + 1, *coefficients[2:])
-        return original(d, coefficients)
+    def bumped(columns, divisor):
+        x0, x1, x2 = columns
+        return original([x0, x1, [*x2[:2], x2[2] - 2, *x2[3:]]], divisor)
 
-    _rebind(monkeypatch, original, bumped)
+    monkeypatch.setattr(porteous, "_solve", bumped)
 
 
 def coefficient_formula_off_at_3(monkeypatch):
-    original = porteous.chern_coefficient_formula
+    """c_3 + T^2 h in the closed formula, which both ``chern_coefficient_formula``
+    and the recurrence read as the kernel's triple (X2 is twice the T^2 part)."""
+    original = porteous._formula_triple
 
     def formula(i, d):
-        value = original(i, d)
-        return value + AmbientClass(d, {(2, 1): 1}) if i == 3 else value
+        x0, x1, x2 = original(i, d)
+        return (x0, x1, x2 + 2 if i == 3 else x2)
 
-    _rebind(monkeypatch, original, formula)
+    monkeypatch.setattr(porteous, "_formula_triple", formula)
 
 
 def determinant_formula_off_at_top(monkeypatch):
@@ -232,6 +238,14 @@ def theta_product_drops_t_squared(monkeypatch):
     monkeypatch.setattr(ThetaPoly, "__rmul__", product)
 
 
+def gamma_squared_sign_flipped(monkeypatch):
+    """gamma^2 = +2 f T upstairs.  The pushforwards are cached once per
+    process, so a fresh cache goes in with the fault and out with it."""
+    monkeypatch.setattr(riemann_roch, "_GAMMA_SQUARED_OVER_F", ThetaPoly(0, 2))
+    fresh = cache(riemann_roch._pushforwards.__wrapped__)
+    monkeypatch.setattr(riemann_roch, "_pushforwards", fresh)
+
+
 def pairing_reads_past_the_top(monkeypatch):
     """The pairing reads T^2 h^(d-1), one past the truncation: an IndexError."""
 
@@ -264,6 +278,10 @@ FAULTS = [
     (sum_drops_a_term_of_four, {"ring-axioms"}),
     (theta_product_drops_t_squared, {"ring-axioms"}),
     (pairing_reads_past_the_top, {"degree-berzolari"}),
+    (
+        gamma_squared_sign_flipped,
+        SERIES_FIVE - {"degree-berzolari"} | {"kunneth-relations", "bundle-characters"},
+    ),
 ]
 
 

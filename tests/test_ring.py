@@ -639,6 +639,15 @@ def test_graded_kernel_needs_homogeneous_coefficients(kernel):
         kernel(series)
 
 
+@pytest.mark.parametrize("kernel", GRADED_ENTRY_POINTS[1::2], ids=GRADED_ENTRY_IDS[1::2])
+def test_graded_kernel_needs_one_d(kernel):
+    """graded_quotient and graded_exp_product refuse a series over d = 9
+    against one over d = 8, rather than answer over either d."""
+    series = ChernSeries([AmbientClass.one(9), AmbientClass.hyperplane(9)], 3)
+    with pytest.raises(RingMismatchError, match="cannot combine"):
+        kernel(series)
+
+
 @pytest.mark.parametrize("kernel", GRADED_ENTRY_POINTS, ids=GRADED_ENTRY_IDS)
 def test_graded_kernel_needs_ambient_coefficients(kernel):
     series = ChernSeries([ThetaPoly.one(), ThetaPoly.theta()], 3)
