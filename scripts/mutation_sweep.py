@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation sweep of ``src/trisecant/porteous.py``, ``_graded.py``, ``degree.py``
-and ``riemann_roch.py``.
+"""Mutation sweep of ``src/trisecant/porteous.py``, ``_graded.py``, ``degree.py``,
+``riemann_roch.py`` and ``ring.py``.
 
 Each mutant makes one change to one module: a ``+`` swapped for ``-`` or back
 (binary, augmented or unary), or one integer constant raised by 1.  It runs
@@ -31,7 +31,7 @@ from pathlib import Path
 
 MODULES = tuple(
     Path("src", "trisecant", name)
-    for name in ("porteous.py", "_graded.py", "degree.py", "riemann_roch.py")
+    for name in ("porteous.py", "_graded.py", "degree.py", "riemann_roch.py", "ring.py")
 )
 KILLED = 10
 TIMEOUT = 120

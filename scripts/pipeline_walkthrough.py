@@ -20,9 +20,10 @@ from trisecant import (
     poincare_first_chern,
     porteous_class,
     secant3_degree,
-    source_chern_series,
     target_chern_series,
 )
+from trisecant._graded import _ambient
+from trisecant.porteous import _residual_series, _twisted_coefficients
 from trisecant.ring import AmbientClass
 
 
@@ -47,11 +48,13 @@ def main() -> int:
     print()
     print("twisted total Chern series on Pic^3 x P^(d-2):")
     target = target_chern_series(d)
-    source = source_chern_series(d)
     for k in range(min(3, target.order) + 1):
         print(f"  c_t(target)[t^{k}] = {target.coefficient(k)}")
-    for k in range(min(3, source.order) + 1):
-        print(f"  c_t(source)[t^{k}] = {source.coefficient(k)}")
+    # The engine never builds the source as a series; read its first twisted coefficients.
+    residual_series, rank = _residual_series(d)
+    ks = range(min(3, residual_series.order) + 1)
+    for k, triple in zip(ks, _twisted_coefficients(residual_series, rank, ks)):
+        print(f"  c_t(source)[t^{k}] = {_ambient(d, k, triple)}")
     print()
     print("virtual quotient coefficients c_i = c_t(target - source)[t^i]:")
     for i, value in enumerate(chern_coefficients(d), start=1):

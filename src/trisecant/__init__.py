@@ -26,9 +26,7 @@ from .porteous import (
     determinant_segre,
     porteous_class,
     recurrence_determinants,
-    source_chern_series,
     target_chern_series,
-    twist_by_hyperplane,
     virtual_chern_series,
     virtual_chern_series_closed_form,
     virtual_chern_series_expansion,
@@ -68,9 +66,7 @@ __all__ = [
     "bundle_characters",
     # Porteous pipeline
     "METHODS",
-    "source_chern_series",
     "target_chern_series",
-    "twist_by_hyperplane",
     "virtual_chern_series",
     "virtual_chern_series_closed_form",
     "virtual_chern_series_expansion",

@@ -102,7 +102,7 @@ def graded_quotient(numerator: ChernSeries, series: ChernSeries) -> ChernSeries:
 
 
 def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
-    """``factor * series.exp()`` for two such ambient series of one d (or
+    """``factor * exp(series)`` for two such ambient series of one d (or
     ``RingMismatchError``); the exponential stays in columns for the product."""
     left, exponent = _columns(factor), _columns(series, 0)
     factor._check_ring(series)

@@ -43,7 +43,7 @@ from .porteous import (
     virtual_chern_series_closed_form,
     virtual_chern_series_expansion,
 )
-from .riemann_roch import UpstreamClass, bundle_characters, poincare_character
+from .riemann_roch import UpstreamClass, bundle_characters, poincare_character, pushforward_to_picard
 from .ring import AmbientClass, ChernSeries, RingMismatchError, ThetaPoly
 
 __all__ = [
@@ -265,7 +265,8 @@ def check_ring_axioms(d_min: int, d_max: int) -> str | None:
 
 
 def check_kunneth_relations(d_min: int, d_max: int) -> str | None:
-    """The product rules upstairs, and the Poincare character they imply."""
+    """The product rules upstairs, pi_* gamma = 0 (which tells gamma from
+    gamma + a f, as no product rule can), and the Poincare character."""
     f = UpstreamClass.fiber()
     gamma = UpstreamClass.kunneth()
     theta = UpstreamClass.theta()
@@ -275,6 +276,7 @@ def check_kunneth_relations(d_min: int, d_max: int) -> str | None:
         ("gamma*gamma", gamma * gamma, f * theta * (-2)),
         ("gamma^3", gamma ** 3, UpstreamClass.zero()),
         ("(3f+gamma)^2", (f * 3 + gamma) ** 2, f * theta * (-2)),
+        ("pi_*gamma", pushforward_to_picard(gamma), ThetaPoly.zero()),
     )
     for label, got, want in relations:
         if got != want:

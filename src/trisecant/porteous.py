@@ -14,12 +14,12 @@ closed binomial formulas; the Segre quotient, the determinant recurrence
 and its closed form) and the routes are compared, never trusted singly.
 Each determinant route returns the class itself, an ``AmbientClass``.
 
-The source's series is the residual bundle's, twisted in closed form by the
-splitting principle: c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i),
-one binomial sum of the kernel's integer triples per coefficient, so the
-pipeline never substitutes one series into another.  The Segre route reads
-only its t^(d-5), t^(d-6) and t^(d-7) coefficients, against three of the
-target's inverse: O(1) ring operations per d.
+The source is the residual bundle twisted by the splitting principle,
+c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i), in the one twist
+``_twisted_coefficients``: one binomial sum of the kernel's integer triples
+per coefficient, never a series.  The division reads all of them; the Segre
+route reads only t^(d-5), t^(d-6) and t^(d-7), against three of the target's
+inverse: O(1) ring operations per d.
 
 Each c_k here is homogeneous of degree k, so the O(d^2) loops (series
 division, banded recurrence, the exponential form's exp and tail product) run
@@ -41,8 +41,6 @@ from .riemann_roch import bundle_characters
 __all__ = [
     "METHODS",
     "chern_series_from_character",
-    "twist_by_hyperplane",
-    "source_chern_series",
     "target_chern_series",
     "virtual_chern_series",
     "virtual_chern_series_closed_form",
@@ -80,8 +78,10 @@ def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False
 
 
 def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[list]:
-    """The t^k coefficients, for each k in ``ks`` up to the series' order, of
-    the twist sum_i c_i t^i (1 - h*t)^(rank - i), as the graded kernel's triples
+    """The pipeline's one hyperplane twist: every Chern root shifts by -h, so
+    c_t(bundle (x) O(-1)) = sum_i c_i t^i (1 - h*t)^(rank - i) (Fulton,
+    Intersection Theory, Example 3.2.2).  Its t^k coefficient, for each k in
+    ``ks`` up to the series' order, is the graded kernel's triple
     sum_i binomial(rank - i, k - i) (-1)^(k - i) triple(c_i) over the nonzero c_i
     with i <= k (h^(k-i) keeps a triple).  For i > rank the upper argument is
     negative and the expansion is the full geometric tail."""
@@ -100,28 +100,10 @@ def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[list]:
     return out
 
 
-def twist_by_hyperplane(series: ChernSeries, rank: int) -> ChernSeries:
-    """Chern series of (bundle tensor O(-1)) from the bundle's series.
-
-    Every Chern root shifts by -h, so by the splitting principle
-    (Fulton, Intersection Theory, Example 3.2.2)
-
-        c_t  |-->  sum_i c_i t^i (1 - h*t)^(rank - i),
-
-    read coefficient by coefficient up to the series' order.
-    """
-    return _series(series, _twisted_coefficients(series, rank, range(series.order + 1)))
-
-
 def _residual_series(d: int) -> tuple[ChernSeries, int]:
     """c_t(residual) and the residual's rank, the untwisted source."""
     _, residual = bundle_characters(d)
     return chern_series_from_character(residual, d), int(residual.c0)
-
-
-def source_chern_series(d: int) -> ChernSeries:
-    """c_t(residual (x) O(-1)): the source of the multiplication map."""
-    return twist_by_hyperplane(*_residual_series(d))
 
 
 def target_chern_series(d: int) -> ChernSeries:

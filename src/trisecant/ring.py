@@ -19,9 +19,10 @@ subclasses name the rings of the computation:
   as its truncation.
 
 ``ChernSeries`` is a polynomial in a formal variable ``t`` truncated at a
-fixed order, with coefficients in one ring.  All values are immutable
-after construction and every operation is a pure function, so values can be
-shared freely across threads.
+fixed order, with coefficients in one ring; it has products and inverses,
+and the engine's one exponential is in :mod:`trisecant._graded`.  All values
+are immutable after construction and every operation is a pure function, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -390,28 +391,15 @@ class ChernSeries:
         self.order = order
         self.coeffs = tuple(coeffs[: order + 1])
 
-    @classmethod
-    def constant(cls, element, order: int) -> ChernSeries:
-        return cls([element], order)
-
     def coefficient(self, k: int):
         if not 0 <= k <= self.order:
             raise IndexError(f"series coefficient out of range: t^{k} at order {self.order}")
         return self.coeffs[k]
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChernSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other: ChernSeries) -> ChernSeries:
-        if not isinstance(other, ChernSeries):
-            return NotImplemented
-        # zip stops at the smaller order, which the result then takes.
-        return ChernSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def _check_ring(self, other: ChernSeries) -> None:
         # Checked up front, since zero or constant coefficients may never meet.
@@ -457,23 +445,6 @@ class ChernSeries:
                     s = s + a * b
             inv[m] = -s
         return ChernSeries(inv, self.order)
-
-    def exp(self) -> ChernSeries:
-        """Exponential ``sum x^j / j!`` of a series with zero constant term.
-
-        The constant term vanishing forces ``x^j`` into ``t^j * (...)``, so
-        the loop is hard-bounded by the truncation order; nilpotent
-        coefficients usually stop it much earlier.
-        """
-        if not self.coeffs[0].is_zero():
-            raise ValueError("series exponential needs a zero constant term")
-        total = term = ChernSeries.constant(self.coeffs[0].one_like(), self.order)
-        for j in range(1, self.order + 1):
-            term = term * self * Fraction(1, j)
-            if term.is_zero():
-                break
-            total = total + term
-        return total
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coeffs)

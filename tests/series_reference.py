@@ -1,0 +1,36 @@
+"""Series operations the engine does not carry, kept as references for the
+tests: the exponential and the sum in plain ``ChernSeries`` arithmetic, and
+the whole twisted series built from the engine's one twist."""
+
+from fractions import Fraction
+
+from trisecant._graded import _series
+from trisecant.porteous import _residual_series, _twisted_coefficients
+from trisecant.ring import ChernSeries
+
+
+def series_add(a: ChernSeries, b: ChernSeries) -> ChernSeries:
+    """a + b coefficientwise, truncated at the smaller order."""
+    return ChernSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_exp(series: ChernSeries) -> ChernSeries:
+    """sum_j x^j / j! of a series x with zero constant term, in plain series
+    products; x^j starts at t^j, so the sum stops at the order."""
+    assert series.coeffs[0].is_zero(), "the exponential needs a zero constant term"
+    total = term = ChernSeries([series.coeffs[0].one_like()], series.order)
+    for j in range(1, series.order + 1):
+        term = term * series * Fraction(1, j)
+        total = series_add(total, term)
+    return total
+
+
+def twist(series: ChernSeries, rank: int) -> ChernSeries:
+    """c_t(bundle (x) O(-1)) as a whole series, every coefficient of the
+    series' order read from ``porteous._twisted_coefficients``."""
+    return _series(series, _twisted_coefficients(series, rank, range(series.order + 1)))
+
+
+def source_series(d: int) -> ChernSeries:
+    """c_t(residual (x) O(-1)), the source of the multiplication map."""
+    return twist(*_residual_series(d))

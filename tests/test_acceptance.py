@@ -6,12 +6,14 @@ tolerance anywhere is the wall-clock budget on the full degree sweep.
 """
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from trisecant._graded import graded_exp_product
 from trisecant.degree import berzolari, secant3_degree, verify_binomial_identities
 from trisecant.porteous import (
     METHODS,
@@ -184,22 +186,38 @@ def test_criterion_8_property_suites():
     if not verify_binomial_identities(12):
         failures.append("binomial-identities")
 
-    # series contracts: inverse, exponential group law
+    # series contracts: the inverse on theta series, and the exponential law
+    # exp(a) exp(b) = exp(a + b) for the graded kernel's exp, which the engine runs
     def random_series(constant: ThetaPoly) -> ChernSeries:
         coeffs = [random_theta() for _ in range(rng.randint(1, 5))]
         coeffs[0] = constant
         return ChernSeries(coeffs, 4)
 
-    one = ChernSeries.constant(ThetaPoly.one(), 4)
+    one = ChernSeries([ThetaPoly.one()], 4)
     for _ in range(200):
         s = random_series(ThetaPoly.one())
         if s * s.inverse() != one:
             failures.append("series-inverse")
             break
+
+    def random_graded(d: int, order: int) -> list[AmbientClass]:
+        """c_1..c_order of an ambient series, c_k homogeneous of degree k."""
+        return [
+            AmbientClass(d, {
+                (a, k - a): Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                for a in range(min(k, 2) + 1)
+            })
+            for k in range(1, order + 1)
+        ]
+
     for _ in range(200):
-        a = random_series(ThetaPoly.zero())
-        b = random_series(ThetaPoly.zero())
-        if a.exp() * b.exp() != (a + b).exp():
+        d = rng.randint(8, 12)
+        order = rng.randint(1, d)
+        a, b = random_graded(d, order), random_graded(d, order)
+        zero, unit = AmbientClass.zero(d), ChernSeries([AmbientClass.one(d)], order)
+        exp_a = graded_exp_product(unit, ChernSeries([zero, *a]))
+        exp_sum = graded_exp_product(unit, ChernSeries([zero, *map(operator.add, a, b)]))
+        if graded_exp_product(exp_a, ChernSeries([zero, *b])) != exp_sum:
             failures.append("series-exp")
             break
 

@@ -2,7 +2,7 @@
 
 Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
-power shows up as a changed set.  Eight faults are caught by one check alone:
+power shows up as a changed set.  Nine faults are caught by one check alone:
 a wrong theta self-intersection, and a pairing that reads past the
 truncation and raises ``IndexError``, only by ``degree-berzolari``, the quoted
 count; a wrong negative-upper binomial only by ``binomial-identities``; a
@@ -10,8 +10,9 @@ wrong top coefficient of the binomial expansion or of the exponential form
 only by that form's own check, ``series-binomial-expansion`` or
 ``series-exponential-form``; a lost T^2 column in the graded kernel's
 exponential only by ``series-exponential-form``, the one check that runs it;
-and a faulty sum or theta product on operands no pipeline value has only by
-``ring-axioms``, whose random draws have them.
+a faulty sum or theta product on operands no pipeline value has only by
+``ring-axioms``, whose random draws have them; and a Kunneth class shifted by
+f only by ``kunneth-relations``, through pi_* gamma = 0.
 
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
@@ -56,7 +57,7 @@ def _rebind(monkeypatch, original, replacement):
 def _twist_rank_shifted(monkeypatch, shift):
     """The hyperplane twist reads the residual's rank off by ``shift``.  The
     fault goes in at the per-coefficient twist on kernel triples, which the
-    series division, ``twist_by_hyperplane`` and the Segre route all read."""
+    series division and the Segre route both read."""
     original = porteous._twisted_coefficients
 
     def twisted(series, rank, ks):
@@ -246,6 +247,13 @@ def gamma_squared_sign_flipped(monkeypatch):
     monkeypatch.setattr(riemann_roch, "_pushforwards", fresh)
 
 
+def kunneth_class_shifted_by_f(monkeypatch):
+    """gamma + f for the Kunneth class: f^2 = f gamma = 0 leaves every product
+    rule unchanged, and the engine builds 3f + gamma without it."""
+    shifted = classmethod(lambda cls: cls(0, 1, 1))
+    monkeypatch.setattr(riemann_roch.UpstreamClass, "kunneth", shifted)
+
+
 def pairing_reads_past_the_top(monkeypatch):
     """The pairing reads T^2 h^(d-1), one past the truncation: an IndexError."""
 
@@ -278,6 +286,7 @@ FAULTS = [
     (sum_drops_a_term_of_four, {"ring-axioms"}),
     (theta_product_drops_t_squared, {"ring-axioms"}),
     (pairing_reads_past_the_top, {"degree-berzolari"}),
+    (kunneth_class_shifted_by_f, {"kunneth-relations"}),
     (
         gamma_squared_sign_flipped,
         SERIES_FIVE - {"degree-berzolari"} | {"kunneth-relations", "bundle-characters"},
