@@ -3,17 +3,20 @@
 There c_k is homogeneous of degree k, so it is the triple (x0, x1, X2) of its
 coefficients of h^k, T h^(k-1) and 2*T^2 h^(k-2).  With T^2 doubled, the
 pipeline's triples are ints and a product is (a0 b0, a0 b1 + a1 b0,
-a0 B2 + 2 a1 b1 + A2 b0), with no division.  A series is three columns of
-such entries.  One solver gives its quotients and exponential, and one dot
-product of column triples serves them and its products.  The truncation
-h^(d-1) = 0 is graded, so it commutes with the kernel and is applied once, on
-the way back to ``AmbientClass``.
+a0 B2 + 2 a1 b1 + A2 b0), with no division.  The kernel forms it from five
+products, not six: the middle entry is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
+and X2 reuses a1 b1.  A series is three columns of such entries.  One solver
+gives its quotients and exponential; it divides each step by a divisor only
+where one is given, which is the exponential's, as a quotient's is 1.  One
+dot product of column triples serves the solver and the products.  The
+truncation h^(d-1) = 0 is graded, so it commutes with the kernel and is
+applied once, on the way back to ``AmbientClass``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .ring import AmbientClass, ChernSeries
 
@@ -57,33 +60,52 @@ def _series(like: ChernSeries, triples) -> ChernSeries:
     return ChernSeries([_ambient(like.coeffs[0].d, k, t) for k, t in enumerate(triples)])
 
 
-def _dot(a, b) -> tuple:
-    """The degree-graded dot product sum_i a_i b_i of two column triples, as a triple."""
+def _dot(a, b, a01, b01) -> tuple:
+    """The degree-graded dot product sum_i a_i b_i of two column triples, as a
+    triple, from five scalar dot products; a01 and b01 are the summed columns
+    a0 + a1 and b0 + b1 of the two triples."""
     (a0, a1, a2), (b0, b1, b2) = a, b
+    low, cross = sum(map(mul, a0, b0)), sum(map(mul, a1, b1))
     return (
-        sum(map(mul, a0, b0)),
-        sum(map(mul, a0, b1)) + sum(map(mul, a1, b0)),
-        sum(map(mul, a0, b2)) + 2 * sum(map(mul, a1, b1)) + sum(map(mul, a2, b0)),
+        low,
+        sum(map(mul, a01, b01)) - low - cross,
+        sum(map(mul, a0, b2)) + 2 * cross + sum(map(mul, a2, b0)),
     )
 
 
-def _solve(columns, divisor, numerator=((1,), (0,), (0,))) -> list[list]:
-    """The columns of q with q_0 = n_0 and divisor(m) q_m = n_m + sum_(k>=1) c_k q_(m-k),
-    to the order of c; n, by default 1, reads 0 past its end, and c_0 is never read."""
+def _summed(columns) -> list:
+    """The column x0 + x1 of a column triple."""
+    return list(map(add, columns[0], columns[1]))
+
+
+def _solve(columns, divisor=None, numerator=((1,), (0,), (0,))) -> list[list]:
+    """The columns of q with q_0 = n_0 and q_m = n_m + sum_(k>=1) c_k q_(m-k),
+    divided by divisor(m) where a divisor is given, to the order of c; n, by
+    default 1, reads 0 past its end, and c_0 is never read."""
     order = len(columns[0]) - 1
     backwards = [column[::-1] for column in columns]
-    q = [list(column[:1]) for column in numerator]
+    backwards01 = _summed(backwards)
+    n0, n1, n2 = ([*column, *[0] * order] for column in numerator)
+    q0, q1, q2 = q = [[n0[0]], [n1[0]], [n2[0]]]
+    q01 = [n0[0] + n1[0]]
     for m in range(1, order + 1):
         # backwards[.][order - m:] runs c_m..c_0, so it meets q_0..q_(m-1) in the dot.
-        for column, n, x in zip(q, numerator, _dot([c[order - m:] for c in backwards], q)):
-            column.append(_exact(x + n[m] if m < len(n) else x, divisor(m)))
+        start = order - m
+        x0, x1, x2 = _dot([c[start:] for c in backwards], q, backwards01[start:], q01)
+        x0, x1, x2 = x0 + n0[m], x1 + n1[m], x2 + n2[m]
+        if divisor:
+            x0, x1, x2 = (_exact(x, divisor(m)) for x in (x0, x1, x2))
+        q0.append(x0)
+        q1.append(x1)
+        q2.append(x2)
+        q01.append(x0 + x1)
     return q
 
 
 def _quotient(numerator, columns) -> list[list]:
     """The columns of numerator / series from both columns, to the smaller order; c_0 is 1."""
     size = min(len(numerator[0]), len(columns[0]))
-    return _solve([[-x for x in column[:size]] for column in columns], lambda m: 1, numerator)
+    return _solve([[-x for x in column[:size]] for column in columns], numerator=numerator)
 
 
 def _exp(columns) -> list[list]:
@@ -108,5 +130,9 @@ def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
     factor._check_ring(series)
     order = min(factor.order, series.order)
     backwards = [column[order::-1] for column in _exp(exponent)]
-    triples = (_dot([column[order - m:] for column in backwards], left) for m in range(order + 1))
+    backwards01, left01 = _summed(backwards), _summed(left)
+    triples = (
+        _dot([column[order - m:] for column in backwards], left, backwards01[order - m:], left01)
+        for m in range(order + 1)
+    )
     return _series(series, triples)

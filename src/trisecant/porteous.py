@@ -237,7 +237,7 @@ def _determinant_columns(d: int) -> list[list]:
     _require_degree(d)
     columns = zip(*(_formula_triple(i, d) for i in range(d - 4)))
     signed = [[x if i % 2 else -x for i, x in enumerate(column)] for column in columns]
-    return _solve(signed, lambda m: 1)
+    return _solve(signed)
 
 
 def recurrence_determinants(d: int) -> tuple[AmbientClass, ...]:

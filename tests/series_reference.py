@@ -1,8 +1,10 @@
 """Series operations the engine does not carry, kept as references for the
-tests: the exponential and the sum in plain ``ChernSeries`` arithmetic, and
-the whole twisted series built from the engine's one twist."""
+tests: the exponential and the sum in plain ``ChernSeries`` arithmetic, the
+whole twisted series built from the engine's one twist, and the graded
+kernel's dot product in its schoolbook form."""
 
 from fractions import Fraction
+from operator import mul
 
 from trisecant._graded import _series
 from trisecant.porteous import _residual_series, _twisted_coefficients
@@ -34,3 +36,14 @@ def twist(series: ChernSeries, rank: int) -> ChernSeries:
 def source_series(d: int) -> ChernSeries:
     """c_t(residual (x) O(-1)), the source of the multiplication map."""
     return twist(*_residual_series(d))
+
+
+def schoolbook_dot(a, b) -> tuple:
+    """The degree-graded dot product sum_i a_i b_i of two column triples from
+    six scalar dot products, one per cross term of the T-graded product."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (
+        sum(map(mul, a0, b0)),
+        sum(map(mul, a0, b1)) + sum(map(mul, a1, b0)),
+        sum(map(mul, a0, b2)) + 2 * sum(map(mul, a1, b1)) + sum(map(mul, a2, b0)),
+    )

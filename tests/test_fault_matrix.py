@@ -126,7 +126,7 @@ def c2_bumped_into_recurrence(monkeypatch):
     negated, and lowering it by 2 raises c_2 by T^2."""
     original = porteous._solve
 
-    def bumped(columns, divisor):
+    def bumped(columns, divisor=None):
         x0, x1, x2 = columns
         return original([x0, x1, [*x2[:2], x2[2] - 2, *x2[3:]]], divisor)
 
@@ -193,16 +193,14 @@ def graded_exp_t_squared_zeroed(monkeypatch):
 
 
 def graded_dot_cross_term_lost(monkeypatch):
-    """The 2 a1 b1 term of the kernel's dot product dropped: it feeds the
-    division, the recurrence and the exponential form alike."""
+    """The 2 a1 b1 term of X2 in the kernel's dot product dropped, though a1 b1
+    still comes off the middle entry: it feeds the division, the recurrence
+    and the exponential form alike."""
+    original = _graded._dot
 
-    def dot(a, b):
-        (a0, a1, a2), (b0, b1, b2) = a, b
-        return (
-            sum(map(mul, a0, b0)),
-            sum(map(mul, a0, b1)) + sum(map(mul, a1, b0)),
-            sum(map(mul, a0, b2)) + sum(map(mul, a2, b0)),
-        )
+    def dot(a, b, a01, b01):
+        x0, x1, x2 = original(a, b, a01, b01)
+        return x0, x1, x2 - 2 * sum(map(mul, a[1], b[1]))
 
     monkeypatch.setattr(_graded, "_dot", dot)
 

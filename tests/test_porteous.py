@@ -12,6 +12,7 @@ from itertools import permutations
 
 import pytest
 
+from trisecant import _graded
 from trisecant.porteous import (
     METHODS,
     chern_coefficient_formula,
@@ -406,3 +407,21 @@ def test_recurrence_route_cost_does_not_grow_with_d(monkeypatch):
         porteous_class(d, "recurrence")
         counts.append(len(built))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("d", [20, 60])
+def test_recurrence_route_makes_five_products_per_entry_and_step(monkeypatch, d):
+    """Step m of the recurrence's solve makes five scalar dot products of m
+    entries each, one fewer than the six cross terms of the graded product,
+    so d_1..d_n, n = d - 5, cost 5 n (n + 1) / 2 integer products in all."""
+    products = 0
+
+    def counted(x, y):
+        nonlocal products
+        products += 1
+        return x * y
+
+    monkeypatch.setattr(_graded, "mul", counted)
+    porteous_class(d, "recurrence")
+    n = d - 5
+    assert products == 5 * n * (n + 1) // 2

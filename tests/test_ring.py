@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisecant._graded import graded_exp_product, graded_quotient
+from trisecant._graded import _dot, _solve, graded_exp_product, graded_quotient
 from trisecant.riemann_roch import CurveClass, UpstreamClass
 from trisecant.ring import AmbientClass, ChernSeries, RingMismatchError, ThetaPoly
 
-from series_reference import series_add, series_exp
+from series_reference import schoolbook_dot, series_add, series_exp
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 theta_polys = st.builds(ThetaPoly, small_fractions, small_fractions, small_fractions)
@@ -605,6 +605,45 @@ def test_graded_product_matches_series_product(series, cut, scale):
     factor = ChernSeries(series.coeffs[: cut + 1], cut) * scale
     one = ChernSeries([series.coeffs[0]], series.order)
     assert graded_exp_product(factor, argument) == factor * graded_exp_product(one, argument)
+
+
+def column_triples(size):
+    """Three signed int columns of one length whose x1 entries are all nonzero,
+    so the summed column x0 + x1 differs from x0 at every index."""
+    column = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=size, max_size=size)
+    nonzero = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+    return st.tuples(column, st.lists(nonzero, min_size=size, max_size=size), column)
+
+
+def _summed_by_hand(columns):
+    return [x0 + x1 for x0, x1 in zip(columns[0], columns[1])]
+
+
+@given(st.data(), st.integers(1, 12), st.integers(1, 6), st.booleans())
+def test_graded_dot_matches_schoolbook_dot(data, size, extra, longer_first):
+    """The kernel's five-product dot against the six-product schoolbook form
+    on columns of unequal lengths, read to the shorter one."""
+    sizes = (size + extra, size) if longer_first else (size, size + extra)
+    a, b = (data.draw(column_triples(n)) for n in sizes)
+    assert _dot(a, b, _summed_by_hand(a), _summed_by_hand(b)) == schoolbook_dot(a, b)
+
+
+@pytest.mark.parametrize("divisor", [None, lambda m: m + 1], ids=["undivided", "divided"])
+@given(data=st.data(), order=st.integers(0, 10), size=st.integers(1, 13))
+def test_graded_solve_meets_its_recurrence(divisor, data, order, size):
+    """q_0 = n_0 and divisor(m) q_m = n_m + sum_(k>=1) c_k q_(m-k), checked
+    through the schoolbook dot, for a numerator shorter or longer than the
+    order whose x1 is nonzero from index 0 on."""
+    columns = data.draw(column_triples(order + 1))
+    numerator = data.draw(column_triples(size))
+    q = _solve(columns, divisor, numerator)
+    assert [len(column) for column in q] == [order + 1] * 3
+    assert [column[0] for column in q] == [column[0] for column in numerator]
+    for m in range(1, order + 1):
+        dot = schoolbook_dot([column[m:0:-1] for column in columns], [column[:m] for column in q])
+        n = [column[m] if m < size else 0 for column in numerator]
+        scale = divisor(m) if divisor else 1
+        assert [scale * column[m] for column in q] == [x + y for x, y in zip(dot, n)]
 
 
 def test_graded_exp_needs_constant_term_zero():
