@@ -23,7 +23,7 @@ from trisecant import (
     target_chern_series,
 )
 from trisecant._graded import _ambient
-from trisecant.porteous import _residual_series, _twisted_coefficients
+from trisecant.porteous import _chern_triples, _twisted_coefficients
 from trisecant.ring import AmbientClass
 
 
@@ -51,9 +51,8 @@ def main() -> int:
     for k in range(min(3, target.order) + 1):
         print(f"  c_t(target)[t^{k}] = {target.coefficient(k)}")
     # The engine never builds the source as a series; read its first twisted coefficients.
-    residual_series, rank = _residual_series(d)
-    ks = range(min(3, residual_series.order) + 1)
-    for k, triple in zip(ks, _twisted_coefficients(residual_series, rank, ks)):
+    source = _twisted_coefficients(_chern_triples(residual), int(residual.c0), range(4))
+    for k, triple in enumerate(source):
         print(f"  c_t(source)[t^{k}] = {_ambient(d, k, triple)}")
     print()
     print("virtual quotient coefficients c_i = c_t(target - source)[t^i]:")

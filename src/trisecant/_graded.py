@@ -55,9 +55,9 @@ def _ambient(d: int, k: int, triple) -> AmbientClass:
     return AmbientClass(d, {(a, k - a): x for a, x in enumerate((x0, x1, Fraction(x2, 2))) if x})
 
 
-def _series(like: ChernSeries, triples) -> ChernSeries:
-    """The ambient series over the d of ``like`` whose t^k coefficient is the k-th triple."""
-    return ChernSeries([_ambient(like.coeffs[0].d, k, t) for k, t in enumerate(triples)])
+def _series(d: int, triples) -> ChernSeries:
+    """The ambient series over d whose t^k coefficient is the k-th triple."""
+    return ChernSeries([_ambient(d, k, t) for k, t in enumerate(triples)])
 
 
 def _dot(a, b, a01, b01) -> tuple:
@@ -120,7 +120,7 @@ def graded_quotient(numerator: ChernSeries, series: ChernSeries) -> ChernSeries:
     series over different d raise ``RingMismatchError``."""
     columns = _columns(numerator), _columns(series, 1)
     numerator._check_ring(series)
-    return _series(series, zip(*_quotient(*columns)))
+    return _series(series.coeffs[0].d, zip(*_quotient(*columns)))
 
 
 def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
@@ -135,4 +135,4 @@ def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
         _dot([column[order - m:] for column in backwards], left, backwards01[order - m:], left01)
         for m in range(order + 1)
     )
-    return _series(series, triples)
+    return _series(series.coeffs[0].d, triples)

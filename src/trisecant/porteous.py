@@ -14,19 +14,21 @@ closed binomial formulas; the Segre quotient, the determinant recurrence
 and its closed form) and the routes are compared, never trusted singly.
 Each determinant route returns the class itself, an ``AmbientClass``.
 
+The bundles' Chern classes enter as the integer triples of the graded kernel
+of :mod:`trisecant._graded`, read off the characters by ``_chern_triples``.
 The source is the residual bundle twisted by the splitting principle,
 c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i), in the one twist
-``_twisted_coefficients``: one binomial sum of the kernel's integer triples
-per coefficient, never a series.  The division reads all of them; the Segre
-route reads only t^(d-5), t^(d-6) and t^(d-7), against three of the target's
-inverse: O(1) ring operations per d.
+``_twisted_coefficients``: one binomial sum of triples per coefficient, never
+a series.  The division reads all of them; the Segre route reads only
+t^(d-5), t^(d-6) and t^(d-7), against the target's inverse at order 2: O(1)
+integer operations per d, and one class built.
 
 Each c_k here is homogeneous of degree k, so the O(d^2) loops (series
 division, banded recurrence, the exponential form's exp and tail product) run
-in the graded integer kernel of :mod:`trisecant._graded`.  The division
-solves the target's columns over the twisted triples, the recurrence route
-the formula's triples; each builds classes only on the way out.  The binomial
-expansion and the exponential form's 1/(1 - h t) stay on ``AmbientClass``.
+in the graded kernel.  The division solves the target's triples over the
+twisted source's, the recurrence route the formula's triples; each builds
+classes only on the way out.  The binomial expansion and the exponential
+form's 1/(1 - h t) stay on ``AmbientClass``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .degree import binomial
-from ._graded import _ambient, _columns, _quotient, _series, _solve, _triple, graded_exp_product
+from ._graded import _ambient, _dot, _exact, _quotient, _series, _solve, _summed, graded_exp_product
 from .ring import AmbientClass, ChernSeries, ThetaPoly
 from .riemann_roch import bundle_characters
 
@@ -61,38 +63,41 @@ def _require_degree(d: int) -> None:
         raise ValueError("the Porteous pipeline requires an integer d >= 8")
 
 
-def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False) -> ChernSeries:
-    """Total Chern series of a Picard-surface bundle, pulled back to the
-    ambient product.
+def _chern_triples(character: ThetaPoly, dual: bool = False) -> list[tuple]:
+    """c_0, c_1 and c_2 of a Picard-surface bundle as the graded kernel's
+    triples (x0, x1, X2), X2 twice the T^2 part; an integral entry is an int.
 
     On a surface the character determines the Chern classes exactly:
     c1 = ch_1 and c2 = ch_1^2 / 2 - ch_2.  Dualizing negates the odd part.
     """
+    # ch_1 = n1 / den and ch_2 = n2 / den, so X2 = 2 c2 = (n1^2 - 2 n2 den) / den^2.
+    terms, den = character._terms, character._den
+    n1, n2 = terms.get((1, 0), 0), terms.get((2, 0), 0)
+    x1, x2 = _exact(n1, den), _exact(n1 * n1 - 2 * n2 * den, den * den)
+    return [(1, 0, 0), (0, -x1 if dual else x1, 0), (0, 0, x2)]
+
+
+def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False) -> ChernSeries:
+    """Total Chern series of a Picard-surface bundle, pulled back to the
+    ambient product, built from :func:`_chern_triples` to order d - 5."""
     _require_degree(d)
-    c1 = character.c1
-    c2 = c1 * c1 / 2 - character.c2
-    if dual:
-        c1 = -c1
-    coeffs = [AmbientClass.one(d), AmbientClass(d, {(1, 0): c1}), AmbientClass(d, {(2, 0): c2})]
-    return ChernSeries(coeffs, d - 5)
+    triples = _chern_triples(character, dual)
+    return ChernSeries([_ambient(d, k, t) for k, t in enumerate(triples)], d - 5)
 
 
-def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[list]:
+def _twisted_coefficients(triples, rank: int, ks) -> list[list]:
     """The pipeline's one hyperplane twist: every Chern root shifts by -h, so
     c_t(bundle (x) O(-1)) = sum_i c_i t^i (1 - h*t)^(rank - i) (Fulton,
-    Intersection Theory, Example 3.2.2).  Its t^k coefficient, for each k in
-    ``ks`` up to the series' order, is the graded kernel's triple
-    sum_i binomial(rank - i, k - i) (-1)^(k - i) triple(c_i) over the nonzero c_i
-    with i <= k (h^(k-i) keeps a triple).  For i > rank the upper argument is
-    negative and the expansion is the full geometric tail."""
-    first = series.coeffs[0]
-    if not isinstance(first, AmbientClass):
-        raise TypeError("hyperplane twists need ambient coefficients")
-    if first != first.one_like():
+    Intersection Theory, Example 3.2.2).  ``triples`` are the kernel's
+    triples of c_0, c_1, ...; the t^k coefficient, for each k in ``ks``, is
+    the triple sum_i binomial(rank - i, k - i) (-1)^(k - i) triple(c_i) over
+    the nonzero c_i with i <= k (h^(k-i) keeps a triple).  For i > rank the
+    upper argument is negative and the expansion is the full geometric tail."""
+    if list(triples[0]) != [1, 0, 0]:
         raise ValueError("a total Chern series must start at 1")
     if not isinstance(rank, int) or rank < 0:
         raise ValueError("rank must be a non-negative integer")
-    nonzero = [(i, _triple(i, c)) for i, c in enumerate(series.coeffs) if not c.is_zero()]
+    nonzero = [(i, t) for i, t in enumerate(triples) if any(t)]
     out = []
     for k in ks:
         scaled = [(binomial(rank - i, k - i) * (-1) ** (k - i), t) for i, t in nonzero if i <= k]
@@ -100,10 +105,12 @@ def _twisted_coefficients(series: ChernSeries, rank: int, ks) -> list[list]:
     return out
 
 
-def _residual_series(d: int) -> tuple[ChernSeries, int]:
-    """c_t(residual) and the residual's rank, the untwisted source."""
-    _, residual = bundle_characters(d)
-    return chern_series_from_character(residual, d), int(residual.c0)
+def _source_and_target(d: int, ks) -> tuple[list, list]:
+    """The twisted source's triples at each k in ``ks`` and the target's
+    columns: the residual twisted by O(-1), and the dual of the sections."""
+    sections, residual = bundle_characters(d)
+    source = _twisted_coefficients(_chern_triples(residual), int(residual.c0), ks)
+    return source, list(zip(*_chern_triples(sections, dual=True)))
 
 
 def target_chern_series(d: int) -> ChernSeries:
@@ -113,13 +120,15 @@ def target_chern_series(d: int) -> ChernSeries:
 
 
 def virtual_chern_series(d: int) -> ChernSeries:
-    """c_t(target - source) by honest series division: the target's columns
-    divided by the twisted source's triples in one solve of the graded integer
-    kernel of :mod:`trisecant._graded`, turned back into a series once."""
+    """c_t(target - source) by honest series division: the target's triples,
+    padded with zeros, divided by the twisted source's to order d - 5 in one
+    solve of the graded integer kernel of :mod:`trisecant._graded`, turned
+    into a series once."""
     _require_degree(d)
-    source, rank = _residual_series(d)
-    twisted = zip(*_twisted_coefficients(source, rank, range(source.order + 1)))
-    return _series(source, zip(*_quotient(_columns(target_chern_series(d)), list(twisted))))
+    order = d - 5
+    source, target = _source_and_target(d, range(order + 1))
+    padded = [[*column, *[0] * order] for column in target]
+    return _series(d, zip(*_quotient(padded, list(zip(*source)))))
 
 
 def virtual_chern_series_closed_form(d: int) -> ChernSeries:
@@ -216,18 +225,18 @@ def determinant_segre(d: int) -> AmbientClass:
     flipped.  The target's c_k is a multiple of T^k, so the t^j coefficient
     of its inverse is a multiple of T^j and vanishes for j >= 3, as T^3 = 0:
     the inverse taken at order 2 is exact.  The t^n coefficient therefore
-    reads three twisted source coefficients, t^n, t^(n-1) and t^(n-2),
-    against three of the inverse, a fixed number of ring operations whatever
-    d is, with no band, no whole series and no division by the source.
+    reads three twisted source triples, t^n, t^(n-1) and t^(n-2), against
+    the inverse's three in one graded dot product: O(1) integer operations
+    whatever d is, with no series, no division by the source and one class
+    built, the answer.
     """
     _require_degree(d)
     n = d - 5
-    source, rank = _residual_series(d)
-    ks = (n, n - 1, n - 2)
-    s0, s1, s2 = map(_ambient, [d] * 3, ks, _twisted_coefficients(source, rank, ks))
-    _, u1, u2 = ChernSeries(target_chern_series(d).coeffs[:3]).inverse().coeffs
-    x1 = s0 + s1 * u1 + s2 * u2
-    return x1 if n % 2 == 0 else -x1
+    source, target = _source_and_target(d, (n, n - 1, n - 2))
+    inverse = _quotient(((1, 0, 0), (0, 0, 0), (0, 0, 0)), target)
+    columns = list(zip(*source))
+    triple = _dot(columns, inverse, _summed(columns), _summed(inverse))
+    return _ambient(d, n, [x * (-1) ** n for x in triple])
 
 
 def _determinant_columns(d: int) -> list[list]:

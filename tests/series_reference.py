@@ -6,8 +6,9 @@ kernel's dot product in its schoolbook form."""
 from fractions import Fraction
 from operator import mul
 
-from trisecant._graded import _series
-from trisecant.porteous import _residual_series, _twisted_coefficients
+from trisecant._graded import _columns, _series
+from trisecant.porteous import _twisted_coefficients, chern_series_from_character
+from trisecant.riemann_roch import bundle_characters
 from trisecant.ring import ChernSeries
 
 
@@ -29,13 +30,18 @@ def series_exp(series: ChernSeries) -> ChernSeries:
 
 def twist(series: ChernSeries, rank: int) -> ChernSeries:
     """c_t(bundle (x) O(-1)) as a whole series, every coefficient of the
-    series' order read from ``porteous._twisted_coefficients``."""
-    return _series(series, _twisted_coefficients(series, rank, range(series.order + 1)))
+    series' order read from ``porteous._twisted_coefficients`` on the kernel's
+    triples of ``series``: a coefficient that is not ``AmbientClass`` raises
+    TypeError, a c_k not homogeneous of degree k ArithmeticError."""
+    triples = list(zip(*_columns(series)))
+    d = series.coeffs[0].d
+    return _series(d, _twisted_coefficients(triples, rank, range(series.order + 1)))
 
 
 def source_series(d: int) -> ChernSeries:
     """c_t(residual (x) O(-1)), the source of the multiplication map."""
-    return twist(*_residual_series(d))
+    _, residual = bundle_characters(d)
+    return twist(chern_series_from_character(residual, d), int(residual.c0))
 
 
 def schoolbook_dot(a, b) -> tuple:

@@ -406,15 +406,13 @@ def test_engine_value_error_exits_2_not_as_a_usage_error(monkeypatch, capsys):
     """A ValueError raised inside the engine, after the arguments parsed, is
     an internal inconsistency: the parser alone decides what is a usage error."""
     import trisecant.porteous
-    from trisecant.ring import ChernSeries
 
-    original = trisecant.porteous.chern_series_from_character
+    original = trisecant.porteous._chern_triples
 
-    def starting_at_2(bundle, d, dual=False):
-        series = original(bundle, d, dual)
-        return ChernSeries([series.coeffs[0] * 2, *series.coeffs[1:]], series.order)
+    def starting_at_2(bundle, dual=False):
+        return [(2, 0, 0), *original(bundle, dual)[1:]]
 
-    monkeypatch.setattr(trisecant.porteous, "chern_series_from_character", starting_at_2)
+    monkeypatch.setattr(trisecant.porteous, "_chern_triples", starting_at_2)
     assert main(["degree", "--d", "9"]) == EXIT_VERIFY
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -87,14 +87,14 @@ def twisted_t_cubed_negated(monkeypatch):
 
 
 def c2_without_halving(monkeypatch):
-    """c2 = c1^2 - ch2: the original fed a ch2 lowered by c1^2 / 2."""
-    original = porteous.chern_series_from_character
+    """c2 = c1^2 - ch2: the Chern triples fed a ch2 lowered by c1^2 / 2."""
+    original = porteous._chern_triples
 
-    def series(character, d, dual=False):
+    def triples(character, dual=False):
         lowered = character - ThetaPoly(0, 0, character.c1 * character.c1 / 2)
-        return original(lowered, d, dual)
+        return original(lowered, dual)
 
-    _rebind(monkeypatch, original, series)
+    _rebind(monkeypatch, original, triples)
 
 
 def sections_c1_flipped(monkeypatch):

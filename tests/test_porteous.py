@@ -11,8 +11,10 @@ from functools import reduce
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from trisecant import _graded
+from trisecant import _graded, porteous
 from trisecant.porteous import (
     METHODS,
     chern_coefficient_formula,
@@ -72,6 +74,29 @@ def test_second_chern_class_subtracts_ch2():
         assert series.coefficient(2) == theta * theta * Fraction(-1, 2)
 
 
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+characters = st.builds(ThetaPoly, small_fractions, small_fractions, small_fractions)
+
+
+@given(characters, st.booleans(), st.integers(8, 30))
+def test_chern_triples_follow_the_character(character, dual, d):
+    """The triples hold c1 = ch_1 (negated when dual) and twice the T^2 part
+    of c2 = ch_1 * ch_1 / 2 - ch_2, computed here in ``ThetaPoly``
+    arithmetic, with integral entries as ints; the series built from them
+    has order d - 5 and is zero past t^2."""
+    ch1 = ThetaPoly(0, character.c1)
+    c1 = -ch1 if dual else ch1
+    c2 = ch1 * ch1 * Fraction(1, 2) - ThetaPoly(0, 0, character.c2)
+    triples = porteous._chern_triples(character, dual)
+    assert triples == [(1, 0, 0), (0, c1.c1, 0), (0, 0, 2 * c2.c2)]
+    assert all(isinstance(x, int) for t in triples for x in t if x == int(x))
+    expected = ChernSeries(
+        [AmbientClass.one(d), AmbientClass(d, {(1, 0): c1.c1}), AmbientClass(d, {(2, 0): c2.c2})],
+        d - 5,
+    )
+    assert chern_series_from_character(character, d, dual) == expected
+
+
 def test_twist_of_trivial_series_is_binomial():
     d, order = 8, 5
     one = AmbientClass.one(d)
@@ -111,14 +136,13 @@ def test_twist_refuses_a_non_homogeneous_coefficient(i):
 
 def test_segre_route_validates_the_source_like_the_twist(monkeypatch):
     """The Segre route reads the twist without building the source series,
-    and still refuses a source series that does not start at 1."""
-    original = chern_series_from_character
+    and still refuses Chern triples whose c_0 is not 1."""
+    original = porteous._chern_triples
 
-    def starting_at_2(character, d, dual=False):
-        series = original(character, d, dual)
-        return ChernSeries([series.coeffs[0] * 2, *series.coeffs[1:]], series.order)
+    def starting_at_2(character, dual=False):
+        return [(2, 0, 0), *original(character, dual)[1:]]
 
-    monkeypatch.setattr("trisecant.porteous.chern_series_from_character", starting_at_2)
+    monkeypatch.setattr(porteous, "_chern_triples", starting_at_2)
     with pytest.raises(ValueError, match="a total Chern series must start at 1"):
         determinant_segre(9)
 
@@ -251,22 +275,28 @@ def test_segre_reads_the_whole_quotient_coefficient(d):
 
 
 def test_segre_cost_does_not_grow_with_d(monkeypatch):
-    """The Segre route makes as many ring products at d = 400 as at d = 20."""
+    """The Segre route makes no ring product, and as many integer products of
+    the graded kernel at d = 400 as at d = 20."""
     calls = []
-    product = AmbientClass.__mul__
 
-    def counted(self, other):
-        calls.append(1)
-        return product(self, other)
+    def class_product(self, other):
+        calls.append("ring")
+        return TruncatedClass.__mul__(self, other)
 
-    monkeypatch.setattr(AmbientClass, "__mul__", counted)
-    monkeypatch.setattr(AmbientClass, "__rmul__", counted)
+    def integer_product(x, y):
+        calls.append("kernel")
+        return x * y
+
+    monkeypatch.setattr(AmbientClass, "__mul__", class_product)
+    monkeypatch.setattr(AmbientClass, "__rmul__", class_product)
+    monkeypatch.setattr(_graded, "mul", integer_product)
     counts = []
     for d in (20, 400):
         calls.clear()
         determinant_segre(d)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append((calls.count("ring"), calls.count("kernel")))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 0 and counts[0][1] > 0
 
 
 def _band(d: int) -> list[list[AmbientClass]]:
