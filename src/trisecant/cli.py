@@ -33,7 +33,7 @@ from typing import Sequence
 from .degree import berzolari, class_degree, secant3_degree, verify_binomial_identities
 from .porteous import (
     METHODS,
-    chern_coefficient_formula,
+    _formula_coefficients,
     chern_coefficients,
     determinant_formula,
     determinant_segre,
@@ -299,8 +299,8 @@ def check_bundle_characters(d: int, stage: Stage) -> str | None:
 
 def check_chern_coefficient_formula(d: int, stage: Stage) -> str | None:
     """Series division against the closed binomial formula, every index."""
-    for i, division in enumerate(stage.division.coeffs[1:], start=1):
-        formula = chern_coefficient_formula(i, d)
+    pairs = zip(stage.division.coeffs[1:], _formula_coefficients(d), strict=True)
+    for i, (division, formula) in enumerate(pairs, start=1):
         if division != formula:
             return f"d={d}, i={i}: division {division} vs formula {formula}"
     return None

@@ -29,11 +29,16 @@ in the graded kernel.  The division solves the target's triples over the
 twisted source's, the recurrence route the formula's triples; each builds
 classes only on the way out.  The binomial expansion and the exponential
 form's 1/(1 - h t) stay on ``AmbientClass``.
+
+The closed binomial formula for c_i (``_formula_columns``) and the two
+binomial tails read three columns of Pascal's triangle, built per d in O(d)
+integer steps (``_pascal_columns``), not one binomial coefficient per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .degree import binomial
 from ._graded import _ambient, _dot, _exact, _quotient, _series, _solve, _summed, graded_exp_product
@@ -85,6 +90,12 @@ def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False
     return ChernSeries([_ambient(d, k, t) for k, t in enumerate(triples)], d - 5)
 
 
+def _require_unit(triples) -> None:
+    """A total Chern series' triples start at c_0 = 1, the triple (1, 0, 0)."""
+    if list(triples[0]) != [1, 0, 0]:
+        raise ValueError("a total Chern series must start at 1")
+
+
 def _twisted_coefficients(triples, rank: int, ks) -> list[list]:
     """The pipeline's one hyperplane twist: every Chern root shifts by -h, so
     c_t(bundle (x) O(-1)) = sum_i c_i t^i (1 - h*t)^(rank - i) (Fulton,
@@ -93,8 +104,7 @@ def _twisted_coefficients(triples, rank: int, ks) -> list[list]:
     the triple sum_i binomial(rank - i, k - i) (-1)^(k - i) triple(c_i) over
     the nonzero c_i with i <= k (h^(k-i) keeps a triple).  For i > rank the
     upper argument is negative and the expansion is the full geometric tail."""
-    if list(triples[0]) != [1, 0, 0]:
-        raise ValueError("a total Chern series must start at 1")
+    _require_unit(triples)
     if not isinstance(rank, int) or rank < 0:
         raise ValueError("rank must be a non-negative integer")
     nonzero = [(i, t) for i, t in enumerate(triples) if any(t)]
@@ -107,10 +117,13 @@ def _twisted_coefficients(triples, rank: int, ks) -> list[list]:
 
 def _source_and_target(d: int, ks) -> tuple[list, list]:
     """The twisted source's triples at each k in ``ks`` and the target's
-    columns: the residual twisted by O(-1), and the dual of the sections."""
+    columns: the residual twisted by O(-1), and the dual of the sections,
+    whose c_0 must be 1 like the source's, as the quotient never reads it."""
     sections, residual = bundle_characters(d)
     source = _twisted_coefficients(_chern_triples(residual), int(residual.c0), ks)
-    return source, list(zip(*_chern_triples(sections, dual=True)))
+    target = _chern_triples(sections, dual=True)
+    _require_unit(target)
+    return source, list(zip(*target))
 
 
 def target_chern_series(d: int) -> ChernSeries:
@@ -137,8 +150,9 @@ def virtual_chern_series_closed_form(d: int) -> ChernSeries:
         (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t)),
 
     assembled from a geometric inverse, an exponential and the binomial tail
-    (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k, with no division by
-    the source series; the exp and the tail product run in the graded kernel.
+    (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k, the first of
+    :func:`_pascal_columns`, with no division by the source series; the exp
+    and the tail product run in the graded kernel.
     """
     _require_degree(d)
     order = d - 5
@@ -148,7 +162,7 @@ def virtual_chern_series_closed_form(d: int) -> ChernSeries:
     numerator = ChernSeries([AmbientClass.zero(d), theta * 2, -(theta * h)], order)
     argument = numerator * one_minus.inverse()
     tail = ChernSeries(
-        [AmbientClass(d, {(0, k): binomial(d - 5 + k, k)}) for k in range(order + 1)]
+        [AmbientClass(d, {(0, k): x}) for k, x in enumerate(_pascal_columns(d, order)[0])]
     )
     return graded_exp_product(tail, argument)
 
@@ -159,13 +173,15 @@ def virtual_chern_series_expansion(d: int) -> ChernSeries:
     Grouping the three powers of (1 - h*t) over the common tail
     (1 - h*t)^(2-d) = sum_k b(k) h^k t^k, b(k) = binomial(d+k-3, k), leaves
     five shifted sums, evaluated here coefficient by coefficient: the t^m
-    coefficient gathers b(m-j) for j in 0..4 (b vanishes below 0).
+    coefficient gathers b(m-j) for j in 0..4 (b vanishes below 0).  The b(k)
+    are the last of :func:`_pascal_columns`.
     """
     _require_degree(d)
     order = d - 5
+    tail = _pascal_columns(d, order)[2]
 
     def b(k: int) -> int:
-        return binomial(d + k - 3, k)
+        return tail[k] if k >= 0 else 0
 
     coeffs = []
     for m in range(order + 1):
@@ -178,24 +194,53 @@ def virtual_chern_series_expansion(d: int) -> ChernSeries:
     return ChernSeries(coeffs, order)
 
 
-def _formula_triple(i: int, d: int) -> tuple[int, int, int]:
-    """The closed binomial formula for c_i as the graded kernel's integer
-    triple (x0, x1, X2) of h^i, T h^(i-1) and 2 T^2 h^(i-2); at i = 0 it
-    reads (1, 0, 0), since binomial(n, k) vanishes for k < 0."""
+def _pascal_columns(d: int, order: int) -> tuple[list, list, list]:
+    """binomial(K + j, j) for j in 0..order and K = d - 5, d - 4 and d - 3:
+    the first column by the exact term ratio (K + j) / j, each next one as
+    the running sums of the last (the hockey-stick identity), O(order)
+    integer steps in all."""
+    low = [1]
+    for j in range(1, order + 1):
+        low.append(low[-1] * (d - 5 + j) // j)
+    middle = list(accumulate(low))
+    return low, middle, list(accumulate(middle))
+
+
+def _shifted(column: list, s: int) -> list:
+    """``column`` moved s places down, zeros in front, at its own length."""
+    return ([0] * s + column)[: len(column)]
+
+
+def _formula_columns(d: int, order: int) -> tuple[list, list, list]:
+    """The closed binomial formula for c_0..c_order as the graded kernel's
+    columns (x0, x1, X2) of h^i, T h^(i-1) and 2 T^2 h^(i-2).  With
+    D_K(j) = binomial(K + j, j), zero for j < 0, the i-th triple is
+
+        (D_(d-5)(i), D_(d-4)(i-1) + D_(d-5)(i-1), 4 D_(d-4)(i-2) + D_(d-3)(i-4)),
+
+    so c_0 is (1, 0, 0); the D columns are :func:`_pascal_columns`."""
+    low, middle, high = _pascal_columns(d, order)
     return (
-        binomial(d - 5 + i, i),
-        binomial(d - 5 + i, i - 1) + binomial(d - 6 + i, i - 1),
-        4 * binomial(d - 6 + i, i - 2) + binomial(d - 7 + i, i - 4),
+        low,
+        _shifted([x + y for x, y in zip(middle, low)], 1),
+        [4 * x + y for x, y in zip(_shifted(middle, 2), _shifted(high, 4))],
     )
 
 
 def chern_coefficient_formula(i: int, d: int) -> AmbientClass:
     """Closed binomial formula for the i-th virtual Chern coefficient,
-    valid on 1 <= i <= d - 5."""
+    valid on 1 <= i <= d - 5: the tips of the formula's columns of order i,
+    O(i) integer steps."""
     _require_degree(d)
     if not isinstance(i, int) or not 1 <= i <= d - 5:
         raise ValueError(f"coefficient index must lie in 1..{d - 5}, got {i}")
-    return _ambient(d, i, _formula_triple(i, d))
+    return _ambient(d, i, [column[-1] for column in _formula_columns(d, i)])
+
+
+def _formula_coefficients(d: int) -> list[AmbientClass]:
+    """c_1..c_(d-5) of the closed binomial formula, from one read of its columns."""
+    columns = _formula_columns(d, d - 5)
+    return [_ambient(d, i, triple) for i, triple in enumerate(zip(*columns)) if i]
 
 
 def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
@@ -206,8 +251,8 @@ def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
     wrong class flow on.
     """
     coefficients = virtual_chern_series(d).coeffs[1:]
-    for i, division in enumerate(coefficients, start=1):
-        formula = chern_coefficient_formula(i, d)
+    pairs = zip(coefficients, _formula_coefficients(d), strict=True)
+    for i, (division, formula) in enumerate(pairs, start=1):
         if division != formula:
             raise ArithmeticError(
                 f"virtual Chern coefficient mismatch at i={i}, d={d}: "
@@ -244,7 +289,7 @@ def _determinant_columns(d: int) -> list[list]:
     :func:`recurrence_determinants`, solved on the closed formula's integer
     triples with the sign (-1)^(i-1) put on the columns of c_i."""
     _require_degree(d)
-    columns = zip(*(_formula_triple(i, d) for i in range(d - 4)))
+    columns = _formula_columns(d, d - 5)
     signed = [[x if i % 2 else -x for i, x in enumerate(column)] for column in columns]
     return _solve(signed)
 

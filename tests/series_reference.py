@@ -1,9 +1,11 @@
 """Series operations the engine does not carry, kept as references for the
 tests: the exponential and the sum in plain ``ChernSeries`` arithmetic, the
-whole twisted series built from the engine's one twist, and the graded
-kernel's dot product in its schoolbook form."""
+whole twisted series built from the engine's one twist, the graded kernel's
+dot product in its schoolbook form, and the closed binomial formula with one
+``math.comb`` per entry."""
 
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 from trisecant._graded import _columns, _series
@@ -52,4 +54,24 @@ def schoolbook_dot(a, b) -> tuple:
         sum(map(mul, a0, b0)),
         sum(map(mul, a0, b1)) + sum(map(mul, a1, b0)),
         sum(map(mul, a0, b2)) + 2 * sum(map(mul, a1, b1)) + sum(map(mul, a2, b0)),
+    )
+
+
+def _comb(n: int, k: int) -> int:
+    return comb(n, k) if k >= 0 else 0
+
+
+def binomial_column(n: int, order: int) -> list[int]:
+    """binomial(n + j, j) for j in 0..order, one ``math.comb`` each."""
+    return [comb(n + j, j) for j in range(order + 1)]
+
+
+def formula_triple(i: int, d: int) -> tuple[int, int, int]:
+    """The closed binomial formula for c_i as the graded kernel's triple
+    (x0, x1, X2) of h^i, T h^(i-1) and 2 T^2 h^(i-2), one ``math.comb`` per
+    binomial; (1, 0, 0) at i = 0."""
+    return (
+        _comb(d - 5 + i, i),
+        _comb(d - 5 + i, i - 1) + _comb(d - 6 + i, i - 1),
+        4 * _comb(d - 6 + i, i - 2) + _comb(d - 7 + i, i - 4),
     )

@@ -393,7 +393,7 @@ def test_internal_inconsistency_exits_2_without_traceback(monkeypatch, capsys):
     from trisecant.ring import AmbientClass
 
     monkeypatch.setattr(
-        trisecant.porteous, "chern_coefficient_formula", lambda i, d: AmbientClass.zero(d)
+        trisecant.porteous, "_formula_coefficients", lambda d: [AmbientClass.zero(d)] * (d - 5)
     )
     assert main(["degree", "--d", "9", "--verbose"]) == EXIT_VERIFY
     captured = capsys.readouterr()

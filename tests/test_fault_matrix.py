@@ -97,6 +97,18 @@ def c2_without_halving(monkeypatch):
     _rebind(monkeypatch, original, triples)
 
 
+def target_c0_doubled(monkeypatch):
+    """The target's Chern triples start at c_0 = 2, which the quotient never
+    reads: the routes that divide by the target refuse it where they read it."""
+    original = porteous._chern_triples
+
+    def triples(character, dual=False):
+        value = original(character, dual)
+        return [(2, 0, 0), *value[1:]] if dual else value
+
+    _rebind(monkeypatch, original, triples)
+
+
 def sections_c1_flipped(monkeypatch):
     original = riemann_roch.bundle_characters
 
@@ -134,15 +146,16 @@ def c2_bumped_into_recurrence(monkeypatch):
 
 
 def coefficient_formula_off_at_3(monkeypatch):
-    """c_3 + T^2 h in the closed formula, which both ``chern_coefficient_formula``
-    and the recurrence read as the kernel's triple (X2 is twice the T^2 part)."""
-    original = porteous._formula_triple
+    """c_3 + T^2 h in the closed formula's columns, which both the
+    ``chern-coefficient-formula`` check and the recurrence read (X2 is twice
+    the T^2 part)."""
+    original = porteous._formula_columns
 
-    def formula(i, d):
-        x0, x1, x2 = original(i, d)
-        return (x0, x1, x2 + 2 if i == 3 else x2)
+    def formula(d, order):
+        x0, x1, x2 = original(d, order)
+        return x0, x1, [x + 2 if i == 3 else x for i, x in enumerate(x2)]
 
-    monkeypatch.setattr(porteous, "_formula_triple", formula)
+    monkeypatch.setattr(porteous, "_formula_columns", formula)
 
 
 def determinant_formula_off_at_top(monkeypatch):
@@ -267,6 +280,7 @@ FAULTS = [
     (twist_rank_minus_one, SERIES_FIVE),
     (twisted_t_cubed_negated, SERIES_FIVE),
     (c2_without_halving, SERIES_FIVE),
+    (target_c0_doubled, SERIES_FIVE),
     (sections_c1_flipped, SERIES_FIVE | {"bundle-characters"}),
     (theta_self_intersection_one, {"degree-berzolari"}),
     (negative_binomial_off_at_k2, {"binomial-identities"}),

@@ -32,7 +32,14 @@ from trisecant.porteous import (
 from trisecant.riemann_roch import bundle_characters
 from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly, TruncatedClass
 
-from series_reference import series_add, series_exp, source_series, twist
+from series_reference import (
+    binomial_column,
+    formula_triple,
+    series_add,
+    series_exp,
+    source_series,
+    twist,
+)
 
 
 def _repeated_product(series, n):
@@ -147,6 +154,21 @@ def test_segre_route_validates_the_source_like_the_twist(monkeypatch):
         determinant_segre(9)
 
 
+@pytest.mark.parametrize("route", [determinant_segre, virtual_chern_series])
+def test_routes_refuse_a_target_not_starting_at_1(monkeypatch, route):
+    """The quotient never reads the target's c_0, so both routes that divide
+    by the target check it where they read the triples."""
+    original = porteous._chern_triples
+
+    def target_at_2(character, dual=False):
+        triples = original(character, dual)
+        return [(2, 0, 0), *triples[1:]] if dual else triples
+
+    monkeypatch.setattr(porteous, "_chern_triples", target_at_2)
+    with pytest.raises(ValueError, match="a total Chern series must start at 1"):
+        route(9)
+
+
 def test_multiplication_map_bundles_shape():
     """The source is the residual bundle (rank d - 4) twisted by O(-1); the
     target is the dual of the sections bundle (rank 2), untwisted."""
@@ -242,15 +264,46 @@ def test_coefficient_formula_range():
 
 def test_chern_coefficients_refuses_a_formula_mismatch(monkeypatch):
     """The division is checked against the closed formula at every index."""
-    formula = chern_coefficient_formula
+    formula = porteous._formula_coefficients
 
-    def shifted(i, d):
-        value = formula(i, d)
-        return value + AmbientClass(d, {(0, 2): 1}) if i == 2 else value
+    def shifted(d):
+        values = formula(d)
+        values[1] += AmbientClass(d, {(0, 2): 1})
+        return values
 
-    monkeypatch.setattr("trisecant.porteous.chern_coefficient_formula", shifted)
+    monkeypatch.setattr(porteous, "_formula_coefficients", shifted)
     with pytest.raises(ArithmeticError, match="i=2, d=9"):
         chern_coefficients(9)
+
+
+def test_formula_columns_match_comb_at_every_order():
+    """The Pascal columns against one ``math.comb`` per entry: the formula's
+    triples, the expansion's b(k) = binomial(d + k - 3, k) and the
+    exponential form's tail binomial(d - 5 + k, k), at every order from 0,
+    below the formula's first X2 term at i = 4, to d - 5."""
+    for d in range(8, 201):
+        triples = [formula_triple(i, d) for i in range(d - 4)]
+        tail, b = binomial_column(d - 5, d - 5), binomial_column(d - 3, d - 5)
+        for order in range(d - 4):
+            assert list(zip(*porteous._formula_columns(d, order))) == triples[: order + 1]
+            low, _, high = porteous._pascal_columns(d, order)
+            assert low == tail[: order + 1] and high == b[: order + 1]
+
+
+@pytest.mark.parametrize("d", [20, 200])
+def test_recurrence_route_calls_no_binomial(monkeypatch, d):
+    """The recurrence route reads the formula off Pascal columns built in
+    integer steps, with no binomial coefficient computed per entry."""
+    calls = []
+    original = porteous.binomial
+
+    def counted(n, k):
+        calls.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(porteous, "binomial", counted)
+    porteous_class(d, "recurrence")
+    assert calls == []
 
 
 def test_segre_quotient_matches_recurrence_determinants():
