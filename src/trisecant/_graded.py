@@ -8,15 +8,16 @@ products, not six: the middle entry is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
 and X2 reuses a1 b1.  A series is three columns of such entries.  One solver
 gives its quotients and exponential; it divides each step by a divisor only
 where one is given, which is the exponential's, as a quotient's is 1.  One
-dot product of column triples serves the solver and the products.  The
+dot product of column triples serves the solver and the exponential's
+product with a factor.  Callers hand in columns and take columns back; the
 truncation h^(d-1) = 0 is graded, so it commutes with the kernel and is
-applied once, on the way back to ``AmbientClass``.
+applied once, where a column entry becomes an ``AmbientClass`` term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, eq, mul
 
 from .ring import AmbientClass, ChernSeries
 
@@ -27,37 +28,32 @@ def _exact(numerator, denominator: int):
     return Fraction(numerator, denominator) if rest else whole
 
 
-def _triple(k: int, c: AmbientClass) -> list:
-    """The (x0, x1, X2) of c; a c not homogeneous of degree k raises ArithmeticError."""
-    triple = [0, 0, 0]
-    for (a, b), numerator in c._terms.items():
-        if a + b != k:
-            raise ArithmeticError(f"c_{k} = {c} is not homogeneous of degree {k}")
-        triple[a] = _exact(numerator * 2 if a == 2 else numerator, c._den)
-    return triple
-
-
-def _columns(series: ChernSeries, constant: int | None = None) -> list[tuple]:
-    """The columns of x0, x1 and X2 over c_0..c_order.  A coefficient that is
-    not ``AmbientClass`` raises TypeError, a c_0 other than a given
-    ``constant`` ValueError, a c_k not homogeneous of degree k ArithmeticError."""
-    first = series.coeffs[0]
-    if not isinstance(first, AmbientClass):
-        raise TypeError("the graded kernel needs ambient coefficients")
-    if constant is not None and first != constant:
-        raise ValueError(f"this series operation needs constant term {constant}")
-    return list(zip(*(_triple(k, c) for k, c in enumerate(series.coeffs))))
-
-
 def _ambient(d: int, k: int, triple) -> AmbientClass:
     """The class over d, homogeneous of degree k, whose (x0, x1, X2) is ``triple``."""
     x0, x1, x2 = triple
-    return AmbientClass(d, {(a, k - a): x for a, x in enumerate((x0, x1, Fraction(x2, 2))) if x})
+    return AmbientClass(d, {(a, k - a): x for a, x in enumerate((x0, x1, _exact(x2, 2))) if x})
 
 
-def _series(d: int, triples) -> ChernSeries:
-    """The ambient series over d whose t^k coefficient is the k-th triple."""
-    return ChernSeries([_ambient(d, k, t) for k, t in enumerate(triples)])
+def _coefficient(d: int, columns, k: int) -> AmbientClass:
+    """The class over d of degree k whose (x0, x1, X2) is entry k of ``columns``."""
+    return _ambient(d, k, [column[k] for column in columns])
+
+
+def _difference(d: int, left, right) -> tuple | None:
+    """(k, left class, right class) at the first k where two column triples
+    over d differ, None where they agree; columns of different lengths raise
+    ValueError."""
+    if all(map(eq, left, right)):
+        return None
+    pairs = zip(zip(*left), zip(*right), strict=True)
+    k = next(k for k, (a, b) in enumerate(pairs) if a != b)
+    return k, _coefficient(d, left, k), _coefficient(d, right, k)
+
+
+def _series(d: int, columns) -> ChernSeries:
+    """The ambient series over d whose t^k coefficient is the k-th entry of the
+    columns (x0, x1, X2)."""
+    return ChernSeries([_ambient(d, k, t) for k, t in enumerate(zip(*columns))])
 
 
 def _dot(a, b, a01, b01) -> tuple:
@@ -113,26 +109,14 @@ def _exp(columns) -> list[list]:
     return _solve([[k * x for k, x in enumerate(column)] for column in columns], lambda m: m)
 
 
-def graded_quotient(numerator: ChernSeries, series: ChernSeries) -> ChernSeries:
-    """``numerator * series.inverse()`` for two ambient series of one d whose
-    c_k is homogeneous of degree k (another degree raises ArithmeticError);
-    ``series`` needs constant term 1.  Its inverse is the quotient of 1.  Two
-    series over different d raise ``RingMismatchError``."""
-    columns = _columns(numerator), _columns(series, 1)
-    numerator._check_ring(series)
-    return _series(series.coeffs[0].d, zip(*_quotient(*columns)))
-
-
-def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
-    """``factor * exp(series)`` for two such ambient series of one d (or
-    ``RingMismatchError``); the exponential stays in columns for the product."""
-    left, exponent = _columns(factor), _columns(series, 0)
-    factor._check_ring(series)
-    order = min(factor.order, series.order)
+def _exp_product(factor, exponent) -> list[list]:
+    """The columns of factor * exp(exponent), to the smaller order; the
+    exponent's constant term, which must be 0, is never read."""
+    order = min(len(factor[0]), len(exponent[0])) - 1
     backwards = [column[order::-1] for column in _exp(exponent)]
-    backwards01, left01 = _summed(backwards), _summed(left)
-    triples = (
-        _dot([column[order - m:] for column in backwards], left, backwards01[order - m:], left01)
+    backwards01, factor01 = _summed(backwards), _summed(factor)
+    triples = [
+        _dot([c[order - m:] for c in backwards], factor, backwards01[order - m:], factor01)
         for m in range(order + 1)
-    )
-    return _series(series.coeffs[0].d, triples)
+    ]
+    return [list(column) for column in zip(*triples)]

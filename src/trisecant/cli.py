@@ -30,21 +30,19 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from . import porteous
+from ._graded import _coefficient, _difference
 from .degree import berzolari, class_degree, secant3_degree, verify_binomial_identities
 from .porteous import (
     METHODS,
-    _formula_coefficients,
+    chern_coefficient_formula,
     chern_coefficients,
     determinant_formula,
     determinant_segre,
     porteous_class,
-    recurrence_determinants,
-    virtual_chern_series,
-    virtual_chern_series_closed_form,
-    virtual_chern_series_expansion,
 )
 from .riemann_roch import UpstreamClass, bundle_characters, poincare_character, pushforward_to_picard
-from .ring import AmbientClass, ChernSeries, RingMismatchError, ThetaPoly
+from .ring import AmbientClass, RingMismatchError, ThetaPoly
 
 __all__ = [
     "EXIT_OK",
@@ -201,20 +199,20 @@ def run_table(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class Stage:
-    """The intermediates of one d that several checks share: the series
-    division, the recurrence's determinants and the Segre class.  Each is
-    built on first use, so its cost falls to the check that first reads it."""
+    """The intermediates of one d that several checks share: the integer
+    columns of the series division and of the determinants d_0..d_(d-5), read
+    through ``porteous`` so that a rebinding takes effect, and the Segre class.
+    Each is built on first use, so its cost falls to the check that first reads it."""
 
     d: int
 
     @cached_property
-    def division(self) -> ChernSeries:
-        return virtual_chern_series(self.d)
+    def division(self) -> list[list]:
+        return porteous._division_columns(self.d)
 
     @cached_property
-    def determinants(self) -> tuple[AmbientClass, ...]:
-        """Banded determinants d_0..d_(d-5), on the formula's integer triples."""
-        return recurrence_determinants(self.d)
+    def determinants(self) -> list[list]:
+        return porteous._determinant_columns(self.d)
 
     @cached_property
     def segre(self) -> AmbientClass:
@@ -298,24 +296,24 @@ def check_bundle_characters(d: int, stage: Stage) -> str | None:
 
 
 def check_chern_coefficient_formula(d: int, stage: Stage) -> str | None:
-    """Series division against the closed binomial formula, every index."""
-    pairs = zip(stage.division.coeffs[1:], _formula_coefficients(d), strict=True)
-    for i, (division, formula) in enumerate(pairs, start=1):
-        if division != formula:
-            return f"d={d}, i={i}: division {division} vs formula {formula}"
+    """Series division against the closed binomial formula at every index,
+    then the division's top coefficient against the public formula's."""
+    diff = _difference(d, stage.division, porteous._formula_columns(d, d - 5))
+    if diff is None:
+        diff = d - 5, _coefficient(d, stage.division, d - 5), chern_coefficient_formula(d - 5, d)
+    if diff[1] != diff[2]:
+        return "d={}, i={}: division {} vs formula {}".format(d, *diff)
     return None
 
 
 def check_series_exponential_form(d: int, stage: Stage) -> str | None:
-    if stage.division != virtual_chern_series_closed_form(d):
-        return f"d={d}: quotient != exponential form"
-    return None
+    diff = _difference(d, stage.division, porteous._exponential_columns(d))
+    return diff and "d={}: quotient != exponential form at t^{}: {} vs {}".format(d, *diff)
 
 
 def check_series_binomial_expansion(d: int, stage: Stage) -> str | None:
-    if stage.division != virtual_chern_series_expansion(d):
-        return f"d={d}: quotient != binomial expansion"
-    return None
+    diff = _difference(d, stage.division, porteous._expansion_columns(d))
+    return diff and "d={}: quotient != binomial expansion at t^{}: {} vs {}".format(d, *diff)
 
 
 def check_determinant_three_way(d: int, stage: Stage) -> str | None:
@@ -323,7 +321,7 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     The recurrence is the stage's, on the formula's coefficients, which
     ``chern-coefficient-formula`` holds equal to the division's."""
     segre = stage.segre
-    recurrence = stage.determinants[d - 5]
+    recurrence = _coefficient(d, stage.determinants, d - 5)
     closed = determinant_formula(d - 5, d)
     if not (segre == recurrence == closed):
         return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
@@ -333,8 +331,9 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
 def check_determinant_closed_form(d: int, stage: Stage) -> str | None:
     """Every banded determinant of size >= 3 against the closed form."""
     for n in range(3, d - 4):
-        if determinant_formula(n, d) != stage.determinants[n]:
-            return f"d={d}, n={n}: closed form != recurrence"
+        closed, recurrence = determinant_formula(n, d), _coefficient(d, stage.determinants, n)
+        if closed != recurrence:
+            return f"d={d}, n={n}: closed form != recurrence: {closed} vs {recurrence}"
     return None
 
 
@@ -351,7 +350,7 @@ def check_degree_berzolari(d: int, stage: Stage) -> str | None:
     reference = berzolari(d)
     degrees = {
         "segre": class_degree(stage.segre, "segre"),
-        "recurrence": class_degree(stage.determinants[d - 5], "recurrence"),
+        "recurrence": class_degree(_coefficient(d, stage.determinants, d - 5), "recurrence"),
         "closed-form": secant3_degree(d, method="closed-form"),
     }
     for method in METHODS:

@@ -18,17 +18,20 @@ The bundles' Chern classes enter as the integer triples of the graded kernel
 of :mod:`trisecant._graded`, read off the characters by ``_chern_triples``.
 The source is the residual bundle twisted by the splitting principle,
 c_t(E (x) O(-1)) = sum_i c_i(E) t^i (1 - h t)^(rank E - i), in the one twist
-``_twisted_coefficients``: one binomial sum of triples per coefficient, never
-a series.  The division reads all of them; the Segre route reads only
-t^(d-5), t^(d-6) and t^(d-7), against the target's inverse at order 2: O(1)
-integer operations per d, and one class built.
+``_twisted_coefficients``: one binomial sum of triples per coefficient, its
+binomials stepped by term ratios, never a series.  The division reads all of
+them; the Segre route reads only t^(d-5), t^(d-6) and t^(d-7), against the
+target's inverse at order 2: O(1) integer operations per d, and one class
+built.
 
-Each c_k here is homogeneous of degree k, so the O(d^2) loops (series
-division, banded recurrence, the exponential form's exp and tail product) run
-in the graded kernel.  The division solves the target's triples over the
-twisted source's, the recurrence route the formula's triples; each builds
-classes only on the way out.  The binomial expansion and the exponential
-form's 1/(1 - h t) stay on ``AmbientClass``.
+Each c_k here is homogeneous of degree k, so every series form and the
+recurrence are the graded kernel's integer columns (x0, x1, X2): the
+division solves the target's triples over the twisted source's, the
+recurrence the formula's triples, the exponential form runs its exp and tail
+product on columns, and the binomial expansion sums shifted Pascal columns.
+Each column function ``_<form>_columns`` has one public wrapper that builds
+the classes, once, on the way out; ``trisecant verify`` compares the columns
+themselves.
 
 The closed binomial formula for c_i (``_formula_columns``) and the two
 binomial tails read three columns of Pascal's triangle, built per d in O(d)
@@ -41,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .degree import binomial
-from ._graded import _ambient, _dot, _exact, _quotient, _series, _solve, _summed, graded_exp_product
+from ._graded import _ambient, _dot, _exact, _exp_product, _quotient, _series, _solve, _summed
 from .ring import AmbientClass, ChernSeries, ThetaPoly
 from .riemann_roch import bundle_characters
 
@@ -103,15 +106,29 @@ def _twisted_coefficients(triples, rank: int, ks) -> list[list]:
     triples of c_0, c_1, ...; the t^k coefficient, for each k in ``ks``, is
     the triple sum_i binomial(rank - i, k - i) (-1)^(k - i) triple(c_i) over
     the nonzero c_i with i <= k (h^(k-i) keeps a triple).  For i > rank the
-    upper argument is negative and the expansion is the full geometric tail."""
+    upper argument is negative and the expansion is the full geometric tail.
+    Each c_i's row of binomials runs from the smallest k to the largest by
+    the exact term ratio (rank - i - j + 1) / j, which holds for a negative
+    upper argument too: one ``binomial`` per c_i, whatever the span of ks."""
     _require_unit(triples)
     if not isinstance(rank, int) or rank < 0:
         raise ValueError("rank must be a non-negative integer")
-    nonzero = [(i, t) for i, t in enumerate(triples) if any(t)]
-    out = []
-    for k in ks:
-        scaled = [(binomial(rank - i, k - i) * (-1) ** (k - i), t) for i, t in nonzero if i <= k]
-        out.append([sum(s * t[a] for s, t in scaled) for a in range(3)])
+    ks = tuple(ks)
+    first, last = min(ks), max(ks)
+    out = [[0, 0, 0] for _ in ks]
+    for i, t in enumerate(triples):
+        if i > last or not any(t):
+            continue
+        # row[j - low] = (-1)^j binomial(n, j) for j = low..last - i.
+        n, low = rank - i, max(first - i, 0)
+        row = [(-1) ** low * binomial(n, low)]
+        for j in range(low + 1, last - i + 1):
+            row.append(-row[-1] * (n - j + 1) // j)
+        for entry, k in zip(out, ks):
+            if k >= i:
+                s = row[k - i - low]
+                for a in range(3):
+                    entry[a] += s * t[a]
     return out
 
 
@@ -132,16 +149,30 @@ def target_chern_series(d: int) -> ChernSeries:
     return chern_series_from_character(sections, d, dual=True)
 
 
+def _division_columns(d: int) -> list[list]:
+    """The columns of :func:`virtual_chern_series`."""
+    _require_degree(d)
+    order = d - 5
+    source, target = _source_and_target(d, range(order + 1))
+    padded = [[*column, *[0] * order] for column in target]
+    return _quotient(padded, list(zip(*source)))
+
+
 def virtual_chern_series(d: int) -> ChernSeries:
     """c_t(target - source) by honest series division: the target's triples,
     padded with zeros, divided by the twisted source's to order d - 5 in one
     solve of the graded integer kernel of :mod:`trisecant._graded`, turned
     into a series once."""
+    return _series(d, _division_columns(d))
+
+
+def _exponential_columns(d: int) -> list[list]:
+    """The columns of :func:`virtual_chern_series_closed_form`."""
     _require_degree(d)
     order = d - 5
-    source, target = _source_and_target(d, range(order + 1))
-    padded = [[*column, *[0] * order] for column in target]
-    return _series(d, zip(*_quotient(padded, list(zip(*source)))))
+    zeros = [0] * (order + 1)
+    exponent = [zeros, [0, 2, *[1] * (order - 1)], zeros]
+    return _exp_product((_pascal_columns(d, order)[0], zeros, zeros), exponent)
 
 
 def virtual_chern_series_closed_form(d: int) -> ChernSeries:
@@ -149,22 +180,27 @@ def virtual_chern_series_closed_form(d: int) -> ChernSeries:
 
         (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t)),
 
-    assembled from a geometric inverse, an exponential and the binomial tail
-    (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k, the first of
-    :func:`_pascal_columns`, with no division by the source series; the exp
-    and the tail product run in the graded kernel.
+    with no division by the source series, on the graded kernel's columns.
+    The exponent is 2T at t^1 and T h^(k-1) at each t^k for k >= 2, so its
+    T h^(k-1) column is (0, 2, 1, 1, ...) and its other two are zero; the
+    binomial tail (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k is the
+    first of :func:`_pascal_columns`.  The exp and the tail product run on
+    columns, and the classes are built once, on the way out.
     """
+    return _series(d, _exponential_columns(d))
+
+
+def _expansion_columns(d: int) -> list[list]:
+    """The columns of :func:`virtual_chern_series_expansion`."""
     _require_degree(d)
     order = d - 5
-    h = AmbientClass.hyperplane(d)
-    theta = AmbientClass.theta(d)
-    one_minus = ChernSeries([AmbientClass.one(d), -h], order)
-    numerator = ChernSeries([AmbientClass.zero(d), theta * 2, -(theta * h)], order)
-    argument = numerator * one_minus.inverse()
-    tail = ChernSeries(
-        [AmbientClass(d, {(0, k): x}) for k, x in enumerate(_pascal_columns(d, order)[0])]
-    )
-    return graded_exp_product(tail, argument)
+    b = [0, 0, 0, 0, *_pascal_columns(d, order)[2]]  # b(k) at index k + 4
+    steps = range(order + 1)
+    return [
+        [b[m + 4] - 2 * b[m + 3] + b[m + 2] for m in steps],
+        [2 * b[m + 3] - 3 * b[m + 2] + b[m + 1] for m in steps],
+        [4 * b[m + 2] - 4 * b[m + 1] + b[m] for m in steps],
+    ]
 
 
 def virtual_chern_series_expansion(d: int) -> ChernSeries:
@@ -173,25 +209,12 @@ def virtual_chern_series_expansion(d: int) -> ChernSeries:
     Grouping the three powers of (1 - h*t) over the common tail
     (1 - h*t)^(2-d) = sum_k b(k) h^k t^k, b(k) = binomial(d+k-3, k), leaves
     five shifted sums, evaluated here coefficient by coefficient: the t^m
-    coefficient gathers b(m-j) for j in 0..4 (b vanishes below 0).  The b(k)
+    coefficient gathers b(m-j) for j in 0..4 (b vanishes below 0), as the
+    columns b(m) - 2 b(m-1) + b(m-2) of h^m, 2 b(m-1) - 3 b(m-2) + b(m-3) of
+    T h^(m-1) and 4 b(m-2) - 4 b(m-3) + b(m-4) of 2 T^2 h^(m-2).  The b(k)
     are the last of :func:`_pascal_columns`.
     """
-    _require_degree(d)
-    order = d - 5
-    tail = _pascal_columns(d, order)[2]
-
-    def b(k: int) -> int:
-        return tail[k] if k >= 0 else 0
-
-    coeffs = []
-    for m in range(order + 1):
-        values = (
-            b(m) - 2 * b(m - 1) + b(m - 2),
-            2 * b(m - 1) - 3 * b(m - 2) + b(m - 3),
-            2 * b(m - 2) - 2 * b(m - 3) + Fraction(b(m - 4), 2),
-        )
-        coeffs.append(AmbientClass(d, {(a, m - a): c for a, c in enumerate(values) if a <= m}))
-    return ChernSeries(coeffs, order)
+    return _series(d, _expansion_columns(d))
 
 
 def _pascal_columns(d: int, order: int) -> tuple[list, list, list]:
@@ -299,8 +322,7 @@ def recurrence_determinants(d: int) -> tuple[AmbientClass, ...]:
     recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i), which the graded integer
     kernel solves on the closed binomial formula's triples, never built as
     classes, making this route independent of the series division."""
-    columns = _determinant_columns(d)
-    return tuple(_ambient(d, m, triple) for m, triple in enumerate(zip(*columns)))
+    return _series(d, _determinant_columns(d)).coeffs
 
 
 def determinant_formula(n: int, d: int) -> AmbientClass:

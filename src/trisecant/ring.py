@@ -19,8 +19,9 @@ subclasses name the rings of the computation:
   as its truncation.
 
 ``ChernSeries`` is a polynomial in a formal variable ``t`` truncated at a
-fixed order, with coefficients in one ring; it has products and inverses,
-and the engine's one exponential is in :mod:`trisecant._graded`.  All values
+fixed order, with coefficients in one ring: the value the engine hands out
+for a series.  Its arithmetic runs on integer columns in
+:mod:`trisecant._graded`, never on series.  All values
 are immutable after construction and every operation is a pure function, so
 values can be shared freely across threads.
 """
@@ -103,17 +104,16 @@ class TruncatedClass:
     def __init__(self, top: tuple[int, int], terms: Mapping | None = None) -> None:
         top_a, top_b = top
         coeffs: dict[tuple[int, int], Scalar] = {}
-        den = 1
         for (a, b), value in (terms or {}).items():
             if not (type(a) is type(b) is int and a >= 0 and b >= 0):
                 raise ValueError(f"exponents must be non-negative integers, got ({a}, {b})")
-            if not _is_exact(value):
+            if type(value) is not int and type(value) is not Fraction and not _is_exact(value):
                 kind = type(value).__name__
                 raise TypeError(f"exact rational coefficient required, got {kind}")
             if a <= top_a and b <= top_b and value:
                 coeffs[(a, b)] = value
-                den = lcm(den, value.denominator)
         # Over the lcm of reduced denominators the numerators share no factor with it.
+        den = lcm(*[c.denominator for c in coeffs.values()])
         self._top = top
         self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self._den = den
@@ -179,16 +179,19 @@ class TruncatedClass:
                 return other
         den = self._den
         if other._den == den:
-            acc, right = dict(self._terms), other._terms.items()
+            acc = dict(self._terms)
+            get = acc.get
+            for key, c in other._terms.items():
+                acc[key] = get(key, 0) + c
         else:
             den = lcm(den, other._den)
             left_scale, right_scale = den // self._den, den // other._den
             acc = {key: c * left_scale for key, c in self._terms.items()}
-            right = ((key, c * right_scale) for key, c in other._terms.items())
-        for key, c in right:
-            total = acc.pop(key, 0) + c
-            if total:
-                acc[key] = total
+            get = acc.get
+            for key, c in other._terms.items():
+                acc[key] = get(key, 0) + c * right_scale
+        if 0 in acc.values():
+            acc = {key: c for key, c in acc.items() if c}
         return self._new(acc, den)
 
     __radd__ = __add__
@@ -212,17 +215,17 @@ class TruncatedClass:
         top_a, top_b = self._top
         right = other._terms.items()
         acc: dict[tuple[int, int], int] = {}
+        get = acc.get
         for (a1, b1), c1 in self._terms.items():
+            # Each right term must fit in the room this left term leaves to the top.
+            room_a, room_b = top_a - a1, top_b - b1
             for (a2, b2), c2 in right:
-                a = a1 + a2
-                if a > top_a:
-                    continue
-                b = b1 + b2
-                if b > top_b:
-                    continue
-                key = (a, b)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return self._new({key: c for key, c in acc.items() if c}, self._den * other._den)
+                if a2 <= room_a and b2 <= room_b:
+                    key = (a1 + a2, b1 + b2)
+                    acc[key] = get(key, 0) + c1 * c2
+        if 0 in acc.values():
+            acc = {key: c for key, c in acc.items() if c}
+        return self._new(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -368,8 +371,7 @@ class ChernSeries:
     ``ThetaPoly``, or all ``AmbientClass`` with one ``d``.  A coefficient
     that is not a ring value, such as a scalar, raises ``TypeError``.
 
-    Binary operations truncate at the smaller operand order.  Coefficients
-    beyond the stored order are unknown and never invented.
+    Coefficients beyond the stored order are unknown and never invented.
     """
 
     __slots__ = ("order", "coeffs")
@@ -400,51 +402,6 @@ class ChernSeries:
         if not isinstance(other, ChernSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def _check_ring(self, other: ChernSeries) -> None:
-        # Checked up front, since zero or constant coefficients may never meet.
-        if _ring_of(self.coeffs[0]) != _ring_of(other.coeffs[0]):
-            raise RingMismatchError(
-                f"series over {self.coeffs[0]!r} cannot combine with one over {other.coeffs[0]!r}"
-            )
-
-    def __mul__(self, other) -> ChernSeries:
-        if isinstance(other, ChernSeries):
-            self._check_ring(other)
-            order = min(self.order, other.order)
-            out = [self.coeffs[0].zero_like()] * (order + 1)
-            left = [(i, c) for i, c in enumerate(self.coeffs[: order + 1]) if not c.is_zero()]
-            right = [(j, c) for j, c in enumerate(other.coeffs[: order + 1]) if not c.is_zero()]
-            for i, ci in left:
-                for j, cj in right:
-                    k = i + j
-                    if k > order:
-                        break
-                    out[k] = out[k] + ci * cj
-            return ChernSeries(out, order)
-        # ring element or scalar: scale every coefficient
-        return ChernSeries([c * other for c in self.coeffs], self.order)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> ChernSeries:
-        """Multiplicative inverse; the constant term must be the ring unit."""
-        unit = self.coeffs[0].one_like()
-        if self.coeffs[0] != unit:
-            raise ValueError("series inversion needs constant term 1")
-        zero = self.coeffs[0].zero_like()
-        inv = [unit] + [zero] * self.order
-        body = [(k, c) for k, c in enumerate(self.coeffs) if k and not c.is_zero()]
-        for m in range(1, self.order + 1):
-            s = zero
-            for k, a in body:
-                if k > m:
-                    break
-                b = inv[m - k]
-                if not b.is_zero():
-                    s = s + a * b
-            inv[m] = -s
-        return ChernSeries(inv, self.order)
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coeffs)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from trisecant._graded import graded_exp_product
+from trisecant._graded import _exp, _exp_product, _quotient
 from trisecant.degree import berzolari, secant3_degree, verify_binomial_identities
 from trisecant.porteous import (
     METHODS,
@@ -33,6 +33,8 @@ from trisecant.riemann_roch import (
     todd_from_chern,
 )
 from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly
+
+from series_reference import schoolbook_dot
 
 
 def _report(number: int, label: str, ok: bool) -> None:
@@ -186,38 +188,41 @@ def test_criterion_8_property_suites():
     if not verify_binomial_identities(12):
         failures.append("binomial-identities")
 
-    # series contracts: the inverse on theta series, and the exponential law
-    # exp(a) exp(b) = exp(a + b) for the graded kernel's exp, which the engine runs
-    def random_series(constant: ThetaPoly) -> ChernSeries:
-        coeffs = [random_theta() for _ in range(rng.randint(1, 5))]
-        coeffs[0] = constant
-        return ChernSeries(coeffs, 4)
+    # series contracts on the graded kernel the engine runs: the inverse
+    # contract c * (1 / c) = 1 for ``_quotient`` on theta series to order 4,
+    # whose t^k coefficient x0 + x1 T + x2 T^2 is the kernel's triple
+    # (x0, x1, 2 x2), the product checked by the schoolbook dot; and the
+    # exponential law exp(a) exp(b) = exp(a + b) for ``_exp`` and ``_exp_product``
+    def theta_columns(size: int) -> list[list]:
+        triples = [(1, 0, 0)]
+        triples += [(x.c0, x.c1, 2 * x.c2) for x in (random_theta() for _ in range(size - 1))]
+        return [list(column) for column in zip(*triples, *[(0, 0, 0)] * (5 - size))]
 
-    one = ChernSeries([ThetaPoly.one()], 4)
+    one = [(1, 0, 0)] + [(0, 0, 0)] * 4
     for _ in range(200):
-        s = random_series(ThetaPoly.one())
-        if s * s.inverse() != one:
+        c = theta_columns(rng.randint(1, 5))
+        inverse = _quotient([[1, 0, 0, 0, 0], [0] * 5, [0] * 5], c)
+        product = [
+            schoolbook_dot([column[m::-1] for column in c], inverse) for m in range(5)
+        ]
+        if product != one:
             failures.append("series-inverse")
             break
 
-    def random_graded(d: int, order: int) -> list[AmbientClass]:
-        """c_1..c_order of an ambient series, c_k homogeneous of degree k."""
-        return [
-            AmbientClass(d, {
-                (a, k - a): Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                for a in range(min(k, 2) + 1)
-            })
-            for k in range(1, order + 1)
-        ]
+    def random_graded(order: int) -> list[list]:
+        """Columns of c_0 = 0, c_1..c_order of an ambient series, c_k
+        homogeneous of degree k: x0 h^k + x1 T h^(k-1) + x2 T^2 h^(k-2)."""
+        triples = [(0, 0, 0)]
+        for k in range(1, order + 1):
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(min(k, 2) + 1)]
+            triples.append((x[0], x[1], 2 * x[2] if k >= 2 else 0))
+        return [list(column) for column in zip(*triples)]
 
     for _ in range(200):
-        d = rng.randint(8, 12)
-        order = rng.randint(1, d)
-        a, b = random_graded(d, order), random_graded(d, order)
-        zero, unit = AmbientClass.zero(d), ChernSeries([AmbientClass.one(d)], order)
-        exp_a = graded_exp_product(unit, ChernSeries([zero, *a]))
-        exp_sum = graded_exp_product(unit, ChernSeries([zero, *map(operator.add, a, b)]))
-        if graded_exp_product(exp_a, ChernSeries([zero, *b])) != exp_sum:
+        order = rng.randint(1, rng.randint(8, 12))
+        a, b = random_graded(order), random_graded(order)
+        exp_sum = _exp([list(map(operator.add, x, y)) for x, y in zip(a, b)])
+        if _exp_product(_exp(a), b) != exp_sum:
             failures.append("series-exp")
             break
 

@@ -192,23 +192,22 @@ def test_verify_default_range_is_8_to_40():
 def test_a_fault_at_one_d_fails_only_its_check(monkeypatch, capsys):
     """verify walks d once for all per-d checks: a fault at d=10 fails the
     check that meets it, at d=10, and every other check still runs to d=12."""
-    import trisecant.cli
-    from trisecant.porteous import virtual_chern_series_expansion
-    from trisecant.ring import AmbientClass, ChernSeries
+    import trisecant.porteous
 
     seen = []
+    original = trisecant.porteous._expansion_columns
 
     def faulty_at_10(d):
         seen.append(d)
-        series = virtual_chern_series_expansion(d)
-        if d != 10:
-            return series
-        return ChernSeries([AmbientClass.one(d) * 2, *series.coeffs[1:]], series.order)
+        x0, x1, x2 = original(d)
+        return ([2, *x0[1:]] if d == 10 else x0), x1, x2
 
-    monkeypatch.setattr(trisecant.cli, "virtual_chern_series_expansion", faulty_at_10)
+    monkeypatch.setattr(trisecant.porteous, "_expansion_columns", faulty_at_10)
     assert main(["verify", "--d-min", "8", "--d-max", "12"]) == EXIT_VERIFY
     lines = capsys.readouterr().out.splitlines()
-    assert lines[5] == "FAIL series-binomial-expansion: d=10: quotient != binomial expansion"
+    assert lines[5] == (
+        "FAIL series-binomial-expansion: d=10: quotient != binomial expansion at t^0: 1 vs 2"
+    )
     assert lines[:5] + lines[6:10] == [
         f"PASS {name}" for name in EXPECTED_CHECK_NAMES if name != "series-binomial-expansion"
     ]
@@ -257,20 +256,36 @@ def test_ring_axioms_keep_their_sample_size(monkeypatch):
 def test_verify_runs_one_recurrence_per_d(monkeypatch):
     """The three-way, closed-form and Berzolari checks all read the stage's
     determinants, so the battery runs the banded recurrence once per d."""
-    import trisecant.cli
     import trisecant.porteous
 
     calls = []
-    original = trisecant.porteous.recurrence_determinants
+    original = trisecant.porteous._determinant_columns
 
     def counted(d):
         calls.append(d)
         return original(d)
 
-    for module in (trisecant.porteous, trisecant.cli):
-        monkeypatch.setattr(module, "recurrence_determinants", counted)
+    monkeypatch.setattr(trisecant.porteous, "_determinant_columns", counted)
     assert verify_checks(8, 14).passed
     assert calls == list(range(8, 15))
+
+
+def test_verify_builds_no_series_on_a_passing_run(monkeypatch):
+    """The battery compares the graded kernel's integer columns: a passing
+    run constructs no ``ChernSeries``, and classes only where a check reads
+    one."""
+    from trisecant.ring import ChernSeries
+
+    built = []
+    original = ChernSeries.__init__
+
+    def counting(self, coeffs, order=None):
+        built.append(order)
+        original(self, coeffs, order)
+
+    monkeypatch.setattr(ChernSeries, "__init__", counting)
+    assert verify_checks(8, 14).passed
+    assert built == []
 
 
 def _flip_sections_c1(monkeypatch):

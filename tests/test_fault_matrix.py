@@ -30,7 +30,7 @@ from operator import mul
 import pytest
 
 from trisecant import _graded, cli, degree, porteous, riemann_roch
-from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly, TruncatedClass
+from trisecant.ring import AmbientClass, ThetaPoly, TruncatedClass
 
 NAMES = [name for name, _ in cli.CHECKS]
 PER_D = {name for name, per_d in cli.CHECKS if per_d}
@@ -169,24 +169,23 @@ def determinant_formula_off_at_top(monkeypatch):
 
 
 def _top_t_squared_bumped(form):
-    """``form`` with T^2 h^(n-2) added to its top coefficient t^n."""
+    """The columns of ``form`` with T^2 h^(n-2) added to the top coefficient
+    t^n: its X2 entry, twice the T^2 part, raised by 2."""
 
     def bumped(d):
-        series = form(d)
-        n = series.order
-        top = series.coeffs[n] + AmbientClass(d, {(2, n - 2): 1})
-        return ChernSeries([*series.coeffs[:n], top], n)
+        x0, x1, x2 = form(d)
+        return x0, x1, [*x2[:-1], x2[-1] + 2]
 
     return bumped
 
 
 def expansion_top_bumped(monkeypatch):
-    original = porteous.virtual_chern_series_expansion
+    original = porteous._expansion_columns
     _rebind(monkeypatch, original, _top_t_squared_bumped(original))
 
 
 def exponential_form_top_bumped(monkeypatch):
-    original = porteous.virtual_chern_series_closed_form
+    original = porteous._exponential_columns
     _rebind(monkeypatch, original, _top_t_squared_bumped(original))
 
 

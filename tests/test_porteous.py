@@ -5,7 +5,6 @@ small d the banded matrix is built here from the Chern coefficients and
 evaluated as a literal signed sum over all permutations, with no recurrence
 and no series quotient shared with the production code."""
 
-import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -15,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trisecant import _graded, porteous
+from trisecant.degree import binomial
 from trisecant.porteous import (
     METHODS,
     chern_coefficient_formula,
@@ -37,6 +37,8 @@ from series_reference import (
     formula_triple,
     series_add,
     series_exp,
+    series_inverse,
+    series_mul,
     source_series,
     twist,
 )
@@ -45,7 +47,7 @@ from series_reference import (
 def _repeated_product(series, n):
     """``series`` to the n-th power as n plain series products."""
     one = ChernSeries([series.coeffs[0].one_like()], series.order)
-    return reduce(operator.mul, [series] * n, one)
+    return reduce(series_mul, [series] * n, one)
 
 
 def test_surface_bundle_chern_series_is_exponential():
@@ -130,6 +132,34 @@ def test_twist_validation():
         twist(ChernSeries([ThetaPoly.one()], 4), 3)
 
 
+def _twist_by_binomials(triples, rank, k):
+    """The twist's t^k triple with one ``degree.binomial`` per c_i, i <= k."""
+    terms = [(binomial(rank - i, k - i) * (-1) ** (k - i), t) for i, t in enumerate(triples)]
+    return [sum(s * t[a] for s, t in terms[: k + 1]) for a in range(3)]
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [[(1, 0, 0), (3, -2, 0), (5, 7, -4)], [(1, 0, 0), (0, 0, 0), (2, 1, 3)]],
+    ids=["dense", "zero-c1"],
+)
+def test_twist_rows_match_binomial_at_every_k(triples):
+    """The twist steps each row binomial(rank - i, k - i) over k by term
+    ratios; against one ``degree.binomial`` per (k, i) for ranks 0..6 and
+    every k up to 12, read as the division reads them (k = 0..12), one k at a
+    time and as the Segre route's descending three.  Ranks below 2 reach
+    negative upper arguments."""
+    twisted = porteous._twisted_coefficients
+    for rank in range(7):
+        expected = [_twist_by_binomials(triples, rank, k) for k in range(13)]
+        assert twisted(triples, rank, range(13)) == expected, rank
+        for k in range(13):
+            assert twisted(triples, rank, (k,)) == [expected[k]], (rank, k)
+        for k in range(2, 13):
+            segre = [expected[k], expected[k - 1], expected[k - 2]]
+            assert twisted(triples, rank, (k, k - 1, k - 2)) == segre, (rank, k)
+
+
 @pytest.mark.parametrize("i", (1, 2))
 def test_twist_refuses_a_non_homogeneous_coefficient(i):
     """The twist works on the kernel's triples, so a c_i that is not
@@ -203,12 +233,12 @@ def test_twist_matches_substitution_reference(d):
     ]
     series = ChernSeries(coefficients, order)
     one_minus = ChernSeries([one, -h], order)
-    u = t * one_minus.inverse()
+    u = series_mul(t, series_inverse(one_minus))
     substituted = ChernSeries([coefficients[-1]], order)
     for c in reversed(coefficients[:-1]):
-        substituted = series_add(substituted * u, ChernSeries([c], order))
+        substituted = series_add(series_mul(substituted, u), ChernSeries([c], order))
     for rank in (0, 1, 2, d - 4):
-        reference = _repeated_product(one_minus, rank) * substituted
+        reference = series_mul(_repeated_product(one_minus, rank), substituted)
         assert twist(series, rank) == reference, rank
 
 
@@ -228,8 +258,8 @@ def test_twisted_series_exponential_forms(d):
     t_theta = ChernSeries([AmbientClass.zero(d), theta], order)
     assert target_chern_series(d) == series_exp(t_theta)
     one_minus = ChernSeries([one, -h], order)
-    argument = t_theta * one_minus.inverse() * -1
-    expected_source = _repeated_product(one_minus, d - 4) * series_exp(argument)
+    argument = series_mul(series_mul(t_theta, series_inverse(one_minus)), -1)
+    expected_source = series_mul(_repeated_product(one_minus, d - 4), series_exp(argument))
     assert source_series(d) == expected_source
 
 
@@ -309,7 +339,7 @@ def test_recurrence_route_calls_no_binomial(monkeypatch, d):
 def test_segre_quotient_matches_recurrence_determinants():
     """(-1)^m [t^m] c_t(source) / c_t(target) is the m-th banded determinant."""
     for d in (8, 9, 13, 30):
-        quotient = source_series(d) * target_chern_series(d).inverse()
+        quotient = series_mul(source_series(d), series_inverse(target_chern_series(d)))
         dets = recurrence_determinants(d)
         for m in range(d - 4):
             sign = 1 if m % 2 == 0 else -1
@@ -323,7 +353,7 @@ def test_segre_reads_the_whole_quotient_coefficient(d):
     quotient c_t(source) / c_t(target), n = d - 5; the test above covers
     d = 8 and 9 through the banded determinants."""
     n = d - 5
-    quotient = source_series(d) * target_chern_series(d).inverse()
+    quotient = series_mul(source_series(d), series_inverse(target_chern_series(d)))
     assert determinant_segre(d) == quotient.coefficient(n) * (-1) ** n
 
 
