@@ -20,7 +20,6 @@ from trisecant import (
     poincare_first_chern,
     porteous_class,
     secant3_degree,
-    target_chern_series,
 )
 from trisecant._graded import _ambient
 from trisecant.porteous import _chern_triples, _twisted_coefficients
@@ -47,10 +46,11 @@ def main() -> int:
     print(f"  ch(residual)  rank {residual.c0}:  {residual}")
     print()
     print("twisted total Chern series on Pic^3 x P^(d-2):")
-    target = target_chern_series(d)
-    for k in range(min(3, target.order) + 1):
-        print(f"  c_t(target)[t^{k}] = {target.coefficient(k)}")
-    # The engine never builds the source as a series; read its first twisted coefficients.
+    # The engine builds neither bundle as a series; read their first coefficients
+    # (the target's stop at t^2).
+    target = [*_chern_triples(sections, dual=True), (0, 0, 0)]
+    for k, triple in enumerate(target):
+        print(f"  c_t(target)[t^{k}] = {_ambient(d, k, triple)}")
     source = _twisted_coefficients(_chern_triples(residual), int(residual.c0), range(4))
     for k, triple in enumerate(source):
         print(f"  c_t(source)[t^{k}] = {_ambient(d, k, triple)}")

@@ -26,7 +26,6 @@ from .porteous import (
     determinant_segre,
     porteous_class,
     recurrence_determinants,
-    target_chern_series,
     virtual_chern_series,
     virtual_chern_series_closed_form,
     virtual_chern_series_expansion,
@@ -42,18 +41,17 @@ from .riemann_roch import (
     riemann_roch_pushforward,
     todd_from_chern,
 )
-from .ring import AmbientClass, ChernSeries, Rational, RingMismatchError, ThetaPoly
+from .ring import AmbientClass, Rational, RingMismatchError, ThetaPoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # rings and series
+    # rings
     "Rational",
     "RingMismatchError",
     "ThetaPoly",
     "AmbientClass",
-    "ChernSeries",
     # upstream cohomology and Riemann-Roch
     "CurveClass",
     "UpstreamClass",
@@ -66,7 +64,6 @@ __all__ = [
     "bundle_characters",
     # Porteous pipeline
     "METHODS",
-    "target_chern_series",
     "virtual_chern_series",
     "virtual_chern_series_closed_form",
     "virtual_chern_series_expansion",

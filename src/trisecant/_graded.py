@@ -6,12 +6,12 @@ pipeline's triples are ints and a product is (a0 b0, a0 b1 + a1 b0,
 a0 B2 + 2 a1 b1 + A2 b0), with no division.  The kernel forms it from five
 products, not six: the middle entry is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
 and X2 reuses a1 b1.  A series is three columns of such entries.  One solver
-gives its quotients and exponential; it divides each step by a divisor only
-where one is given, which is the exponential's, as a quotient's is 1.  One
-dot product of column triples serves the solver and the exponential's
-product with a factor.  Callers hand in columns and take columns back; the
-truncation h^(d-1) = 0 is graded, so it commutes with the kernel and is
-applied once, where a column entry becomes an ``AmbientClass`` term.
+gives its quotients and its exponential, which it reads off the columns of
+t d/dt of the exponent; it divides each step by a divisor only where one is
+given, which is the exponential's, as a quotient's is 1.  Callers hand in
+columns and take columns back; the truncation h^(d-1) = 0 is graded, so it
+commutes with the kernel and is applied once, where a column entry becomes
+an ``AmbientClass`` term, and a series becomes the tuple of its classes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, eq, mul
 
-from .ring import AmbientClass, ChernSeries
+from .ring import AmbientClass
 
 
 def _exact(numerator, denominator: int):
@@ -50,10 +50,10 @@ def _difference(d: int, left, right) -> tuple | None:
     return k, _coefficient(d, left, k), _coefficient(d, right, k)
 
 
-def _series(d: int, columns) -> ChernSeries:
-    """The ambient series over d whose t^k coefficient is the k-th entry of the
-    columns (x0, x1, X2)."""
-    return ChernSeries([_ambient(d, k, t) for k, t in enumerate(zip(*columns))])
+def _classes(d: int, columns) -> tuple[AmbientClass, ...]:
+    """The classes over d, c_0 first, whose (x0, x1, X2) are the entries of
+    ``columns``: the one place a series of columns becomes classes."""
+    return tuple(_ambient(d, k, t) for k, t in enumerate(zip(*columns)))
 
 
 def _dot(a, b, a01, b01) -> tuple:
@@ -105,18 +105,6 @@ def _quotient(numerator, columns) -> list[list]:
 
 
 def _exp(columns) -> list[list]:
-    """exp of a series with zero constant term, by m e_m = sum_k k x_k e_(m-k)."""
-    return _solve([[k * x for k, x in enumerate(column)] for column in columns], lambda m: m)
-
-
-def _exp_product(factor, exponent) -> list[list]:
-    """The columns of factor * exp(exponent), to the smaller order; the
-    exponent's constant term, which must be 0, is never read."""
-    order = min(len(factor[0]), len(exponent[0])) - 1
-    backwards = [column[order::-1] for column in _exp(exponent)]
-    backwards01, factor01 = _summed(backwards), _summed(factor)
-    triples = [
-        _dot([c[order - m:] for c in backwards], factor, backwards01[order - m:], factor01)
-        for m in range(order + 1)
-    ]
-    return [list(column) for column in zip(*triples)]
+    """exp(x) for a series x with zero constant term, from the columns of
+    t dx/dt = sum_k k x_k t^k, by m e_m = sum_k (k x_k) e_(m-k)."""
+    return _solve(columns, lambda m: m)

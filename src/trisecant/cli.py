@@ -236,16 +236,21 @@ def _broken_law(draw, count: int) -> tuple | None:
 
 def check_ring_axioms(d_min: int, d_max: int) -> str | None:
     """Random distributivity, associativity and commutativity triples in both
-    rings, plus the defining nilpotency relations; the ambient ring is
-    exercised on the first five d of the range.  Values are drawn from fixed pools:
+    rings, plus the defining nilpotency relations and the last nonzero powers
+    h^(d-2) and T^2, each one term with coefficient 1, which tell a generator
+    from a multiple or a shift of it; the ambient ring is exercised on the
+    first five d of the range.  Values are drawn from fixed pools:
     grid keys, and coefficients n/m, |n| <= 9, m <= 4 (theta) or 3 (ambient)."""
     rng = random.Random(271828)
     pool = [Fraction(n, m) for n in range(-9, 10) for m in range(1, 5)]
     broken = _broken_law(lambda: ThetaPoly(*rng.choices(pool, k=3)), 350)
     if broken:
         return "theta {}: {}; {}; {}".format(*broken)
-    if not (ThetaPoly.theta() ** 3).is_zero():
+    theta = ThetaPoly.theta()
+    if not (theta ** 3).is_zero():
         return "T^3 != 0 in the theta ring"
+    if list((theta ** 2).nonzero_terms()) != [(2, 0, 1)]:
+        return "T^2 is not the term T^2 in the theta ring"
 
     pool = [Fraction(n, m) for n in range(-9, 10) for m in range(1, 4)]
     for d in range(d_min, min(d_max, d_min + 4) + 1):
@@ -255,10 +260,15 @@ def check_ring_axioms(d_min: int, d_max: int) -> str | None:
         )
         if broken:
             return f"ambient {broken[0]} at d={d}"
-        if not (AmbientClass.hyperplane(d) ** (d - 1)).is_zero():
+        h, theta = AmbientClass.hyperplane(d), AmbientClass.theta(d)
+        if not (h ** (d - 1)).is_zero():
             return f"h^(d-1) != 0 at d={d}"
-        if not (AmbientClass.theta(d) ** 3).is_zero():
+        if list((h ** (d - 2)).nonzero_terms()) != [(0, d - 2, 1)]:
+            return f"h^(d-2) is not the term h^(d-2) at d={d}"
+        if not (theta ** 3).is_zero():
             return f"T^3 != 0 in the ambient ring at d={d}"
+        if list((theta ** 2).nonzero_terms()) != [(2, 0, 1)]:
+            return f"T^2 is not the term T^2 in the ambient ring at d={d}"
     return None
 
 

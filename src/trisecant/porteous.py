@@ -27,15 +27,17 @@ built.
 Each c_k here is homogeneous of degree k, so every series form and the
 recurrence are the graded kernel's integer columns (x0, x1, X2): the
 division solves the target's triples over the twisted source's, the
-recurrence the formula's triples, the exponential form runs its exp and tail
-product on columns, and the binomial expansion sums shifted Pascal columns.
-Each column function ``_<form>_columns`` has one public wrapper that builds
-the classes, once, on the way out; ``trisecant verify`` compares the columns
+recurrence the formula's triples, the exponential form is one exp of an
+exponent written down in closed form, and the binomial expansion sums
+shifted Pascal columns.  Each column function ``_<form>_columns`` has one
+public wrapper that builds the classes, once, on the way out, and returns
+them as the tuple c_0..c_(d-5); ``trisecant verify`` compares the columns
 themselves.
 
-The closed binomial formula for c_i (``_formula_columns``) and the two
-binomial tails read three columns of Pascal's triangle, built per d in O(d)
-integer steps (``_pascal_columns``), not one binomial coefficient per entry.
+The closed binomial formula for c_i (``_formula_columns``) and the
+expansion's binomial tail read three columns of Pascal's triangle, built per
+d in O(d) integer steps (``_pascal_columns``), not one binomial coefficient
+per entry.
 """
 
 from __future__ import annotations
@@ -43,15 +45,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 
+from . import _graded
 from .degree import binomial
-from ._graded import _ambient, _dot, _exact, _exp_product, _quotient, _series, _solve, _summed
-from .ring import AmbientClass, ChernSeries, ThetaPoly
+from ._graded import _ambient, _classes, _difference, _dot, _exact, _quotient, _solve, _summed
+from .ring import AmbientClass, ThetaPoly
 from .riemann_roch import bundle_characters
 
 __all__ = [
     "METHODS",
-    "chern_series_from_character",
-    "target_chern_series",
     "virtual_chern_series",
     "virtual_chern_series_closed_form",
     "virtual_chern_series_expansion",
@@ -83,14 +84,6 @@ def _chern_triples(character: ThetaPoly, dual: bool = False) -> list[tuple]:
     n1, n2 = terms.get((1, 0), 0), terms.get((2, 0), 0)
     x1, x2 = _exact(n1, den), _exact(n1 * n1 - 2 * n2 * den, den * den)
     return [(1, 0, 0), (0, -x1 if dual else x1, 0), (0, 0, x2)]
-
-
-def chern_series_from_character(character: ThetaPoly, d: int, dual: bool = False) -> ChernSeries:
-    """Total Chern series of a Picard-surface bundle, pulled back to the
-    ambient product, built from :func:`_chern_triples` to order d - 5."""
-    _require_degree(d)
-    triples = _chern_triples(character, dual)
-    return ChernSeries([_ambient(d, k, t) for k, t in enumerate(triples)], d - 5)
 
 
 def _require_unit(triples) -> None:
@@ -143,12 +136,6 @@ def _source_and_target(d: int, ks) -> tuple[list, list]:
     return source, list(zip(*target))
 
 
-def target_chern_series(d: int) -> ChernSeries:
-    """c_t(sections^*): the target of the multiplication map."""
-    sections, _ = bundle_characters(d)
-    return chern_series_from_character(sections, d, dual=True)
-
-
 def _division_columns(d: int) -> list[list]:
     """The columns of :func:`virtual_chern_series`."""
     _require_degree(d)
@@ -158,36 +145,36 @@ def _division_columns(d: int) -> list[list]:
     return _quotient(padded, list(zip(*source)))
 
 
-def virtual_chern_series(d: int) -> ChernSeries:
-    """c_t(target - source) by honest series division: the target's triples,
-    padded with zeros, divided by the twisted source's to order d - 5 in one
-    solve of the graded integer kernel of :mod:`trisecant._graded`, turned
-    into a series once."""
-    return _series(d, _division_columns(d))
+def virtual_chern_series(d: int) -> tuple[AmbientClass, ...]:
+    """c_0..c_(d-5) of c_t(target - source) by honest series division: the
+    target's triples, padded with zeros, divided by the twisted source's to
+    order d - 5 in one solve of the graded integer kernel of
+    :mod:`trisecant._graded`, turned into classes once."""
+    return _classes(d, _division_columns(d))
 
 
 def _exponential_columns(d: int) -> list[list]:
     """The columns of :func:`virtual_chern_series_closed_form`."""
     _require_degree(d)
     order = d - 5
-    zeros = [0] * (order + 1)
-    exponent = [zeros, [0, 2, *[1] * (order - 1)], zeros]
-    return _exp_product((_pascal_columns(d, order)[0], zeros, zeros), exponent)
+    x0, x1 = [0, *[d - 4] * order], [0, 2, *range(2, order + 1)]
+    # Through the module, so that a rebinding of ``_graded._exp`` takes effect.
+    return _graded._exp([x0, x1, [0] * (order + 1)])
 
 
-def virtual_chern_series_closed_form(d: int) -> ChernSeries:
-    """The same quotient in closed exponential form,
+def virtual_chern_series_closed_form(d: int) -> tuple[AmbientClass, ...]:
+    """c_0..c_(d-5) of the same quotient in closed exponential form,
 
-        (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t)),
+        (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t))
+            = exp((d-4) * -log(1 - h*t) + (2*T*t - T*h*t^2) / (1 - h*t)),
 
-    with no division by the source series, on the graded kernel's columns.
-    The exponent is 2T at t^1 and T h^(k-1) at each t^k for k >= 2, so its
-    T h^(k-1) column is (0, 2, 1, 1, ...) and its other two are zero; the
-    binomial tail (1 - h*t)^(4-d) = sum_k binomial(d-5+k, k) h^k t^k is the
-    first of :func:`_pascal_columns`.  The exp and the tail product run on
-    columns, and the classes are built once, on the way out.
+    with no division by the source series: one exp on the graded kernel's
+    columns.  The exponent is (d-4) h^k / k + T h^(k-1) at each t^k, with
+    2T in place of T at t^1, so t d/dt of it has the integer columns
+    (0, d-4, d-4, ...) of h^k and (0, 2, 2, 3, 4, ..., d-5) of T h^(k-1),
+    and no T^2 part.  The classes are built once, on the way out.
     """
-    return _series(d, _exponential_columns(d))
+    return _classes(d, _exponential_columns(d))
 
 
 def _expansion_columns(d: int) -> list[list]:
@@ -203,8 +190,8 @@ def _expansion_columns(d: int) -> list[list]:
     ]
 
 
-def virtual_chern_series_expansion(d: int) -> ChernSeries:
-    """Term-by-term binomial expansion of the virtual quotient.
+def virtual_chern_series_expansion(d: int) -> tuple[AmbientClass, ...]:
+    """c_0..c_(d-5) of the virtual quotient by term-by-term binomial expansion.
 
     Grouping the three powers of (1 - h*t) over the common tail
     (1 - h*t)^(2-d) = sum_k b(k) h^k t^k, b(k) = binomial(d+k-3, k), leaves
@@ -214,7 +201,7 @@ def virtual_chern_series_expansion(d: int) -> ChernSeries:
     T h^(m-1) and 4 b(m-2) - 4 b(m-3) + b(m-4) of 2 T^2 h^(m-2).  The b(k)
     are the last of :func:`_pascal_columns`.
     """
-    return _series(d, _expansion_columns(d))
+    return _classes(d, _expansion_columns(d))
 
 
 def _pascal_columns(d: int, order: int) -> tuple[list, list, list]:
@@ -260,12 +247,6 @@ def chern_coefficient_formula(i: int, d: int) -> AmbientClass:
     return _ambient(d, i, [column[-1] for column in _formula_columns(d, i)])
 
 
-def _formula_coefficients(d: int) -> list[AmbientClass]:
-    """c_1..c_(d-5) of the closed binomial formula, from one read of its columns."""
-    columns = _formula_columns(d, d - 5)
-    return [_ambient(d, i, triple) for i, triple in enumerate(zip(*columns)) if i]
-
-
 def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
     """Virtual Chern coefficients c_1..c_(d-5) from the series division.
 
@@ -273,15 +254,15 @@ def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
     mismatch means the pipeline is broken and raises rather than letting a
     wrong class flow on.
     """
-    coefficients = virtual_chern_series(d).coeffs[1:]
-    pairs = zip(coefficients, _formula_coefficients(d), strict=True)
-    for i, (division, formula) in enumerate(pairs, start=1):
-        if division != formula:
-            raise ArithmeticError(
-                f"virtual Chern coefficient mismatch at i={i}, d={d}: "
-                f"division gave {division}, formula gave {formula}"
-            )
-    return coefficients
+    columns = _division_columns(d)
+    diff = _difference(d, columns, _formula_columns(d, d - 5))
+    if diff:
+        i, division, formula = diff
+        raise ArithmeticError(
+            f"virtual Chern coefficient mismatch at i={i}, d={d}: "
+            f"division gave {division}, formula gave {formula}"
+        )
+    return _classes(d, columns)[1:]
 
 
 def determinant_segre(d: int) -> AmbientClass:
@@ -322,7 +303,7 @@ def recurrence_determinants(d: int) -> tuple[AmbientClass, ...]:
     recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i), which the graded integer
     kernel solves on the closed binomial formula's triples, never built as
     classes, making this route independent of the series division."""
-    return _series(d, _determinant_columns(d)).coeffs
+    return _classes(d, _determinant_columns(d))
 
 
 def determinant_formula(n: int, d: int) -> AmbientClass:

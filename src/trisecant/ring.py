@@ -1,5 +1,4 @@
-"""Exact arithmetic in the truncated monomial rings of the engine, plus
-truncated Chern-series calculus over them.
+"""Exact arithmetic in the truncated monomial rings of the engine.
 
 Every ring is served by one sparse class, :class:`TruncatedClass`, whose
 values are elements of ``Q[x, y]/(x^(top_a+1), y^(top_b+1))`` that carry
@@ -18,19 +17,18 @@ subclasses name the rings of the computation:
   projective factor and the curve degree ``d >= 8`` travels with the value
   as its truncation.
 
-``ChernSeries`` is a polynomial in a formal variable ``t`` truncated at a
-fixed order, with coefficients in one ring: the value the engine hands out
-for a series.  Its arithmetic runs on integer columns in
-:mod:`trisecant._graded`, never on series.  All values
-are immutable after construction and every operation is a pure function, so
-values can be shared freely across threads.
+The engine has no series type: a Chern series is computed as the integer
+columns of :mod:`trisecant._graded` and handed out as a tuple of
+``AmbientClass`` coefficients c_0, c_1, ...  All values are immutable after
+construction and every operation is a pure function, so values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Union
 
 __all__ = [
     "Rational",
@@ -38,7 +36,6 @@ __all__ = [
     "TruncatedClass",
     "ThetaPoly",
     "AmbientClass",
-    "ChernSeries",
 ]
 
 # The coefficient field.  Always reduced, positive denominator, arbitrary
@@ -357,52 +354,3 @@ class AmbientClass(TruncatedClass):
     def __repr__(self) -> str:
         return f"AmbientClass(d={self.d}, {self})"
 
-
-def _ring_of(value) -> tuple:
-    # A series coefficient's ring is its class and its truncation; it must be a ring value.
-    if not isinstance(value, TruncatedClass):
-        raise TypeError(f"series coefficients must be ring values, got {type(value).__name__}")
-    return type(value), value._top
-
-
-class ChernSeries:
-    """Polynomial in ``t`` truncated at a fixed order, with coefficients in
-    one ring: all of one class with one truncation, such as all
-    ``ThetaPoly``, or all ``AmbientClass`` with one ``d``.  A coefficient
-    that is not a ring value, such as a scalar, raises ``TypeError``.
-
-    Coefficients beyond the stored order are unknown and never invented.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Sequence, order: int | None = None) -> None:
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("series order must be non-negative")
-        ring = _ring_of(coeffs[0])
-        for c in coeffs:
-            if _ring_of(c) != ring:
-                raise RingMismatchError(f"one series mixes coefficients {coeffs[0]!r} and {c!r}")
-        if len(coeffs) <= order:
-            coeffs.extend([coeffs[0].zero_like()] * (order + 1 - len(coeffs)))
-        self.order = order
-        self.coeffs = tuple(coeffs[: order + 1])
-
-    def coefficient(self, k: int):
-        if not 0 <= k <= self.order:
-            raise IndexError(f"series coefficient out of range: t^{k} at order {self.order}")
-        return self.coeffs[k]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChernSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        body = ", ".join(str(c) for c in self.coeffs)
-        return f"ChernSeries(order={self.order}, [{body}])"

@@ -1,56 +1,62 @@
 """Series operations the engine does not carry, kept as references for the
-tests: the product, the inverse, the exponential and the sum in plain
-``ChernSeries`` arithmetic; a series' graded columns and the graded kernel's
-quotient and exponential product run on them; the whole twisted series built
-from the engine's one twist; the graded kernel's dot product in its
-schoolbook form; and the closed binomial formula with one ``math.comb`` per
-entry."""
+tests.  A series is a plain tuple of ring values c_0..c_order, so its order
+is its length - 1.  Here are the product, the inverse, the exponential and
+the sum in plain ring arithmetic; a series' graded columns, and the graded
+kernel's quotient and exponential (with a product through its dot) run on
+them; a bundle's Chern series and the whole twisted series built from the
+engine's Chern triples and its one twist; the graded kernel's dot product in
+its schoolbook form; and the closed binomial formula with one ``math.comb``
+per entry."""
 
 from fractions import Fraction
 from math import comb
 from operator import mul
 
-from trisecant._graded import _exact, _exp_product, _quotient, _series
-from trisecant.porteous import _twisted_coefficients, chern_series_from_character
+from trisecant._graded import _ambient, _classes, _dot, _exact, _exp, _quotient, _summed
+from trisecant.porteous import _chern_triples, _twisted_coefficients
 from trisecant.riemann_roch import bundle_characters
-from trisecant.ring import AmbientClass, ChernSeries, RingMismatchError
+from trisecant.ring import AmbientClass, RingMismatchError
 
 
-def _check_ring(a: ChernSeries, b: ChernSeries) -> None:
-    # Checked up front, since zero or constant coefficients may never meet.
-    if (type(a.coeffs[0]), a.coeffs[0]._top) != (type(b.coeffs[0]), b.coeffs[0]._top):
-        raise RingMismatchError(
-            f"series over {a.coeffs[0]!r} cannot combine with one over {b.coeffs[0]!r}"
-        )
+def to_order(coeffs, order: int) -> tuple:
+    """c_0..c_order from ``coeffs``: cut at the order, or filled with zeros of
+    c_0's ring up to it."""
+    coeffs = tuple(coeffs[: order + 1])
+    return coeffs + (coeffs[0].zero_like(),) * (order + 1 - len(coeffs))
 
 
-def series_mul(a: ChernSeries, b) -> ChernSeries:
-    """a * b truncated at the smaller order for two series of one ring (or
-    ``RingMismatchError``); a ring element or a scalar b scales every
-    coefficient."""
-    if not isinstance(b, ChernSeries):
-        return ChernSeries([c * b for c in a.coeffs], a.order)
-    _check_ring(a, b)
-    order = min(a.order, b.order)
-    out = [a.coeffs[0].zero_like()] * (order + 1)
-    for i, ci in enumerate(a.coeffs[: order + 1]):
-        for j, cj in enumerate(b.coeffs[: order + 1 - i]):
+def _check_ring(a: tuple, b: tuple) -> None:
+    # Checked up front, since the kernel reads columns, not classes.
+    if (type(a[0]), a[0]._top) != (type(b[0]), b[0]._top):
+        raise RingMismatchError(f"series over {a[0]!r} cannot combine with one over {b[0]!r}")
+
+
+def series_mul(a: tuple, b) -> tuple:
+    """a * b truncated at the smaller order for two series of one ring (a
+    product of two rings raises ``RingMismatchError``); a ring element or a
+    scalar b scales every coefficient."""
+    if not isinstance(b, tuple):
+        return tuple(c * b for c in a)
+    order = min(len(a), len(b)) - 1
+    out = [a[0].zero_like()] * (order + 1)
+    for i, ci in enumerate(a[: order + 1]):
+        for j, cj in enumerate(b[: order + 1 - i]):
             out[i + j] = out[i + j] + ci * cj
-    return ChernSeries(out, order)
+    return tuple(out)
 
 
-def series_inverse(series: ChernSeries) -> ChernSeries:
+def series_inverse(series: tuple) -> tuple:
     """The multiplicative inverse; the constant term must be the ring unit."""
-    unit = series.coeffs[0].one_like()
-    if series.coeffs[0] != unit:
+    unit = series[0].one_like()
+    if series[0] != unit:
         raise ValueError("series inversion needs constant term 1")
     inverse = [unit]
-    for m in range(1, series.order + 1):
-        total = series.coeffs[0].zero_like()
+    for m in range(1, len(series)):
+        total = series[0].zero_like()
         for k in range(1, m + 1):
-            total = total + series.coeffs[k] * inverse[m - k]
+            total = total + series[k] * inverse[m - k]
         inverse.append(-total)
-    return ChernSeries(inverse, series.order)
+    return tuple(inverse)
 
 
 def _triple(k: int, c: AmbientClass) -> list:
@@ -63,68 +69,90 @@ def _triple(k: int, c: AmbientClass) -> list:
     return triple
 
 
-def columns(series: ChernSeries, constant: int | None = None) -> list[tuple]:
+def columns(series: tuple, constant: int | None = None) -> list[tuple]:
     """The graded kernel's columns of x0, x1 and X2 over c_0..c_order.  A
     coefficient that is not ``AmbientClass`` raises TypeError, a c_0 other than
     a given ``constant`` ValueError, a c_k not homogeneous of degree k
     ArithmeticError."""
-    first = series.coeffs[0]
+    first = series[0]
     if not isinstance(first, AmbientClass):
         raise TypeError("the graded kernel needs ambient coefficients")
     if constant is not None and first != constant:
         raise ValueError(f"this series operation needs constant term {constant}")
-    return list(zip(*(_triple(k, c) for k, c in enumerate(series.coeffs))))
+    return list(zip(*(_triple(k, c) for k, c in enumerate(series))))
 
 
-def graded_quotient(numerator: ChernSeries, series: ChernSeries) -> ChernSeries:
+def graded_quotient(numerator: tuple, series: tuple) -> tuple:
     """numerator / series on the graded kernel's ``_quotient``, for two ambient
     series of one d whose c_k is homogeneous of degree k; ``series`` needs
     constant term 1, and two series over different d raise
     ``RingMismatchError``."""
     pair = columns(numerator), columns(series, 1)
     _check_ring(numerator, series)
-    return _series(series.coeffs[0].d, _quotient(*pair))
+    return _classes(series[0].d, _quotient(*pair))
 
 
-def graded_exp_product(factor: ChernSeries, series: ChernSeries) -> ChernSeries:
-    """factor * exp(series) on the graded kernel's ``_exp_product``, for two
-    such ambient series of one d (or ``RingMismatchError``); ``series`` needs
-    constant term 0."""
-    pair = columns(factor), columns(series, 0)
+def graded_exp_product(factor: tuple, series: tuple) -> tuple:
+    """factor * exp(series) for two such ambient series of one d (or
+    ``RingMismatchError``), to the smaller order: the exp by the graded
+    kernel's ``_exp`` on the columns of t d/dt series, and the product by its
+    ``_dot``; ``series`` needs constant term 0."""
+    factor_columns, exponent = columns(factor), columns(series, 0)
     _check_ring(factor, series)
-    return _series(series.coeffs[0].d, _exp_product(*pair))
+    order = min(len(factor), len(series)) - 1
+    exp = _exp([[k * x for k, x in enumerate(column)] for column in exponent])
+    backwards = [column[order::-1] for column in exp]
+    backwards01, factor01 = _summed(backwards), _summed(factor_columns)
+    triples = [
+        _dot([c[order - m:] for c in backwards], factor_columns, backwards01[order - m:], factor01)
+        for m in range(order + 1)
+    ]
+    return _classes(series[0].d, list(zip(*triples)))
 
 
-def series_add(a: ChernSeries, b: ChernSeries) -> ChernSeries:
+def series_add(a: tuple, b: tuple) -> tuple:
     """a + b coefficientwise, truncated at the smaller order."""
-    return ChernSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+    return tuple(x + y for x, y in zip(a, b))
 
 
-def series_exp(series: ChernSeries) -> ChernSeries:
+def series_exp(series: tuple) -> tuple:
     """sum_j x^j / j! of a series x with zero constant term, in plain series
     products; x^j starts at t^j, so the sum stops at the order."""
-    assert series.coeffs[0].is_zero(), "the exponential needs a zero constant term"
-    total = term = ChernSeries([series.coeffs[0].one_like()], series.order)
-    for j in range(1, series.order + 1):
+    assert series[0].is_zero(), "the exponential needs a zero constant term"
+    total = term = to_order([series[0].one_like()], len(series) - 1)
+    for j in range(1, len(series)):
         term = series_mul(series_mul(term, series), Fraction(1, j))
         total = series_add(total, term)
     return total
 
 
-def twist(series: ChernSeries, rank: int) -> ChernSeries:
+def chern_series(character, d: int, dual: bool = False) -> tuple:
+    """The total Chern series of a Picard-surface bundle to order d - 5, its
+    c_0, c_1 and c_2 built from ``porteous._chern_triples``."""
+    triples = _chern_triples(character, dual)
+    return to_order([_ambient(d, k, t) for k, t in enumerate(triples)], d - 5)
+
+
+def twist(series: tuple, rank: int) -> tuple:
     """c_t(bundle (x) O(-1)) as a whole series, every coefficient of the
     series' order read from ``porteous._twisted_coefficients`` on the kernel's
     triples of ``series``: a coefficient that is not ``AmbientClass`` raises
     TypeError, a c_k not homogeneous of degree k ArithmeticError."""
     triples = list(zip(*columns(series)))
-    twisted = _twisted_coefficients(triples, rank, range(series.order + 1))
-    return _series(series.coeffs[0].d, list(zip(*twisted)))
+    twisted = _twisted_coefficients(triples, rank, range(len(series)))
+    return _classes(series[0].d, list(zip(*twisted)))
 
 
-def source_series(d: int) -> ChernSeries:
+def source_series(d: int) -> tuple:
     """c_t(residual (x) O(-1)), the source of the multiplication map."""
     _, residual = bundle_characters(d)
-    return twist(chern_series_from_character(residual, d), int(residual.c0))
+    return twist(chern_series(residual, d), int(residual.c0))
+
+
+def target_series(d: int) -> tuple:
+    """c_t(sections^*), the target of the multiplication map."""
+    sections, _ = bundle_characters(d)
+    return chern_series(sections, d, dual=True)
 
 
 def schoolbook_dot(a, b) -> tuple:

@@ -18,6 +18,7 @@ KNOWN_STALE = {
     "trisecant.ring.ChernSeries.inverse",
     "trisecant.porteous.determinant_cofactor",
     "trisecant.porteous.source_chern_series",
+    "trisecant.porteous.target_chern_series",
     "trisecant.porteous.twist_by_hyperplane",
 }
 

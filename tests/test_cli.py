@@ -272,18 +272,20 @@ def test_verify_runs_one_recurrence_per_d(monkeypatch):
 
 def test_verify_builds_no_series_on_a_passing_run(monkeypatch):
     """The battery compares the graded kernel's integer columns: a passing
-    run constructs no ``ChernSeries``, and classes only where a check reads
-    one."""
-    from trisecant.ring import ChernSeries
+    run turns no columns into a series of classes (``_graded._classes``, which
+    every public series function returns through), and builds classes only
+    where a check reads one."""
+    from trisecant import _graded, porteous
 
     built = []
-    original = ChernSeries.__init__
+    original = _graded._classes
 
-    def counting(self, coeffs, order=None):
-        built.append(order)
-        original(self, coeffs, order)
+    def counting(d, columns):
+        built.append(d)
+        return original(d, columns)
 
-    monkeypatch.setattr(ChernSeries, "__init__", counting)
+    for module in (_graded, porteous):
+        monkeypatch.setattr(module, "_classes", counting)
     assert verify_checks(8, 14).passed
     assert built == []
 
@@ -405,11 +407,11 @@ def test_console_help_exits_zero():
 
 def test_internal_inconsistency_exits_2_without_traceback(monkeypatch, capsys):
     import trisecant.porteous
-    from trisecant.ring import AmbientClass
 
-    monkeypatch.setattr(
-        trisecant.porteous, "_formula_coefficients", lambda d: [AmbientClass.zero(d)] * (d - 5)
-    )
+    def zero_past_c0(d, order):
+        return [1] + [0] * order, [0] * (order + 1), [0] * (order + 1)
+
+    monkeypatch.setattr(trisecant.porteous, "_formula_columns", zero_past_c0)
     assert main(["degree", "--d", "9", "--verbose"]) == EXIT_VERIFY
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err

@@ -2,7 +2,9 @@
 
 Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
-power shows up as a changed set.  Nine faults are caught by one check alone:
+power shows up as a changed set.  Each per-d counterexample must name d = 8,
+and a fault in one coefficient must name its t^k, i or n there too
+(``LOCATED``).  Ten faults are caught by one check alone:
 a wrong theta self-intersection, and a pairing that reads past the
 truncation and raises ``IndexError``, only by ``degree-berzolari``, the quoted
 count; a wrong negative-upper binomial only by ``binomial-identities``; a
@@ -11,8 +13,9 @@ only by that form's own check, ``series-binomial-expansion`` or
 ``series-exponential-form``; a lost T^2 column in the graded kernel's
 exponential only by ``series-exponential-form``, the one check that runs it;
 a faulty sum or theta product on operands no pipeline value has only by
-``ring-axioms``, whose random draws have them; and a Kunneth class shifted by
-f only by ``kunneth-relations``, through pi_* gamma = 0.
+``ring-axioms``, whose random draws have them; a doubled hyperplane class only
+by ``ring-axioms``, through h^(d-2); and a Kunneth class shifted by f only by
+``kunneth-relations``, through pi_* gamma = 0.
 
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
@@ -158,6 +161,20 @@ def coefficient_formula_off_at_3(monkeypatch):
     monkeypatch.setattr(porteous, "_formula_columns", formula)
 
 
+def pascal_first_column_off_at_3(monkeypatch):
+    """binomial(d - 2, 3) + 1 at t^3 of the first Pascal column alone, which
+    only the closed formula now reads: c_3 + h^3 there, so in the recurrence
+    too.  The degree reads the class's T^2 part alone, which first moves at
+    d = 10."""
+    original = porteous._pascal_columns
+
+    def pascal(d, order):
+        low, middle, high = original(d, order)
+        return [x + 1 if j == 3 else x for j, x in enumerate(low)], middle, high
+
+    monkeypatch.setattr(porteous, "_pascal_columns", pascal)
+
+
 def determinant_formula_off_at_top(monkeypatch):
     original = porteous.determinant_formula
 
@@ -215,6 +232,12 @@ def graded_dot_cross_term_lost(monkeypatch):
         return x0, x1, x2 - 2 * sum(map(mul, a[1], b[1]))
 
     monkeypatch.setattr(_graded, "_dot", dot)
+
+
+def hyperplane_doubled(monkeypatch):
+    """2h for the hyperplane class: 2h still has (2h)^(d-1) = 0, but
+    (2h)^(d-2) is not the single term h^(d-2).  No route reads the generator."""
+    monkeypatch.setattr(AmbientClass, "hyperplane", classmethod(lambda cls, d: cls(d, {(0, 1): 2})))
 
 
 def sum_drops_a_term_of_four(monkeypatch):
@@ -288,12 +311,14 @@ FAULTS = [
         coefficient_formula_off_at_3,
         {"chern-coefficient-formula"} | RECURRENCE_THREE,
     ),
+    (pascal_first_column_off_at_3, {"chern-coefficient-formula"} | RECURRENCE_THREE),
     (determinant_formula_off_at_top, RECURRENCE_THREE),
     (segre_sign_flipped, {"determinant-three-way", "degree-berzolari"}),
     (expansion_top_bumped, {"series-binomial-expansion"}),
     (exponential_form_top_bumped, {"series-exponential-form"}),
     (graded_exp_t_squared_zeroed, {"series-exponential-form"}),
     (graded_dot_cross_term_lost, SERIES_FIVE | {"determinant-closed-form"}),
+    (hyperplane_doubled, {"ring-axioms"}),
     (sum_drops_a_term_of_four, {"ring-axioms"}),
     (theta_product_drops_t_squared, {"ring-axioms"}),
     (pairing_reads_past_the_top, {"degree-berzolari"}),
@@ -304,6 +329,27 @@ FAULTS = [
     ),
 ]
 
+# The start of a per-d counterexample, where a fault names more than d = 8:
+# the t^k, i or n of its one coefficient, or the first d it reaches.
+LOCATED = {
+    expansion_top_bumped: {
+        "series-binomial-expansion": "d=8: quotient != binomial expansion at t^3: ",
+    },
+    exponential_form_top_bumped: {
+        "series-exponential-form": "d=8: quotient != exponential form at t^3: ",
+    },
+    determinant_formula_off_at_top: {"determinant-closed-form": "d=8, n=3: "},
+    coefficient_formula_off_at_3: {
+        "chern-coefficient-formula": "d=8, i=3: ",
+        "determinant-closed-form": "d=8, n=3: ",
+    },
+    pascal_first_column_off_at_3: {
+        "chern-coefficient-formula": "d=8, i=3: ",
+        "determinant-closed-form": "d=8, n=3: ",
+        "degree-berzolari": "d=10: ",
+    },
+}
+
 
 @pytest.mark.parametrize("fault, expected", FAULTS, ids=[fault.__name__ for fault, _ in FAULTS])
 def test_fault_fails_exactly_its_checks(fault, expected, monkeypatch):
@@ -312,5 +358,6 @@ def test_fault_fails_exactly_its_checks(fault, expected, monkeypatch):
     report = cli.verify_checks(8, 14)
     failed = {check.name: check.counterexample for check in report.checks if not check.passed}
     assert set(failed) == expected
+    located = LOCATED.get(fault, {})
     for name in PER_D & set(failed):
-        assert failed[name].startswith(("d=8: ", "d=8, ")), failed[name]
+        assert failed[name].startswith(located.get(name, ("d=8: ", "d=8, "))), failed[name]

@@ -19,34 +19,35 @@ from trisecant.porteous import (
     METHODS,
     chern_coefficient_formula,
     chern_coefficients,
-    chern_series_from_character,
     determinant_formula,
     determinant_segre,
     porteous_class,
     recurrence_determinants,
-    target_chern_series,
     virtual_chern_series,
     virtual_chern_series_closed_form,
     virtual_chern_series_expansion,
 )
 from trisecant.riemann_roch import bundle_characters
-from trisecant.ring import AmbientClass, ChernSeries, ThetaPoly, TruncatedClass
+from trisecant.ring import AmbientClass, ThetaPoly, TruncatedClass
 
 from series_reference import (
     binomial_column,
+    chern_series,
     formula_triple,
     series_add,
     series_exp,
     series_inverse,
     series_mul,
     source_series,
+    target_series,
+    to_order,
     twist,
 )
 
 
 def _repeated_product(series, n):
     """``series`` to the n-th power as n plain series products."""
-    one = ChernSeries([series.coeffs[0].one_like()], series.order)
+    one = to_order([series[0].one_like()], len(series) - 1)
     return reduce(series_mul, [series] * n, one)
 
 
@@ -54,21 +55,18 @@ def test_surface_bundle_chern_series_is_exponential():
     # A bundle with character r - T has total Chern series e^(-T t).
     d = 8
     sections, _ = bundle_characters(d)
-    series = chern_series_from_character(sections, d)
     theta = AmbientClass.theta(d)
-    assert series.coefficient(0) == AmbientClass.one(d)
-    assert series.coefficient(1) == -theta
-    assert series.coefficient(2) == theta * theta * Fraction(1, 2)
-    assert series.coefficient(3) == AmbientClass.zero(d)
+    expected = (AmbientClass.one(d), -theta, theta * theta * Fraction(1, 2), AmbientClass.zero(d))
+    assert chern_series(sections, d)[:4] == expected
 
 
 def test_dualizing_negates_only_the_odd_part():
     d = 8
     sections, _ = bundle_characters(d)
-    plain = chern_series_from_character(sections, d)
-    dual = chern_series_from_character(sections, d, dual=True)
-    assert dual.coefficient(1) == -plain.coefficient(1)
-    assert dual.coefficient(2) == plain.coefficient(2)
+    plain = chern_series(sections, d)
+    dual = chern_series(sections, d, dual=True)
+    assert dual[1] == -plain[1]
+    assert dual[2] == plain[2]
 
 
 def test_second_chern_class_subtracts_ch2():
@@ -78,9 +76,8 @@ def test_second_chern_class_subtracts_ch2():
     d = 8
     theta = AmbientClass.theta(d)
     for dual, c1 in ((False, theta), (True, -theta)):
-        series = chern_series_from_character(ThetaPoly(3, 1, 1), d, dual=dual)
-        assert series.coefficient(1) == c1
-        assert series.coefficient(2) == theta * theta * Fraction(-1, 2)
+        series = chern_series(ThetaPoly(3, 1, 1), d, dual=dual)
+        assert series[1:3] == (c1, theta * theta * Fraction(-1, 2))
 
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -91,45 +88,39 @@ characters = st.builds(ThetaPoly, small_fractions, small_fractions, small_fracti
 def test_chern_triples_follow_the_character(character, dual, d):
     """The triples hold c1 = ch_1 (negated when dual) and twice the T^2 part
     of c2 = ch_1 * ch_1 / 2 - ch_2, computed here in ``ThetaPoly``
-    arithmetic, with integral entries as ints; the series built from them
-    has order d - 5 and is zero past t^2."""
+    arithmetic, with integral entries as ints; the classes built from them
+    are 1, c1 and c2."""
     ch1 = ThetaPoly(0, character.c1)
     c1 = -ch1 if dual else ch1
     c2 = ch1 * ch1 * Fraction(1, 2) - ThetaPoly(0, 0, character.c2)
     triples = porteous._chern_triples(character, dual)
     assert triples == [(1, 0, 0), (0, c1.c1, 0), (0, 0, 2 * c2.c2)]
     assert all(isinstance(x, int) for t in triples for x in t if x == int(x))
-    expected = ChernSeries(
-        [AmbientClass.one(d), AmbientClass(d, {(1, 0): c1.c1}), AmbientClass(d, {(2, 0): c2.c2})],
-        d - 5,
+    expected = (
+        AmbientClass.one(d), AmbientClass(d, {(1, 0): c1.c1}), AmbientClass(d, {(2, 0): c2.c2})
     )
-    assert chern_series_from_character(character, d, dual) == expected
+    assert _graded._classes(d, list(zip(*triples))) == expected
 
 
 def test_twist_of_trivial_series_is_binomial():
     d, order = 8, 5
     one = AmbientClass.one(d)
     h = AmbientClass.hyperplane(d)
-    trivial = ChernSeries([one], order)
-    twisted = twist(trivial, 3)
+    twisted = twist(to_order([one], order), 3)
     # (1 - h t)^3
-    assert twisted.coefficient(0) == one
-    assert twisted.coefficient(1) == h * (-3)
-    assert twisted.coefficient(2) == h * h * 3
-    assert twisted.coefficient(3) == h ** 3 * (-1)
-    assert twisted.coefficient(4) == AmbientClass.zero(d)
+    assert twisted[:5] == (one, h * (-3), h * h * 3, h ** 3 * (-1), AmbientClass.zero(d))
 
 
 def test_twist_validation():
     d = 8
     one = AmbientClass.one(d)
-    trivial = ChernSeries([one], 4)
+    trivial = to_order([one], 4)
     with pytest.raises(ValueError):
-        twist(ChernSeries([one * 2], 4), 3)
+        twist(to_order([one * 2], 4), 3)
     with pytest.raises(ValueError):
         twist(trivial, -1)
     with pytest.raises(TypeError):
-        twist(ChernSeries([ThetaPoly.one()], 4), 3)
+        twist(to_order([ThetaPoly.one()], 4), 3)
 
 
 def _twist_by_binomials(triples, rank, k):
@@ -168,7 +159,7 @@ def test_twist_refuses_a_non_homogeneous_coefficient(i):
     coeffs = [AmbientClass.one(d), AmbientClass.hyperplane(d), AmbientClass.theta(d) ** 2]
     coeffs[i] = coeffs[i] + 1
     with pytest.raises(ArithmeticError, match=rf"c_{i} = .* is not homogeneous of degree {i}"):
-        twist(ChernSeries(coeffs, 4), 3)
+        twist(to_order(coeffs, 4), 3)
 
 
 def test_segre_route_validates_the_source_like_the_twist(monkeypatch):
@@ -201,17 +192,18 @@ def test_routes_refuse_a_target_not_starting_at_1(monkeypatch, route):
 
 def test_multiplication_map_bundles_shape():
     """The source is the residual bundle (rank d - 4) twisted by O(-1); the
-    target is the dual of the sections bundle (rank 2), untwisted."""
+    target is the dual of the sections bundle (rank 2), untwisted: both as
+    the routes read them."""
     d = 9
     sections, residual = bundle_characters(d)
     assert residual.c0 == d - 4
     assert sections.c0 == 2
-    residual_series = chern_series_from_character(residual, d)
-    assert source_series(d) == twist(residual_series, d - 4)
+    source, target = porteous._source_and_target(d, range(d - 4))
+    residual_series = chern_series(residual, d)
+    assert _graded._classes(d, list(zip(*source))) == twist(residual_series, d - 4)
     assert source_series(d) != residual_series
-    sections_dual = chern_series_from_character(sections, d, dual=True)
-    assert target_chern_series(d) == sections_dual
-    assert target_chern_series(d) != chern_series_from_character(sections, d)
+    assert list(zip(*target)) == porteous._chern_triples(sections, dual=True)
+    assert list(zip(*target)) != porteous._chern_triples(sections)
 
 
 @pytest.mark.parametrize("d", (8, 13, 30))
@@ -224,19 +216,19 @@ def test_twist_matches_substitution_reference(d):
     one = AmbientClass.one(d)
     h = AmbientClass.hyperplane(d)
     theta = AmbientClass.theta(d)
-    t = ChernSeries([AmbientClass.zero(d), one], order)
+    t = to_order([AmbientClass.zero(d), one], order)
     coefficients = [
         one,
         theta * -1 + h * Fraction(3, 2),
         theta * theta * Fraction(5, 2) - theta * h,
         theta * h * h * 7 + h ** 3,
     ]
-    series = ChernSeries(coefficients, order)
-    one_minus = ChernSeries([one, -h], order)
+    series = to_order(coefficients, order)
+    one_minus = to_order([one, -h], order)
     u = series_mul(t, series_inverse(one_minus))
-    substituted = ChernSeries([coefficients[-1]], order)
+    substituted = to_order([coefficients[-1]], order)
     for c in reversed(coefficients[:-1]):
-        substituted = series_add(series_mul(substituted, u), ChernSeries([c], order))
+        substituted = series_add(series_mul(substituted, u), to_order([c], order))
     for rank in (0, 1, 2, d - 4):
         reference = series_mul(_repeated_product(one_minus, rank), substituted)
         assert twist(series, rank) == reference, rank
@@ -244,8 +236,8 @@ def test_twist_matches_substitution_reference(d):
 
 def test_source_and_target_series_constants():
     d = 10
-    assert source_series(d).coefficient(0) == AmbientClass.one(d)
-    assert target_chern_series(d).coefficient(0) == AmbientClass.one(d)
+    assert source_series(d)[0] == AmbientClass.one(d)
+    assert target_series(d)[0] == AmbientClass.one(d)
 
 
 @pytest.mark.parametrize("d", (8, 10, 13))
@@ -255,9 +247,9 @@ def test_twisted_series_exponential_forms(d):
     one = AmbientClass.one(d)
     h = AmbientClass.hyperplane(d)
     theta = AmbientClass.theta(d)
-    t_theta = ChernSeries([AmbientClass.zero(d), theta], order)
-    assert target_chern_series(d) == series_exp(t_theta)
-    one_minus = ChernSeries([one, -h], order)
+    t_theta = to_order([AmbientClass.zero(d), theta], order)
+    assert target_series(d) == series_exp(t_theta)
+    one_minus = to_order([one, -h], order)
     argument = series_mul(series_mul(t_theta, series_inverse(one_minus)), -1)
     expected_source = series_mul(_repeated_product(one_minus, d - 4), series_exp(argument))
     assert source_series(d) == expected_source
@@ -293,15 +285,15 @@ def test_coefficient_formula_range():
 
 
 def test_chern_coefficients_refuses_a_formula_mismatch(monkeypatch):
-    """The division is checked against the closed formula at every index."""
-    formula = porteous._formula_coefficients
+    """The division is checked against the closed formula at every index:
+    c_2 + h^2 in the formula's columns is refused at i = 2."""
+    formula = porteous._formula_columns
 
-    def shifted(d):
-        values = formula(d)
-        values[1] += AmbientClass(d, {(0, 2): 1})
-        return values
+    def shifted(d, order):
+        x0, x1, x2 = formula(d, order)
+        return [x + 1 if i == 2 else x for i, x in enumerate(x0)], x1, x2
 
-    monkeypatch.setattr(porteous, "_formula_coefficients", shifted)
+    monkeypatch.setattr(porteous, "_formula_columns", shifted)
     with pytest.raises(ArithmeticError, match="i=2, d=9"):
         chern_coefficients(9)
 
@@ -339,11 +331,11 @@ def test_recurrence_route_calls_no_binomial(monkeypatch, d):
 def test_segre_quotient_matches_recurrence_determinants():
     """(-1)^m [t^m] c_t(source) / c_t(target) is the m-th banded determinant."""
     for d in (8, 9, 13, 30):
-        quotient = series_mul(source_series(d), series_inverse(target_chern_series(d)))
+        quotient = series_mul(source_series(d), series_inverse(target_series(d)))
         dets = recurrence_determinants(d)
         for m in range(d - 4):
             sign = 1 if m % 2 == 0 else -1
-            assert quotient.coefficient(m) * sign == dets[m], (d, m)
+            assert quotient[m] * sign == dets[m], (d, m)
         assert determinant_segre(d) == dets[d - 5]
 
 
@@ -353,8 +345,8 @@ def test_segre_reads_the_whole_quotient_coefficient(d):
     quotient c_t(source) / c_t(target), n = d - 5; the test above covers
     d = 8 and 9 through the banded determinants."""
     n = d - 5
-    quotient = series_mul(source_series(d), series_inverse(target_chern_series(d)))
-    assert determinant_segre(d) == quotient.coefficient(n) * (-1) ** n
+    quotient = series_mul(source_series(d), series_inverse(target_series(d)))
+    assert determinant_segre(d) == quotient[n] * (-1) ** n
 
 
 def test_segre_cost_does_not_grow_with_d(monkeypatch):
