@@ -8,7 +8,9 @@ products, not six: the middle entry is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
 and X2 reuses a1 b1.  A series is three columns of such entries.  One solver
 gives its quotients and its exponential, which it reads off the columns of
 t d/dt of the exponent; it divides each step by a divisor only where one is
-given, which is the exponential's, as a quotient's is 1.  Callers hand in
+given, which is the exponential's, as a quotient's is 1.  Where only the last
+quotient is needed, ``_solve_top`` runs the solve to the middle and takes one
+Newton step of series inversion, about half the products.  Callers hand in
 columns and take columns back; the truncation h^(d-1) = 0 is graded, so it
 commutes with the kernel and is applied once, where a column entry becomes
 an ``AmbientClass`` term, and a series becomes the tuple of its classes.
@@ -96,6 +98,43 @@ def _solve(columns, divisor=None, numerator=((1,), (0,), (0,))) -> list[list]:
         q2.append(x2)
         q01.append(x0 + x1)
     return q
+
+
+def _times(a, b) -> tuple:
+    """The graded product of two triples: (a0 b0, a0 b1 + a1 b0, a0 B2 + 2 a1 b1 + A2 b0)."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + 2 * a1 * b1 + a2 * b0
+
+
+def _solve_top(columns) -> tuple:
+    """The last entry q_n of ``_solve(columns)``, n >= 1 the order of c, from
+    half the recurrence and one Newton step of series inversion (Brent and
+    Kung, J. ACM 25, 1978).  q is 1/g for g = 1 - sum_(k>=1) c_k t^k, and
+    ``_solve`` to h = n // 2 + 1 terms gives Q = q mod t^h.  As g Q = 1 + O(t^h),
+    Q (2 - g Q) = q mod t^(2h), and h <= n < 2h, so
+
+        q_n = sum_(i,j<h) q_i q_j f_(n-i-j),   f = -g = -1 + sum_(k>=1) c_k t^k.
+
+    Row i of the sum is q_i times s_i = 2 sum_(j>=i) q_j f_(n-i-j) - q_i f_(n-2i),
+    each pair i < j formed once: h graded dots of q[i:] against f reversed
+    from f_(n-2i), then one dot of q with s, about half the products of
+    the full solve."""
+    n = len(columns[0]) - 1
+    if n < 1:
+        raise ValueError("the Newton step needs an order n >= 1")
+    h = n // 2 + 1
+    q = _solve([column[:h] for column in columns])
+    q01 = _summed(q)
+    # backwards[.][m] is f_(n-m): c_n, ..., c_1, then f_0 = -1.
+    backwards = [[*column[:0:-1], x] for column, x in zip(columns, (-1, 0, 0))]
+    backwards01 = _summed(backwards)
+    s = [[], [], []]
+    for i in range(h):
+        row = _dot([c[i:] for c in q], [c[2 * i:] for c in backwards], q01[i:], backwards01[2 * i:])
+        diagonal = _times([c[i] for c in q], [c[2 * i] for c in backwards])
+        for column, x, y in zip(s, row, diagonal):
+            column.append(2 * x - y)
+    return _dot(q, s, q01, _summed(s))
 
 
 def _quotient(numerator, columns) -> list[list]:

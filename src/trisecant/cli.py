@@ -328,11 +328,10 @@ def check_series_binomial_expansion(d: int, stage: Stage) -> str | None:
 
 def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     """Segre quotient, recurrence and closed form must produce the same class.
-    The recurrence is the stage's, on the formula's coefficients, which
+    The recurrence is the route's, on the formula's coefficients, which
     ``chern-coefficient-formula`` holds equal to the division's."""
-    segre = stage.segre
-    recurrence = _coefficient(d, stage.determinants, d - 5)
-    closed = determinant_formula(d - 5, d)
+    segre, closed = stage.segre, determinant_formula(d - 5, d)
+    recurrence = porteous_class(d, "recurrence")
     if not (segre == recurrence == closed):
         return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
     return None
@@ -341,8 +340,8 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
 def check_determinant_closed_form(d: int, stage: Stage) -> str | None:
     """Every banded determinant of size >= 3 against the closed form."""
     for n in range(3, d - 4):
-        closed, recurrence = determinant_formula(n, d), _coefficient(d, stage.determinants, n)
-        if closed != recurrence:
+        if porteous._closed_triple(n, d) != tuple(c[n] for c in stage.determinants):
+            closed, recurrence = determinant_formula(n, d), _coefficient(d, stage.determinants, n)
             return f"d={d}, n={n}: closed form != recurrence: {closed} vs {recurrence}"
     return None
 

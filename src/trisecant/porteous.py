@@ -27,12 +27,16 @@ built.
 Each c_k here is homogeneous of degree k, so every series form and the
 recurrence are the graded kernel's integer columns (x0, x1, X2): the
 division solves the target's triples over the twisted source's, the
-recurrence the formula's triples, the exponential form is one exp of an
-exponent written down in closed form, and the binomial expansion sums
-shifted Pascal columns.  Each column function ``_<form>_columns`` has one
-public wrapper that builds the classes, once, on the way out, and returns
-them as the tuple c_0..c_(d-5); ``trisecant verify`` compares the columns
-themselves.
+recurrence the formula's signed triples (``_recurrence_columns``), the
+exponential form is one exp of an exponent written down in closed form, and
+the binomial expansion sums shifted Pascal columns.  Each column function
+``_<form>_columns`` has one public wrapper that builds the classes, once, on
+the way out, and returns them as the tuple c_0..c_(d-5); ``trisecant
+verify`` compares the columns themselves.  The recurrence route needs one
+determinant, the last: it runs the recurrence to the middle and then one
+Newton step (``_graded._solve_top``), while ``recurrence_determinants`` and
+``verify``, which read every size, run the full recurrence.  The closed
+determinant form has one home, the integer triple ``_closed_triple``.
 
 The closed binomial formula for c_i (``_formula_columns``) and the
 expansion's binomial tail read three columns of Pascal's triangle, built per
@@ -42,7 +46,6 @@ per entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
 from . import _graded
@@ -288,14 +291,19 @@ def determinant_segre(d: int) -> AmbientClass:
     return _ambient(d, n, [x * (-1) ** n for x in triple])
 
 
+def _recurrence_columns(d: int) -> list[list]:
+    """The c the determinants' recurrence solves: the closed formula's
+    columns of c_0..c_(d-5) with the sign (-1)^(i-1) put on those of c_i,
+    the one sign convention of the full solve and of the route's top."""
+    columns = _formula_columns(d, d - 5)
+    return [[x if i % 2 else -x for i, x in enumerate(column)] for column in columns]
+
+
 def _determinant_columns(d: int) -> list[list]:
     """The graded kernel's columns of the determinants of
-    :func:`recurrence_determinants`, solved on the closed formula's integer
-    triples with the sign (-1)^(i-1) put on the columns of c_i."""
+    :func:`recurrence_determinants`: every size, by the full solve."""
     _require_degree(d)
-    columns = _formula_columns(d, d - 5)
-    signed = [[x if i % 2 else -x for i, x in enumerate(column)] for column in columns]
-    return _solve(signed)
+    return _solve(_recurrence_columns(d))
 
 
 def recurrence_determinants(d: int) -> tuple[AmbientClass, ...]:
@@ -321,11 +329,18 @@ def determinant_formula(n: int, d: int) -> AmbientClass:
         raise ValueError("the closed determinant form starts at n = 3; use the recurrence below that")
     if n > d - 5:
         raise ValueError(f"determinant size must not exceed d - 5 = {d - 5}")
-    return AmbientClass(d, {
-        (0, n): binomial(d - 4, n),
-        (1, n - 1): binomial(d - 3, n) - binomial(d - 5, n),
-        (2, n - 2): Fraction(binomial(d - 2, n) + binomial(d - 6, n), 2) - binomial(d - 4, n),
-    })
+    return _ambient(d, n, _closed_triple(n, d))
+
+
+def _closed_triple(n: int, d: int) -> tuple:
+    """The closed form of the n-th banded determinant as the graded kernel's
+    integer triple (x0, x1, X2) of h^n, T h^(n-1) and 2 T^2 h^(n-2)."""
+    middle = binomial(d - 4, n)
+    return (
+        middle,
+        binomial(d - 3, n) - binomial(d - 5, n),
+        binomial(d - 2, n) + binomial(d - 6, n) - 2 * middle,
+    )
 
 
 def porteous_class(d: int, method: str = "segre") -> AmbientClass:
@@ -335,7 +350,7 @@ def porteous_class(d: int, method: str = "segre") -> AmbientClass:
     if method == "segre":
         return determinant_segre(d)
     if method == "recurrence":
-        return _ambient(d, d - 5, [column[-1] for column in _determinant_columns(d)])
+        return _ambient(d, d - 5, _graded._solve_top(_recurrence_columns(d)))
     if method == "closed-form":
         return determinant_formula(d - 5, d)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

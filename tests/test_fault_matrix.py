@@ -4,7 +4,7 @@ Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
 power shows up as a changed set.  Each per-d counterexample must name d = 8,
 and a fault in one coefficient must name its t^k, i or n there too
-(``LOCATED``).  Ten faults are caught by one check alone:
+(``LOCATED``).  Eleven faults are caught by one check alone:
 a wrong theta self-intersection, and a pairing that reads past the
 truncation and raises ``IndexError``, only by ``degree-berzolari``, the quoted
 count; a wrong negative-upper binomial only by ``binomial-identities``; a
@@ -12,6 +12,8 @@ wrong top coefficient of the binomial expansion or of the exponential form
 only by that form's own check, ``series-binomial-expansion`` or
 ``series-exponential-form``; a lost T^2 column in the graded kernel's
 exponential only by ``series-exponential-form``, the one check that runs it;
+a Newton step that keeps its diagonal term only by ``determinant-three-way``,
+the one check that runs the recurrence route's top;
 a faulty sum or theta product on operands no pipeline value has only by
 ``ring-axioms``, whose random draws have them; a doubled hyperplane class only
 by ``ring-axioms``, through h^(d-2); and a Kunneth class shifted by f only by
@@ -136,16 +138,16 @@ def negative_binomial_off_at_k2(monkeypatch):
 
 
 def c2_bumped_into_recurrence(monkeypatch):
-    """c_2 + T^2 in the recurrence alone.  Its solve reads the formula's
-    columns signed by (-1)^(i-1), so c_2's doubled T^2 part X2 goes in
-    negated, and lowering it by 2 raises c_2 by T^2."""
-    original = porteous._solve
+    """c_2 + T^2 in the recurrence alone.  Both its full solve and the
+    route's top read the formula's columns signed by (-1)^(i-1), so c_2's
+    doubled T^2 part X2 goes in negated, and lowering it by 2 raises c_2 by T^2."""
+    original = porteous._recurrence_columns
 
-    def bumped(columns, divisor=None):
-        x0, x1, x2 = columns
-        return original([x0, x1, [*x2[:2], x2[2] - 2, *x2[3:]]], divisor)
+    def bumped(d):
+        x0, x1, x2 = original(d)
+        return [x0, x1, [*x2[:2], x2[2] - 2, *x2[3:]]]
 
-    monkeypatch.setattr(porteous, "_solve", bumped)
+    monkeypatch.setattr(porteous, "_recurrence_columns", bumped)
 
 
 def coefficient_formula_off_at_3(monkeypatch):
@@ -176,13 +178,16 @@ def pascal_first_column_off_at_3(monkeypatch):
 
 
 def determinant_formula_off_at_top(monkeypatch):
-    original = porteous.determinant_formula
+    """T^2 h^(n-2) added to the closed form's top determinant, n = d - 5: its
+    triple's X2, twice the T^2 part, raised by 2, which the public class and
+    the check's integer comparison both read."""
+    original = porteous._closed_triple
 
-    def formula(n, d):
-        value = original(n, d)
-        return value + AmbientClass(d, {(2, n - 2): 1}) if n == d - 5 else value
+    def triple(n, d):
+        x0, x1, x2 = original(n, d)
+        return (x0, x1, x2 + 2) if n == d - 5 else (x0, x1, x2)
 
-    _rebind(monkeypatch, original, formula)
+    monkeypatch.setattr(porteous, "_closed_triple", triple)
 
 
 def _top_t_squared_bumped(form):
@@ -232,6 +237,14 @@ def graded_dot_cross_term_lost(monkeypatch):
         return x0, x1, x2 - 2 * sum(map(mul, a[1], b[1]))
 
     monkeypatch.setattr(_graded, "_dot", dot)
+
+
+def newton_diagonal_kept(monkeypatch):
+    """The Newton step of the recurrence route's top forms each pair i < j
+    once, doubled, and takes the diagonal term q_i q_i f_(n-2i) off once; here
+    it is not taken off, so it counts twice.  Only the route reads the step:
+    the stage's full solve, which two checks read, does not."""
+    monkeypatch.setattr(_graded, "_times", lambda a, b: (0, 0, 0))
 
 
 def hyperplane_doubled(monkeypatch):
@@ -318,6 +331,7 @@ FAULTS = [
     (exponential_form_top_bumped, {"series-exponential-form"}),
     (graded_exp_t_squared_zeroed, {"series-exponential-form"}),
     (graded_dot_cross_term_lost, SERIES_FIVE | {"determinant-closed-form"}),
+    (newton_diagonal_kept, {"determinant-three-way"}),
     (hyperplane_doubled, {"ring-axioms"}),
     (sum_drops_a_term_of_four, {"ring-axioms"}),
     (theta_product_drops_t_squared, {"ring-axioms"}),

@@ -33,8 +33,14 @@ COMMANDS = [
     ("degree_d17_verbose", ["degree", "--d", "17", "--verbose"]),
     ("degree_d37_verbose_json", ["degree", "--d", "37", "--verbose", "--format", "json"]),
     ("degree_d160_json", ["degree", "--d", "160", "--format", "json"]),
+    (
+        "degree_d400_recurrence_json",
+        ["degree", "--d", "400", "--method", "recurrence", "--format", "json"],
+    ),
     ("table_d8_d60", ["table", "--d-min", "8", "--d-max", "60"]),
+    ("table_d8_d60_json", ["table", "--d-min", "8", "--d-max", "60", "--format", "json"]),
     ("verify_d20_json", ["verify", "--d-max", "20", "--format", "json"]),
+    ("verify_d40", ["verify", "--d-max", "40"]),
     ("walkthrough_d9", [str(WALKTHROUGH), "--d", "9"]),
 ]
 

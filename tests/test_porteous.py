@@ -514,11 +514,8 @@ def test_recurrence_route_cost_does_not_grow_with_d(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("d", [20, 60])
-def test_recurrence_route_makes_five_products_per_entry_and_step(monkeypatch, d):
-    """Step m of the recurrence's solve makes five scalar dot products of m
-    entries each, one fewer than the six cross terms of the graded product,
-    so d_1..d_n, n = d - 5, cost 5 n (n + 1) / 2 integer products in all."""
+def _products(monkeypatch, call) -> int:
+    """The scalar products the graded kernel's dots make during ``call()``."""
     products = 0
 
     def counted(x, y):
@@ -527,6 +524,35 @@ def test_recurrence_route_makes_five_products_per_entry_and_step(monkeypatch, d)
         return x * y
 
     monkeypatch.setattr(_graded, "mul", counted)
-    porteous_class(d, "recurrence")
+    call()
+    return products
+
+
+@pytest.mark.parametrize("d", [20, 60])
+def test_recurrence_solve_makes_five_products_per_entry_and_step(monkeypatch, d):
+    """Step m of the determinants' full solve makes five scalar dot products
+    of m entries each, one fewer than the six cross terms of the graded
+    product, so d_1..d_n, n = d - 5, cost 5 n (n + 1) / 2 integer products in all."""
     n = d - 5
-    assert products == 5 * n * (n + 1) // 2
+    assert _products(monkeypatch, lambda: porteous._determinant_columns(d)) == 5 * n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("d, count", [(20, 360), (60, 4060)])
+def test_recurrence_route_makes_half_the_products(monkeypatch, d, count):
+    """The route's top solves to h = n // 2 + 1 terms, 5 (h - 1) h / 2
+    products, then dots q[i:] against the reversed series for each i < h,
+    5 h (h + 1) / 2, and q against the rows, 5 h: 5 h (h + 1) in all, about
+    half the full solve's 5 n (n + 1) / 2 (600 and 7700 here)."""
+    h = (d - 5) // 2 + 1
+    made = _products(monkeypatch, lambda: porteous_class(d, "recurrence"))
+    assert made == count == 5 * h * (h + 1)
+
+
+def test_recurrence_route_top_is_the_full_solve_s_last_entry():
+    """The route's top, from half the recurrence and one Newton step, against
+    the last entry of the full solve on the same signed formula columns, for
+    every d in [8, 160] and at d = 200, 300 and 400: the full solves for
+    every d in [161, 400] would add about 20 s."""
+    for d in [*range(8, 161), 200, 300, 400]:
+        columns = porteous._recurrence_columns(d)
+        assert _graded._solve_top(columns) == tuple(c[-1] for c in _graded._solve(columns)), d

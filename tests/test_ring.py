@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisecant._graded import _dot, _solve
+from trisecant._graded import _dot, _solve, _solve_top
 from trisecant.riemann_roch import CurveClass, UpstreamClass
 from trisecant.ring import AmbientClass, RingMismatchError, ThetaPoly
 
@@ -591,11 +591,11 @@ def test_graded_product_matches_series_product(series, cut, scale):
     assert graded_exp_product(factor, argument) == series_mul(factor, exp)
 
 
-def column_triples(size):
+def column_triples(size, bound=10 ** 6):
     """Three signed int columns of one length whose x1 entries are all nonzero,
     so the summed column x0 + x1 differs from x0 at every index."""
-    column = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=size, max_size=size)
-    nonzero = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+    column = st.lists(st.integers(-bound, bound), min_size=size, max_size=size)
+    nonzero = st.integers(-bound, bound).filter(bool)
     return st.tuples(column, st.lists(nonzero, min_size=size, max_size=size), column)
 
 
@@ -628,6 +628,24 @@ def test_graded_solve_meets_its_recurrence(divisor, data, order, size):
         n = [column[m] if m < size else 0 for column in numerator]
         scale = divisor(m) if divisor else 1
         assert [scale * column[m] for column in q] == [x + y for x, y in zip(dot, n)]
+
+
+@settings(max_examples=20)
+@given(column_triples(41, 99))
+def test_graded_solve_top_is_the_solve_s_last_entry(columns):
+    """Half the recurrence and one Newton step give the last entry of the
+    full solve on random columns of every order from 1 to 40, the prefixes
+    of one draw, its entries and its draws kept few so that 40 orders stay
+    cheap; c_0 is random too, and neither reads it."""
+    for order in range(1, 41):
+        prefix = [column[: order + 1] for column in columns]
+        assert _solve_top(prefix) == tuple(column[-1] for column in _solve(prefix)), order
+
+
+def test_graded_solve_top_refuses_order_zero():
+    """At order 0 no Newton step fits (it needs h <= n < 2h), so the top refuses."""
+    with pytest.raises(ValueError, match="order n >= 1"):
+        _solve_top([[1], [0], [0]])
 
 
 def test_graded_exp_needs_constant_term_zero():
