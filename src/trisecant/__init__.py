@@ -8,6 +8,10 @@ degree is read off against the theta self-intersection.  Three independent
 routes to that class (a Segre-class quotient, a banded determinant
 recurrence and its closed form) and a classical count cross-check every
 answer.
+
+Each quantity has one public accessor: ``chern_coefficients`` for the c_i,
+``porteous_class`` (with ``determinant_segre`` and ``determinant_formula``)
+for the determinants, and ``secant3_degree`` for the degree.
 """
 
 from .degree import (
@@ -20,18 +24,12 @@ from .degree import (
 )
 from .porteous import (
     METHODS,
-    chern_coefficient_formula,
     chern_coefficients,
     determinant_formula,
     determinant_segre,
     porteous_class,
-    recurrence_determinants,
-    virtual_chern_series,
-    virtual_chern_series_closed_form,
-    virtual_chern_series_expansion,
 )
 from .riemann_roch import (
-    CurveClass,
     UpstreamClass,
     bundle_characters,
     line_bundle_character,
@@ -41,19 +39,17 @@ from .riemann_roch import (
     riemann_roch_pushforward,
     todd_from_chern,
 )
-from .ring import AmbientClass, Rational, RingMismatchError, ThetaPoly
+from .ring import AmbientClass, RingMismatchError, ThetaPoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # rings
-    "Rational",
     "RingMismatchError",
     "ThetaPoly",
     "AmbientClass",
     # upstream cohomology and Riemann-Roch
-    "CurveClass",
     "UpstreamClass",
     "todd_from_chern",
     "pushforward_to_picard",
@@ -64,14 +60,9 @@ __all__ = [
     "bundle_characters",
     # Porteous pipeline
     "METHODS",
-    "virtual_chern_series",
-    "virtual_chern_series_closed_form",
-    "virtual_chern_series_expansion",
-    "chern_coefficient_formula",
     "chern_coefficients",
     "determinant_segre",
     "determinant_formula",
-    "recurrence_determinants",
     "porteous_class",
     # degrees
     "binomial",

@@ -35,7 +35,6 @@ from ._graded import _coefficient, _difference
 from .degree import berzolari, class_degree, secant3_degree, verify_binomial_identities
 from .porteous import (
     METHODS,
-    chern_coefficient_formula,
     chern_coefficients,
     determinant_formula,
     determinant_segre,
@@ -201,8 +200,9 @@ def run_table(args: argparse.Namespace) -> int:
 class Stage:
     """The intermediates of one d that several checks share: the integer
     columns of the series division and of the determinants d_0..d_(d-5), read
-    through ``porteous`` so that a rebinding takes effect, and the Segre class.
-    Each is built on first use, so its cost falls to the check that first reads it."""
+    through ``porteous`` so that a rebinding takes effect, and the classes of
+    the Segre and recurrence routes, as ``degree`` computes them.  Each is
+    built on first use, so its cost falls to the check that first reads it."""
 
     d: int
 
@@ -217,6 +217,10 @@ class Stage:
     @cached_property
     def segre(self) -> AmbientClass:
         return determinant_segre(self.d)
+
+    @cached_property
+    def recurrence(self) -> AmbientClass:
+        return porteous_class(self.d, "recurrence")
 
 
 def _broken_law(draw, count: int) -> tuple | None:
@@ -306,14 +310,9 @@ def check_bundle_characters(d: int, stage: Stage) -> str | None:
 
 
 def check_chern_coefficient_formula(d: int, stage: Stage) -> str | None:
-    """Series division against the closed binomial formula at every index,
-    then the division's top coefficient against the public formula's."""
+    """Series division against the closed binomial formula at every index."""
     diff = _difference(d, stage.division, porteous._formula_columns(d, d - 5))
-    if diff is None:
-        diff = d - 5, _coefficient(d, stage.division, d - 5), chern_coefficient_formula(d - 5, d)
-    if diff[1] != diff[2]:
-        return "d={}, i={}: division {} vs formula {}".format(d, *diff)
-    return None
+    return diff and "d={}, i={}: division {} vs formula {}".format(d, *diff)
 
 
 def check_series_exponential_form(d: int, stage: Stage) -> str | None:
@@ -330,8 +329,7 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
     """Segre quotient, recurrence and closed form must produce the same class.
     The recurrence is the route's, on the formula's coefficients, which
     ``chern-coefficient-formula`` holds equal to the division's."""
-    segre, closed = stage.segre, determinant_formula(d - 5, d)
-    recurrence = porteous_class(d, "recurrence")
+    segre, recurrence, closed = stage.segre, stage.recurrence, determinant_formula(d - 5, d)
     if not (segre == recurrence == closed):
         return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
     return None
@@ -353,13 +351,13 @@ def check_binomial_identities(d_min: int, d_max: int) -> str | None:
 
 
 def check_degree_berzolari(d: int, stage: Stage) -> str | None:
-    """Every determinant route against the classical count.  The closed form
-    shares nothing with the stage, so it goes through ``secant3_degree``,
-    which keeps that public entry point under the check."""
+    """Every route's class, the one ``degree`` pairs, against the classical
+    count.  The closed form shares nothing with the stage, so it goes through
+    ``secant3_degree``, which keeps that public entry point under the check."""
     reference = berzolari(d)
     degrees = {
         "segre": class_degree(stage.segre, "segre"),
-        "recurrence": class_degree(_coefficient(d, stage.determinants, d - 5), "recurrence"),
+        "recurrence": class_degree(stage.recurrence, "recurrence"),
         "closed-form": secant3_degree(d, method="closed-form"),
     }
     for method in METHODS:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .ring import AmbientClass, Rational
+from .ring import AmbientClass
 
 __all__ = [
     "THETA_SELF_INTERSECTION",
@@ -65,7 +65,7 @@ def verify_binomial_identities(sample_bound: int) -> bool:
     return True
 
 
-def degree_pairing(value: AmbientClass) -> Rational:
+def degree_pairing(value: AmbientClass) -> Fraction:
     """Integrate a top-degree class over the product space.
 
     Reads off the coefficient of T^2 * h^(d-2) and scales by the theta

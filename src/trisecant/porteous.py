@@ -29,13 +29,12 @@ recurrence are the graded kernel's integer columns (x0, x1, X2): the
 division solves the target's triples over the twisted source's, the
 recurrence the formula's signed triples (``_recurrence_columns``), the
 exponential form is one exp of an exponent written down in closed form, and
-the binomial expansion sums shifted Pascal columns.  Each column function
-``_<form>_columns`` has one public wrapper that builds the classes, once, on
-the way out, and returns them as the tuple c_0..c_(d-5); ``trisecant
-verify`` compares the columns themselves.  The recurrence route needs one
-determinant, the last: it runs the recurrence to the middle and then one
-Newton step (``_graded._solve_top``), while ``recurrence_determinants`` and
-``verify``, which read every size, run the full recurrence.  The closed
+the binomial expansion sums shifted Pascal columns.  Only the division's
+columns become classes, in ``chern_coefficients``; ``trisecant verify``
+compares the columns themselves (``_<form>_columns``).  The recurrence route
+needs one determinant, the last: it runs the recurrence to the middle and
+then one Newton step (``_graded._solve_top``), while ``verify``, which reads
+every size, runs the full recurrence (``_determinant_columns``).  The closed
 determinant form has one home, the integer triple ``_closed_triple``.
 
 The closed binomial formula for c_i (``_formula_columns``) and the
@@ -56,12 +55,7 @@ from .riemann_roch import bundle_characters
 
 __all__ = [
     "METHODS",
-    "virtual_chern_series",
-    "virtual_chern_series_closed_form",
-    "virtual_chern_series_expansion",
-    "chern_coefficient_formula",
     "chern_coefficients",
-    "recurrence_determinants",
     "determinant_segre",
     "determinant_formula",
     "porteous_class",
@@ -140,7 +134,10 @@ def _source_and_target(d: int, ks) -> tuple[list, list]:
 
 
 def _division_columns(d: int) -> list[list]:
-    """The columns of :func:`virtual_chern_series`."""
+    """c_0..c_(d-5) of c_t(target - source) by honest series division: the
+    target's triples, padded with zeros, divided by the twisted source's to
+    order d - 5 in one solve of the graded integer kernel of
+    :mod:`trisecant._graded`."""
     _require_degree(d)
     order = d - 5
     source, target = _source_and_target(d, range(order + 1))
@@ -148,24 +145,7 @@ def _division_columns(d: int) -> list[list]:
     return _quotient(padded, list(zip(*source)))
 
 
-def virtual_chern_series(d: int) -> tuple[AmbientClass, ...]:
-    """c_0..c_(d-5) of c_t(target - source) by honest series division: the
-    target's triples, padded with zeros, divided by the twisted source's to
-    order d - 5 in one solve of the graded integer kernel of
-    :mod:`trisecant._graded`, turned into classes once."""
-    return _classes(d, _division_columns(d))
-
-
 def _exponential_columns(d: int) -> list[list]:
-    """The columns of :func:`virtual_chern_series_closed_form`."""
-    _require_degree(d)
-    order = d - 5
-    x0, x1 = [0, *[d - 4] * order], [0, 2, *range(2, order + 1)]
-    # Through the module, so that a rebinding of ``_graded._exp`` takes effect.
-    return _graded._exp([x0, x1, [0] * (order + 1)])
-
-
-def virtual_chern_series_closed_form(d: int) -> tuple[AmbientClass, ...]:
     """c_0..c_(d-5) of the same quotient in closed exponential form,
 
         (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t))
@@ -175,25 +155,16 @@ def virtual_chern_series_closed_form(d: int) -> tuple[AmbientClass, ...]:
     columns.  The exponent is (d-4) h^k / k + T h^(k-1) at each t^k, with
     2T in place of T at t^1, so t d/dt of it has the integer columns
     (0, d-4, d-4, ...) of h^k and (0, 2, 2, 3, 4, ..., d-5) of T h^(k-1),
-    and no T^2 part.  The classes are built once, on the way out.
+    and no T^2 part.
     """
-    return _classes(d, _exponential_columns(d))
+    _require_degree(d)
+    order = d - 5
+    x0, x1 = [0, *[d - 4] * order], [0, 2, *range(2, order + 1)]
+    # Through the module, so that a rebinding of ``_graded._exp`` takes effect.
+    return _graded._exp([x0, x1, [0] * (order + 1)])
 
 
 def _expansion_columns(d: int) -> list[list]:
-    """The columns of :func:`virtual_chern_series_expansion`."""
-    _require_degree(d)
-    order = d - 5
-    b = [0, 0, 0, 0, *_pascal_columns(d, order)[2]]  # b(k) at index k + 4
-    steps = range(order + 1)
-    return [
-        [b[m + 4] - 2 * b[m + 3] + b[m + 2] for m in steps],
-        [2 * b[m + 3] - 3 * b[m + 2] + b[m + 1] for m in steps],
-        [4 * b[m + 2] - 4 * b[m + 1] + b[m] for m in steps],
-    ]
-
-
-def virtual_chern_series_expansion(d: int) -> tuple[AmbientClass, ...]:
     """c_0..c_(d-5) of the virtual quotient by term-by-term binomial expansion.
 
     Grouping the three powers of (1 - h*t) over the common tail
@@ -204,7 +175,15 @@ def virtual_chern_series_expansion(d: int) -> tuple[AmbientClass, ...]:
     T h^(m-1) and 4 b(m-2) - 4 b(m-3) + b(m-4) of 2 T^2 h^(m-2).  The b(k)
     are the last of :func:`_pascal_columns`.
     """
-    return _classes(d, _expansion_columns(d))
+    _require_degree(d)
+    order = d - 5
+    b = [0, 0, 0, 0, *_pascal_columns(d, order)[2]]  # b(k) at index k + 4
+    steps = range(order + 1)
+    return [
+        [b[m + 4] - 2 * b[m + 3] + b[m + 2] for m in steps],
+        [2 * b[m + 3] - 3 * b[m + 2] + b[m + 1] for m in steps],
+        [4 * b[m + 2] - 4 * b[m + 1] + b[m] for m in steps],
+    ]
 
 
 def _pascal_columns(d: int, order: int) -> tuple[list, list, list]:
@@ -238,16 +217,6 @@ def _formula_columns(d: int, order: int) -> tuple[list, list, list]:
         _shifted([x + y for x, y in zip(middle, low)], 1),
         [4 * x + y for x, y in zip(_shifted(middle, 2), _shifted(high, 4))],
     )
-
-
-def chern_coefficient_formula(i: int, d: int) -> AmbientClass:
-    """Closed binomial formula for the i-th virtual Chern coefficient,
-    valid on 1 <= i <= d - 5: the tips of the formula's columns of order i,
-    O(i) integer steps."""
-    _require_degree(d)
-    if not isinstance(i, int) or not 1 <= i <= d - 5:
-        raise ValueError(f"coefficient index must lie in 1..{d - 5}, got {i}")
-    return _ambient(d, i, [column[-1] for column in _formula_columns(d, i)])
 
 
 def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
@@ -300,18 +269,13 @@ def _recurrence_columns(d: int) -> list[list]:
 
 
 def _determinant_columns(d: int) -> list[list]:
-    """The graded kernel's columns of the determinants of
-    :func:`recurrence_determinants`: every size, by the full solve."""
-    _require_degree(d)
-    return _solve(_recurrence_columns(d))
-
-
-def recurrence_determinants(d: int) -> tuple[AmbientClass, ...]:
     """All banded determinants d_0..d_(d-5) through the alternating
     recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i), which the graded integer
-    kernel solves on the closed binomial formula's triples, never built as
-    classes, making this route independent of the series division."""
-    return _classes(d, _determinant_columns(d))
+    kernel solves in full on the closed binomial formula's triples, never
+    built as classes and independent of the series division.  The recurrence
+    route's class is the last of them, reached by ``_graded._solve_top``."""
+    _require_degree(d)
+    return _solve(_recurrence_columns(d))
 
 
 def determinant_formula(n: int, d: int) -> AmbientClass:
@@ -321,12 +285,12 @@ def determinant_formula(n: int, d: int) -> AmbientClass:
         + (binomial(d-3, n) - binomial(d-5, n)) T h^(n-1)
         + (binomial(d-2, n)/2 - binomial(d-4, n) + binomial(d-6, n)/2) T^2 h^(n-2),
 
-    valid once n >= 3; smaller determinants carry extra terms and must go
-    through the recurrence instead.
+    valid once n >= 3; smaller determinants carry extra terms (d_1 = c_1,
+    d_2 = c_1^2 - c_2) and follow from the recurrence instead.
     """
     _require_degree(d)
     if not isinstance(n, int) or n < 3:
-        raise ValueError("the closed determinant form starts at n = 3; use the recurrence below that")
+        raise ValueError("the closed determinant form starts at n = 3")
     if n > d - 5:
         raise ValueError(f"determinant size must not exceed d - 5 = {d - 5}")
     return _ambient(d, n, _closed_triple(n, d))

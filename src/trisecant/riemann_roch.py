@@ -11,7 +11,9 @@ first Chern class of a normalized Poincare line bundle.  The products
 
 are input data here (gamma^3 = 0 follows), as is the first Chern class
 3f + gamma of the Poincare bundle itself.  Everything downstream of those
-relations is computed, not quoted.
+relations is computed, not quoted.  The curve's own ring Q[P]/(P^2), P the
+class of a point, needs no type of its own: P -> f embeds it upstairs, as
+f^2 = 0, so its Todd class 1 - P is read as 1 - f.
 
 The Riemann-Roch pushforwards behind the two section bundles run once per
 process: d enters only through exp(d*f) = 1 + d*f, exact because f^2 = 0,
@@ -24,12 +26,9 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .ring import (
-    RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _coordinate, _is_exact, _power
-)
+from .ring import RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _is_exact, _power
 
 __all__ = [
-    "CurveClass",
     "UpstreamClass",
     "todd_from_chern",
     "pushforward_to_picard",
@@ -39,38 +38,6 @@ __all__ = [
     "poincare_character",
     "bundle_characters",
 ]
-
-class CurveClass(TruncatedClass):
-    """Element ``c0 + c1*P`` of ``Q[P]/(P^2)``: cohomology of the curve
-    itself, with P the class of a point (squares to zero on a curve).
-
-    One of the three rings on the sparse class ``TruncatedClass`` of
-    :mod:`trisecant.ring`, next to ``ThetaPoly`` and ``AmbientClass``.  No
-    pipeline code uses it, since the pipeline works upstairs in
-    :class:`UpstreamClass`; it carries the curve's own Todd class ``1 - P``
-    for the Todd lemma.
-    """
-
-    __slots__ = ()
-    _variables = ("P", "")
-
-    def __init__(self, c0: Scalar = 0, c1: Scalar = 0) -> None:
-        super().__init__((1, 0), {(0, 0): c0, (1, 0): c1})
-
-    c0, c1 = _coordinate(0), _coordinate(1)
-
-    @classmethod
-    def zero(cls) -> CurveClass:
-        return cls()
-
-    @classmethod
-    def one(cls) -> CurveClass:
-        return cls(1)
-
-    @classmethod
-    def point(cls) -> CurveClass:
-        return cls(0, 1)
-
 
 # The theta class gamma^2 / f of the product rule gamma^2 = -2 f T.
 _GAMMA_SQUARED_OVER_F = ThetaPoly(0, -2)

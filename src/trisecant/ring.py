@@ -4,11 +4,10 @@ Every ring is served by one sparse class, :class:`TruncatedClass`, whose
 values are elements of ``Q[x, y]/(x^(top_a+1), y^(top_b+1))`` that carry
 their truncation ``(top_a, top_b)``.  A value stores integer numerators over
 one common denominator and hands every coefficient out as an exact
-``fractions.Fraction``; the engine has no floating-point mode.  Three thin
-subclasses name the rings of the computation:
+``fractions.Fraction``, always reduced, so Todd and exponential terms keep
+their denominators 2, 6 and 12 exactly; the engine has no floating-point
+mode.  Two thin subclasses name the rings of the computation:
 
-* ``CurveClass`` (in :mod:`trisecant.riemann_roch`), ``c0 + c1*P`` in
-  ``Q[P]/(P^2)`` on the genus-2 curve, where ``P`` is the class of a point;
 * ``ThetaPoly``, ``c0 + c1*T + c2*T^2`` in ``Q[T]/(T^3)`` on the degree-3
   Picard surface of the curve, where ``T`` is the theta-divisor class (the
   surface has complex dimension two, so the cube of any divisor vanishes);
@@ -17,9 +16,12 @@ subclasses name the rings of the computation:
   projective factor and the curve degree ``d >= 8`` travels with the value
   as its truncation.
 
+The class upstairs, ``UpstreamClass`` of :mod:`trisecant.riemann_roch`, is
+a module over ``ThetaPoly``, not a third ``TruncatedClass``.
+
 The engine has no series type: a Chern series is computed as the integer
 columns of :mod:`trisecant._graded` and handed out as a tuple of
-``AmbientClass`` coefficients c_0, c_1, ...  All values are immutable after
+``AmbientClass`` coefficients c_1, c_2, ...  All values are immutable after
 construction and every operation is a pure function, so values can be shared
 freely across threads.
 """
@@ -31,16 +33,11 @@ from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 __all__ = [
-    "Rational",
     "RingMismatchError",
     "TruncatedClass",
     "ThetaPoly",
     "AmbientClass",
 ]
-
-# The coefficient field.  Always reduced, positive denominator, arbitrary
-# precision; Todd and exponential terms need denominators 2, 6 and 12.
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 

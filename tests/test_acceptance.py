@@ -13,20 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from trisecant._graded import _exp, _quotient
+from trisecant import porteous
+from trisecant._graded import _classes, _coefficient, _exp, _quotient
 from trisecant.degree import berzolari, secant3_degree, verify_binomial_identities
-from trisecant.porteous import (
-    METHODS,
-    chern_coefficient_formula,
-    determinant_formula,
-    determinant_segre,
-    recurrence_determinants,
-    virtual_chern_series,
-    virtual_chern_series_closed_form,
-    virtual_chern_series_expansion,
-)
+from trisecant.porteous import METHODS, determinant_formula, determinant_segre
 from trisecant.riemann_roch import (
-    CurveClass,
     UpstreamClass,
     bundle_characters,
     pushforward_to_picard,
@@ -34,6 +25,7 @@ from trisecant.riemann_roch import (
 )
 from trisecant.ring import AmbientClass, ThetaPoly
 
+from curve_ring import curve
 from series_reference import schoolbook_dot
 
 
@@ -43,11 +35,11 @@ def _report(number: int, label: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def divisions() -> dict[int, tuple[AmbientClass, ...]]:
-    """Each d's series division c_t(target - source), built once and read by
-    criteria 3 (d in [8, 60]), 4 and 5 (d in [8, 40]).  Its coefficients
-    c_1..c_(d-5) are what ``chern_coefficients(d)`` returns, read here
-    without its comparison against the closed formula."""
-    return {d: virtual_chern_series(d) for d in range(8, 61)}
+    """Each d's series division c_t(target - source) as classes, built once
+    and read by criteria 3 (d in [8, 60]), 4 and 5 (d in [8, 40]).  Its
+    coefficients c_1..c_(d-5) are what ``chern_coefficients(d)`` returns,
+    read here without its comparison against the closed formula."""
+    return {d: _classes(d, porteous._division_columns(d)) for d in range(8, 61)}
 
 
 def test_criterion_1_degree_formula_full_sweep():
@@ -84,11 +76,11 @@ def test_criterion_3_determinant_three_way_agreement(divisions):
     every index, so a recurrence on the divided c_i would give the same class."""
     failures = []
     for d in range(8, 61):
-        formula = tuple(chern_coefficient_formula(i, d) for i in range(1, d - 4))
-        if divisions[d][1:] != formula:
+        formula = _classes(d, porteous._formula_columns(d, d - 5))
+        if divisions[d][1:] != formula[1:]:
             failures.append((d, "divided c_i != formula c_i"))
         segre = determinant_segre(d)
-        recurrence = recurrence_determinants(d)[d - 5]
+        recurrence = _classes(d, porteous._determinant_columns(d))[d - 5]
         closed = determinant_formula(d - 5, d)
         if not (segre == recurrence == closed):
             failures.append((d, "determinants"))
@@ -106,9 +98,9 @@ def test_criterion_4_virtual_series_cross_check(divisions):
     failures = []
     for d in range(8, 41):
         division = divisions[d]
-        if division != virtual_chern_series_closed_form(d):
+        if division != _classes(d, porteous._exponential_columns(d)):
             failures.append((d, "exponential"))
-        if division != virtual_chern_series_expansion(d):
+        if division != _classes(d, porteous._expansion_columns(d)):
             failures.append((d, "expansion"))
     ok = not failures
     _report(4, "series division = exponential form = five-sum expansion, d in [8, 40]", ok)
@@ -116,11 +108,12 @@ def test_criterion_4_virtual_series_cross_check(divisions):
 
 
 def test_criterion_5_chern_coefficient_formula(divisions):
+    """Each c_i of the formula is the tip of its columns of order i."""
     failures = []
     for d in range(8, 41):
         division = divisions[d][1:]
         for i in range(1, d - 4):
-            if division[i - 1] != chern_coefficient_formula(i, d):
+            if division[i - 1] != _coefficient(d, porteous._formula_columns(d, i), i):
                 failures.append((d, i))
     ok = not failures
     _report(5, "c_i closed form vs divided series, 1 <= i <= d-5, d in [8, 40]", ok)
@@ -144,8 +137,12 @@ def test_criterion_6_pushforward_lemma():
 
 
 def test_criterion_7_todd_lemma():
+    """P -> f embeds the curve's ring Q[P]/(P^2) in the ring upstairs
+    (f^2 = 0), and ``todd_from_chern`` is a polynomial in its arguments, so
+    td(-2P, 0) = 1 - P iff td(-2f, 0) = 1 - f: the product case, which the
+    engine computes, carries the curve's, which runs on the bare sparse class."""
     ok_surface = todd_from_chern(ThetaPoly.zero(), ThetaPoly.zero()) == ThetaPoly.one()
-    ok_curve = todd_from_chern(CurveClass(0, -2), CurveClass.zero()) == CurveClass(1, -1)
+    ok_curve = todd_from_chern(curve(0, -2), curve()) == curve(1, -1)
     ok_product = todd_from_chern(
         UpstreamClass.fiber() * (-2), UpstreamClass.zero()
     ) == UpstreamClass(1, -1)

@@ -16,10 +16,15 @@ KNOWN_STALE = {
     "trisecant.ring.ChernSeries.compose",
     "trisecant.ring.ChernSeries.exp",
     "trisecant.ring.ChernSeries.inverse",
+    "trisecant.porteous.chern_coefficient_formula",
     "trisecant.porteous.determinant_cofactor",
+    "trisecant.porteous.recurrence_determinants",
     "trisecant.porteous.source_chern_series",
     "trisecant.porteous.target_chern_series",
     "trisecant.porteous.twist_by_hyperplane",
+    "trisecant.porteous.virtual_chern_series",
+    "trisecant.porteous.virtual_chern_series_closed_form",
+    "trisecant.porteous.virtual_chern_series_expansion",
 }
 
 PROBE = """

@@ -254,27 +254,34 @@ def test_ring_axioms_keep_their_sample_size(monkeypatch):
 
 
 def test_verify_runs_one_recurrence_per_d(monkeypatch):
-    """The three-way, closed-form and Berzolari checks all read the stage's
-    determinants, so the battery runs the banded recurrence once per d."""
+    """The closed-form check reads the stage's full solve, and the three-way
+    and Berzolari checks the stage's class of the recurrence route, so the
+    battery runs the full recurrence once per d and the route's top once per d."""
     import trisecant.porteous
+    from trisecant import _graded
 
-    calls = []
-    original = trisecant.porteous._determinant_columns
+    full, tops = [], []
+    original, top = trisecant.porteous._determinant_columns, _graded._solve_top
 
     def counted(d):
-        calls.append(d)
+        full.append(d)
         return original(d)
 
+    def counted_top(columns):
+        tops.append(len(columns[0]) + 4)  # the columns run c_0..c_(d-5)
+        return top(columns)
+
     monkeypatch.setattr(trisecant.porteous, "_determinant_columns", counted)
+    monkeypatch.setattr(_graded, "_solve_top", counted_top)
     assert verify_checks(8, 14).passed
-    assert calls == list(range(8, 15))
+    assert full == tops == list(range(8, 15))
 
 
 def test_verify_builds_no_series_on_a_passing_run(monkeypatch):
     """The battery compares the graded kernel's integer columns: a passing
     run turns no columns into a series of classes (``_graded._classes``, which
-    every public series function returns through), and builds classes only
-    where a check reads one."""
+    ``chern_coefficients`` returns through), and builds classes only where a
+    check reads one."""
     from trisecant import _graded, porteous
 
     built = []

@@ -23,3 +23,36 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [item for item in exported if not hasattr(module, item)]
     assert not missing, f"{name}.__all__ names what it lacks: {missing}"
+
+
+# The package's public surface, pinned: a change that adds or drops a public
+# name changes this list in the same commit.
+PUBLIC = [
+    "__version__",
+    "RingMismatchError",
+    "ThetaPoly",
+    "AmbientClass",
+    "UpstreamClass",
+    "todd_from_chern",
+    "pushforward_to_picard",
+    "riemann_roch_pushforward",
+    "line_bundle_character",
+    "poincare_first_chern",
+    "poincare_character",
+    "bundle_characters",
+    "METHODS",
+    "chern_coefficients",
+    "determinant_segre",
+    "determinant_formula",
+    "porteous_class",
+    "binomial",
+    "verify_binomial_identities",
+    "degree_pairing",
+    "secant3_degree",
+    "class_degree",
+    "berzolari",
+]
+
+
+def test_public_surface_is_pinned():
+    assert trisecant.__all__ == PUBLIC

@@ -4,7 +4,7 @@ Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
 power shows up as a changed set.  Each per-d counterexample must name d = 8,
 and a fault in one coefficient must name its t^k, i or n there too
-(``LOCATED``).  Eleven faults are caught by one check alone:
+(``LOCATED``).  Ten faults are caught by one check alone:
 a wrong theta self-intersection, and a pairing that reads past the
 truncation and raises ``IndexError``, only by ``degree-berzolari``, the quoted
 count; a wrong negative-upper binomial only by ``binomial-identities``; a
@@ -12,8 +12,6 @@ wrong top coefficient of the binomial expansion or of the exponential form
 only by that form's own check, ``series-binomial-expansion`` or
 ``series-exponential-form``; a lost T^2 column in the graded kernel's
 exponential only by ``series-exponential-form``, the one check that runs it;
-a Newton step that keeps its diagonal term only by ``determinant-three-way``,
-the one check that runs the recurrence route's top;
 a faulty sum or theta product on operands no pipeline value has only by
 ``ring-axioms``, whose random draws have them; a doubled hyperplane class only
 by ``ring-axioms``, through h^(d-2); and a Kunneth class shifted by f only by
@@ -242,8 +240,9 @@ def graded_dot_cross_term_lost(monkeypatch):
 def newton_diagonal_kept(monkeypatch):
     """The Newton step of the recurrence route's top forms each pair i < j
     once, doubled, and takes the diagonal term q_i q_i f_(n-2i) off once; here
-    it is not taken off, so it counts twice.  Only the route reads the step:
-    the stage's full solve, which two checks read, does not."""
+    it is not taken off, so it counts twice.  Only the route reads the step,
+    and ``determinant-three-way`` and ``degree-berzolari`` both read the
+    route's class; ``determinant-closed-form`` reads the full solve."""
     monkeypatch.setattr(_graded, "_times", lambda a, b: (0, 0, 0))
 
 
@@ -331,7 +330,7 @@ FAULTS = [
     (exponential_form_top_bumped, {"series-exponential-form"}),
     (graded_exp_t_squared_zeroed, {"series-exponential-form"}),
     (graded_dot_cross_term_lost, SERIES_FIVE | {"determinant-closed-form"}),
-    (newton_diagonal_kept, {"determinant-three-way"}),
+    (newton_diagonal_kept, {"determinant-three-way", "degree-berzolari"}),
     (hyperplane_doubled, {"ring-axioms"}),
     (sum_drops_a_term_of_four, {"ring-axioms"}),
     (theta_product_drops_t_squared, {"ring-axioms"}),

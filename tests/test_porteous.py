@@ -17,15 +17,10 @@ from trisecant import _graded, porteous
 from trisecant.degree import binomial
 from trisecant.porteous import (
     METHODS,
-    chern_coefficient_formula,
     chern_coefficients,
     determinant_formula,
     determinant_segre,
     porteous_class,
-    recurrence_determinants,
-    virtual_chern_series,
-    virtual_chern_series_closed_form,
-    virtual_chern_series_expansion,
 )
 from trisecant.riemann_roch import bundle_characters
 from trisecant.ring import AmbientClass, ThetaPoly, TruncatedClass
@@ -43,6 +38,11 @@ from series_reference import (
     to_order,
     twist,
 )
+
+
+def _determinants(d):
+    """d_0..d_(d-5) as classes, from the full solve of the recurrence."""
+    return _graded._classes(d, porteous._determinant_columns(d))
 
 
 def _repeated_product(series, n):
@@ -175,10 +175,11 @@ def test_segre_route_validates_the_source_like_the_twist(monkeypatch):
         determinant_segre(9)
 
 
-@pytest.mark.parametrize("route", [determinant_segre, virtual_chern_series])
+@pytest.mark.parametrize("route", [determinant_segre, porteous._division_columns])
 def test_routes_refuse_a_target_not_starting_at_1(monkeypatch, route):
-    """The quotient never reads the target's c_0, so both routes that divide
-    by the target check it where they read the triples."""
+    """The quotient never reads the target's c_0, so the Segre route and the
+    series division, which both divide by the target, check it where they
+    read the triples."""
     original = porteous._chern_triples
 
     def target_at_2(character, dual=False):
@@ -257,9 +258,9 @@ def test_twisted_series_exponential_forms(d):
 
 @pytest.mark.parametrize("d", (*range(8, 15), 100, 200))
 def test_virtual_series_three_forms_agree(d):
-    division = virtual_chern_series(d)
-    assert division == virtual_chern_series_closed_form(d)
-    assert division == virtual_chern_series_expansion(d)
+    division = _graded._classes(d, porteous._division_columns(d))
+    assert division == _graded._classes(d, porteous._exponential_columns(d))
+    assert division == _graded._classes(d, porteous._expansion_columns(d))
 
 
 def test_first_coefficients_golden_d8():
@@ -272,16 +273,9 @@ def test_first_coefficients_golden_d8():
 def test_first_chern_coefficient_for_general_d():
     # c_1 = (d - 4) h + 2 T.
     for d in (8, 11, 14):
-        assert chern_coefficient_formula(1, d) == AmbientClass(
+        assert _graded._classes(d, porteous._formula_columns(d, 1))[1] == AmbientClass(
             d, {(0, 1): d - 4, (1, 0): 2}
         )
-
-
-def test_coefficient_formula_range():
-    with pytest.raises(ValueError):
-        chern_coefficient_formula(0, 8)
-    with pytest.raises(ValueError):
-        chern_coefficient_formula(4, 8)
 
 
 def test_chern_coefficients_refuses_a_formula_mismatch(monkeypatch):
@@ -332,7 +326,7 @@ def test_segre_quotient_matches_recurrence_determinants():
     """(-1)^m [t^m] c_t(source) / c_t(target) is the m-th banded determinant."""
     for d in (8, 9, 13, 30):
         quotient = series_mul(source_series(d), series_inverse(target_series(d)))
-        dets = recurrence_determinants(d)
+        dets = _determinants(d)
         for m in range(d - 4):
             sign = 1 if m % 2 == 0 else -1
             assert quotient[m] * sign == dets[m], (d, m)
@@ -403,14 +397,14 @@ def _leibniz_determinant(matrix: list[list[AmbientClass]]) -> AmbientClass:
 def test_determinants_match_leibniz_sum(d):
     oracle = _leibniz_determinant(_band(d))
     assert determinant_segre(d) == oracle
-    assert recurrence_determinants(d)[d - 5] == oracle
+    assert _determinants(d)[d - 5] == oracle
     assert determinant_formula(d - 5, d) == oracle
 
 
 def test_small_recurrence_determinants():
     d = 10
     c = chern_coefficients(d)
-    dets = recurrence_determinants(d)
+    dets = _determinants(d)
     assert dets[0] == AmbientClass.one(d)
     assert dets[1] == c[0]
     assert dets[2] == c[0] * c[0] - c[1]
@@ -455,7 +449,7 @@ def test_porteous_class_validation():
 
 def test_closed_form_matches_recurrence_along_the_chain():
     for d in (11, 14):
-        dets = recurrence_determinants(d)
+        dets = _determinants(d)
         for n in range(3, d - 4):
             assert determinant_formula(n, d) == dets[n]
 
@@ -477,15 +471,15 @@ def _ambient_recurrence(d: int, coefficients) -> tuple[AmbientClass, ...]:
 def test_recurrence_kernel_matches_ambient_double_loop(d):
     """The kernel's solve on the formula's integer triples against the
     recurrence run term by term on the formula's classes."""
-    coefficients = [chern_coefficient_formula(i, d) for i in range(1, d - 4)]
-    assert recurrence_determinants(d) == _ambient_recurrence(d, coefficients)
+    coefficients = _graded._classes(d, porteous._formula_columns(d, d - 5))[1:]
+    assert _determinants(d) == _ambient_recurrence(d, coefficients)
 
 
 @pytest.mark.parametrize("d", (8, 9, 60, 200))
 def test_recurrence_route_is_the_top_determinant(d):
     """The route solves the recurrence on the formula's integer columns and
     builds d_(d-5) alone; it is the last of the d - 4 determinants."""
-    dets = recurrence_determinants(d)
+    dets = _determinants(d)
     assert len(dets) == d - 4
     assert porteous_class(d, "recurrence") == dets[d - 5]
 

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisecant._graded import _dot, _solve, _solve_top
-from trisecant.riemann_roch import CurveClass, UpstreamClass
+from trisecant.riemann_roch import UpstreamClass
 from trisecant.ring import AmbientClass, RingMismatchError, ThetaPoly
 
+from curve_ring import curve
 from series_reference import (
     graded_exp_product,
     graded_quotient,
@@ -206,7 +207,7 @@ def test_ambient_equality_ignores_insertion_order():
         (ThetaPoly(Fraction(-3, 2)), Fraction(-3, 2)),
         (AmbientClass.one(8) * 5, 5),
         (AmbientClass.zero(9), 0),
-        (CurveClass(3), 3),
+        (curve(3), 3),
         (UpstreamClass(ThetaPoly(2, -1)), ThetaPoly(2, -1)),
         (UpstreamClass(4), 4),
     ],
@@ -347,7 +348,7 @@ def test_reduced_constant_hashes_like_its_fraction():
 @given(theta_polys, ambient_triples())
 def test_every_accessor_hands_out_fractions(x, triple):
     a = triple[0]
-    values = [x.c0, x.c1, x.c2, CurveClass(1, Fraction(1, 2)).c1]
+    values = [x.c0, x.c1, x.c2, curve(1, Fraction(1, 2)).coefficient(1)]
     values += [x.coefficient(i) for i in range(3)]
     values += [a.coefficient(i, j) for i in range(3) for j in range(a.d - 1)]
     values += [c for _, _, c in a.nonzero_terms()]
@@ -360,7 +361,7 @@ def test_every_accessor_hands_out_fractions(x, triple):
 # class lifts into the upstream ring by pullback, so that pair combines.
 _RING_VALUES = {
     "theta": ThetaPoly(1, 2),
-    "curve": CurveClass(1, 2),
+    "curve": curve(1, 2),
     "ambient-8": AmbientClass(8, {(0, 0): 1, (1, 0): 2}),
     "ambient-9": AmbientClass(9, {(0, 0): 1, (1, 0): 2}),
     "upstream": UpstreamClass(1, 2),
@@ -382,7 +383,7 @@ def test_values_of_different_rings_never_combine(left, right):
 
 @pytest.mark.parametrize(
     "value",
-    [ThetaPoly.theta(), CurveClass.point(), AmbientClass.one(8), UpstreamClass.fiber()],
+    [ThetaPoly.theta(), curve(0, 1), AmbientClass.one(8), UpstreamClass.fiber()],
     ids=["theta", "curve", "ambient", "upstream"],
 )
 def test_reflected_subtraction_reports_the_minus(value):
@@ -409,7 +410,7 @@ def test_theta_mul_matches_truncated_convolution(a, b):
 
 @given(curve_coefficients, curve_coefficients)
 def test_curve_mul_matches_truncated_convolution(a, b):
-    assert CurveClass(*a) * CurveClass(*b) == CurveClass(*_truncated_convolution(a, b, 1))
+    assert curve(*a) * curve(*b) == curve(*_truncated_convolution(a, b, 1))
 
 
 # ------------------------------------------------------- reference series
