@@ -10,8 +10,9 @@ recurrence and its closed form) and a classical count cross-check every
 answer.
 
 Each quantity has one public accessor: ``chern_coefficients`` for the c_i,
-``porteous_class`` (with ``determinant_segre`` and ``determinant_formula``)
-for the determinants, and ``secant3_degree`` for the degree.
+``porteous_class`` for the secant class by any route of ``METHODS``,
+``determinant_formula`` for a banded determinant of size n >= 3, and
+``secant3_degree`` for the degree.
 """
 
 from .degree import (
@@ -22,13 +23,7 @@ from .degree import (
     secant3_degree,
     verify_binomial_identities,
 )
-from .porteous import (
-    METHODS,
-    chern_coefficients,
-    determinant_formula,
-    determinant_segre,
-    porteous_class,
-)
+from .porteous import METHODS, chern_coefficients, determinant_formula, porteous_class
 from .riemann_roch import (
     UpstreamClass,
     bundle_characters,
@@ -61,7 +56,6 @@ __all__ = [
     # Porteous pipeline
     "METHODS",
     "chern_coefficients",
-    "determinant_segre",
     "determinant_formula",
     "porteous_class",
     # degrees

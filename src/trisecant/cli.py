@@ -33,13 +33,7 @@ from typing import Sequence
 from . import porteous
 from ._graded import _coefficient, _difference
 from .degree import berzolari, class_degree, secant3_degree, verify_binomial_identities
-from .porteous import (
-    METHODS,
-    chern_coefficients,
-    determinant_formula,
-    determinant_segre,
-    porteous_class,
-)
+from .porteous import METHODS, chern_coefficients, determinant_formula, porteous_class
 from .riemann_roch import UpstreamClass, bundle_characters, poincare_character, pushforward_to_picard
 from .ring import AmbientClass, RingMismatchError, ThetaPoly
 
@@ -200,8 +194,8 @@ def run_table(args: argparse.Namespace) -> int:
 class Stage:
     """The intermediates of one d that several checks share: the integer
     columns of the series division and of the determinants d_0..d_(d-5), read
-    through ``porteous`` so that a rebinding takes effect, and the classes of
-    the Segre and recurrence routes, as ``degree`` computes them.  Each is
+    through ``porteous`` so that a rebinding takes effect, and every route's
+    class by its name in ``METHODS``, as ``degree`` computes it.  Each is
     built on first use, so its cost falls to the check that first reads it."""
 
     d: int
@@ -215,12 +209,8 @@ class Stage:
         return porteous._determinant_columns(self.d)
 
     @cached_property
-    def segre(self) -> AmbientClass:
-        return determinant_segre(self.d)
-
-    @cached_property
-    def recurrence(self) -> AmbientClass:
-        return porteous_class(self.d, "recurrence")
+    def routes(self) -> dict[str, AmbientClass]:
+        return {method: porteous_class(self.d, method) for method in METHODS}
 
 
 def _broken_law(draw, count: int) -> tuple | None:
@@ -326,12 +316,11 @@ def check_series_binomial_expansion(d: int, stage: Stage) -> str | None:
 
 
 def check_determinant_three_way(d: int, stage: Stage) -> str | None:
-    """Segre quotient, recurrence and closed form must produce the same class.
-    The recurrence is the route's, on the formula's coefficients, which
-    ``chern-coefficient-formula`` holds equal to the division's."""
-    segre, recurrence, closed = stage.segre, stage.recurrence, determinant_formula(d - 5, d)
-    if not (segre == recurrence == closed):
-        return f"d={d}: segre {segre}; recurrence {recurrence}; closed form {closed}"
+    """Every route must produce the same class.  The recurrence route reads
+    the formula's coefficients, which ``chern-coefficient-formula`` holds
+    equal to the division's."""
+    if len(set(stage.routes.values())) > 1:
+        return f"d={d}: " + "; ".join(f"{m} {c}" for m, c in stage.routes.items())
     return None
 
 
@@ -351,18 +340,12 @@ def check_binomial_identities(d_min: int, d_max: int) -> str | None:
 
 
 def check_degree_berzolari(d: int, stage: Stage) -> str | None:
-    """Every route's class, the one ``degree`` pairs, against the classical
-    count.  The closed form shares nothing with the stage, so it goes through
-    ``secant3_degree``, which keeps that public entry point under the check."""
+    """Every route's class, the one ``degree`` pairs, against the classical count."""
     reference = berzolari(d)
-    degrees = {
-        "segre": class_degree(stage.segre, "segre"),
-        "recurrence": class_degree(stage.recurrence, "recurrence"),
-        "closed-form": secant3_degree(d, method="closed-form"),
-    }
-    for method in METHODS:
-        if degrees[method] != reference:
-            return f"d={d}: {method} gave {degrees[method]}, count is {reference}"
+    for method, locus in stage.routes.items():
+        degree = class_degree(locus, method)
+        if degree != reference:
+            return f"d={d}: {method} gave {degree}, count is {reference}"
     return None
 
 

@@ -12,7 +12,8 @@ class is (-1)^(d-5) [t^(d-5)] c_t(source) / c_t(target).  Every stage below
 is computed along at least two independent routes (series division against
 closed binomial formulas; the Segre quotient, the determinant recurrence
 and its closed form) and the routes are compared, never trusted singly.
-Each determinant route returns the class itself, an ``AmbientClass``.
+The determinant routes are the one table ``_ROUTES``: each gives the integer
+triple (x0, x1, X2) of d_(d-5), and ``porteous_class`` alone makes it a class.
 
 The bundles' Chern classes enter as the integer triples of the graded kernel
 of :mod:`trisecant._graded`, read off the characters by ``_chern_triples``.
@@ -56,12 +57,18 @@ from .riemann_roch import bundle_characters
 __all__ = [
     "METHODS",
     "chern_coefficients",
-    "determinant_segre",
     "determinant_formula",
     "porteous_class",
 ]
 
-METHODS = ("segre", "recurrence", "closed-form")
+# Each determinant route: d to the integer triple (x0, x1, X2) of d_(d-5).
+# The helpers are looked up when a route runs, so that a rebinding takes effect.
+_ROUTES = {
+    "segre": lambda d: _segre_triple(d),
+    "recurrence": lambda d: _graded._solve_top(_recurrence_columns(d)),
+    "closed-form": lambda d: _closed_triple(d - 5, d),
+}
+METHODS = tuple(_ROUTES)
 
 
 def _require_degree(d: int) -> None:
@@ -138,7 +145,6 @@ def _division_columns(d: int) -> list[list]:
     target's triples, padded with zeros, divided by the twisted source's to
     order d - 5 in one solve of the graded integer kernel of
     :mod:`trisecant._graded`."""
-    _require_degree(d)
     order = d - 5
     source, target = _source_and_target(d, range(order + 1))
     padded = [[*column, *[0] * order] for column in target]
@@ -157,7 +163,6 @@ def _exponential_columns(d: int) -> list[list]:
     (0, d-4, d-4, ...) of h^k and (0, 2, 2, 3, 4, ..., d-5) of T h^(k-1),
     and no T^2 part.
     """
-    _require_degree(d)
     order = d - 5
     x0, x1 = [0, *[d - 4] * order], [0, 2, *range(2, order + 1)]
     # Through the module, so that a rebinding of ``_graded._exp`` takes effect.
@@ -175,7 +180,6 @@ def _expansion_columns(d: int) -> list[list]:
     T h^(m-1) and 4 b(m-2) - 4 b(m-3) + b(m-4) of 2 T^2 h^(m-2).  The b(k)
     are the last of :func:`_pascal_columns`.
     """
-    _require_degree(d)
     order = d - 5
     b = [0, 0, 0, 0, *_pascal_columns(d, order)[2]]  # b(k) at index k + 4
     steps = range(order + 1)
@@ -226,6 +230,7 @@ def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
     mismatch means the pipeline is broken and raises rather than letting a
     wrong class flow on.
     """
+    _require_degree(d)
     columns = _division_columns(d)
     diff = _difference(d, columns, _formula_columns(d, d - 5))
     if diff:
@@ -237,9 +242,9 @@ def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
     return _classes(d, columns)[1:]
 
 
-def determinant_segre(d: int) -> AmbientClass:
-    """Porteous' class as a Segre class: (-1)^n [t^n] c_t(source) / c_t(target)
-    with n = d - 5.
+def _segre_triple(d: int) -> list:
+    """The triple of Porteous' class as a Segre class:
+    (-1)^n [t^n] c_t(source) / c_t(target) with n = d - 5.
 
     The banded recurrence reads D(t) * c_(-t)(target - source) = 1, so the
     determinants are the coefficients of the quotient with the sign of t
@@ -248,16 +253,15 @@ def determinant_segre(d: int) -> AmbientClass:
     the inverse taken at order 2 is exact.  The t^n coefficient therefore
     reads three twisted source triples, t^n, t^(n-1) and t^(n-2), against
     the inverse's three in one graded dot product: O(1) integer operations
-    whatever d is, with no series, no division by the source and one class
-    built, the answer.
+    whatever d is, with no series, no division by the source and no class
+    built.
     """
-    _require_degree(d)
     n = d - 5
     source, target = _source_and_target(d, (n, n - 1, n - 2))
     inverse = _quotient(((1, 0, 0), (0, 0, 0), (0, 0, 0)), target)
     columns = list(zip(*source))
     triple = _dot(columns, inverse, _summed(columns), _summed(inverse))
-    return _ambient(d, n, [x * (-1) ** n for x in triple])
+    return [x * (-1) ** n for x in triple]
 
 
 def _recurrence_columns(d: int) -> list[list]:
@@ -274,7 +278,6 @@ def _determinant_columns(d: int) -> list[list]:
     kernel solves in full on the closed binomial formula's triples, never
     built as classes and independent of the series division.  The recurrence
     route's class is the last of them, reached by ``_graded._solve_top``."""
-    _require_degree(d)
     return _solve(_recurrence_columns(d))
 
 
@@ -285,8 +288,8 @@ def determinant_formula(n: int, d: int) -> AmbientClass:
         + (binomial(d-3, n) - binomial(d-5, n)) T h^(n-1)
         + (binomial(d-2, n)/2 - binomial(d-4, n) + binomial(d-6, n)/2) T^2 h^(n-2),
 
-    valid once n >= 3; smaller determinants carry extra terms (d_1 = c_1,
-    d_2 = c_1^2 - c_2) and follow from the recurrence instead.
+    valid once n >= 3; smaller determinants carry extra terms: d_1 = c_1 and
+    d_2 = c_1^2 - c_2, from ``chern_coefficients``.
     """
     _require_degree(d)
     if not isinstance(n, int) or n < 3:
@@ -309,12 +312,9 @@ def _closed_triple(n: int, d: int) -> tuple:
 
 def porteous_class(d: int, method: str = "segre") -> AmbientClass:
     """The degeneracy-locus class of the multiplication map, homogeneous of
-    total degree d - 5, by the chosen determinant route."""
+    total degree d - 5, by the chosen determinant route of ``METHODS``: the
+    one place a route's triple becomes a class."""
     _require_degree(d)
-    if method == "segre":
-        return determinant_segre(d)
-    if method == "recurrence":
-        return _ambient(d, d - 5, _graded._solve_top(_recurrence_columns(d)))
-    if method == "closed-form":
-        return determinant_formula(d - 5, d)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _ambient(d, d - 5, _ROUTES[method](d))

@@ -16,7 +16,7 @@ import pytest
 from trisecant import porteous
 from trisecant._graded import _classes, _coefficient, _exp, _quotient
 from trisecant.degree import berzolari, secant3_degree, verify_binomial_identities
-from trisecant.porteous import METHODS, determinant_formula, determinant_segre
+from trisecant.porteous import METHODS, determinant_formula, porteous_class
 from trisecant.riemann_roch import (
     UpstreamClass,
     bundle_characters,
@@ -79,7 +79,7 @@ def test_criterion_3_determinant_three_way_agreement(divisions):
         formula = _classes(d, porteous._formula_columns(d, d - 5))
         if divisions[d][1:] != formula[1:]:
             failures.append((d, "divided c_i != formula c_i"))
-        segre = determinant_segre(d)
+        segre = porteous_class(d, "segre")
         recurrence = _classes(d, porteous._determinant_columns(d))[d - 5]
         closed = determinant_formula(d - 5, d)
         if not (segre == recurrence == closed):

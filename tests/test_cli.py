@@ -255,13 +255,18 @@ def test_ring_axioms_keep_their_sample_size(monkeypatch):
 
 def test_verify_runs_one_recurrence_per_d(monkeypatch):
     """The closed-form check reads the stage's full solve, and the three-way
-    and Berzolari checks the stage's class of the recurrence route, so the
-    battery runs the full recurrence once per d and the route's top once per d."""
+    and Berzolari checks the stage's class of every route, so the battery
+    runs the full recurrence once per d, the recurrence route's top once per
+    d, and builds each route's class once per d."""
+    from collections import Counter
+
+    import trisecant.cli
     import trisecant.porteous
     from trisecant import _graded
 
-    full, tops = [], []
+    full, tops, classes = [], [], Counter()
     original, top = trisecant.porteous._determinant_columns, _graded._solve_top
+    route_class = trisecant.porteous.porteous_class
 
     def counted(d):
         full.append(d)
@@ -271,10 +276,17 @@ def test_verify_runs_one_recurrence_per_d(monkeypatch):
         tops.append(len(columns[0]) + 4)  # the columns run c_0..c_(d-5)
         return top(columns)
 
+    def counted_class(d, method="segre"):
+        classes[d, method] += 1
+        return route_class(d, method)
+
     monkeypatch.setattr(trisecant.porteous, "_determinant_columns", counted)
     monkeypatch.setattr(_graded, "_solve_top", counted_top)
+    for module in (trisecant.porteous, trisecant.cli):
+        monkeypatch.setattr(module, "porteous_class", counted_class)
     assert verify_checks(8, 14).passed
     assert full == tops == list(range(8, 15))
+    assert classes == {(d, m): 1 for d in range(8, 15) for m in trisecant.porteous.METHODS}
 
 
 def test_verify_builds_no_series_on_a_passing_run(monkeypatch):

@@ -42,7 +42,6 @@ PUBLIC = [
     "bundle_characters",
     "METHODS",
     "chern_coefficients",
-    "determinant_segre",
     "determinant_formula",
     "porteous_class",
     "binomial",

@@ -210,8 +210,9 @@ def exponential_form_top_bumped(monkeypatch):
 
 
 def segre_sign_flipped(monkeypatch):
-    original = porteous.determinant_segre
-    _rebind(monkeypatch, original, lambda d: -original(d))
+    """The Segre route's triple negated, before ``porteous_class`` makes it a class."""
+    original = porteous._segre_triple
+    _rebind(monkeypatch, original, lambda d: [-x for x in original(d)])
 
 
 def graded_exp_t_squared_zeroed(monkeypatch):
@@ -343,7 +344,8 @@ FAULTS = [
 ]
 
 # The start of a per-d counterexample, where a fault names more than d = 8:
-# the t^k, i or n of its one coefficient, or the first d it reaches.
+# the t^k, i or n of its one coefficient, the first d it reaches, or every
+# route by its name in ``METHODS``, in that order, with its class.
 LOCATED = {
     expansion_top_bumped: {
         "series-binomial-expansion": "d=8: quotient != binomial expansion at t^3: ",
@@ -351,7 +353,11 @@ LOCATED = {
     exponential_form_top_bumped: {
         "series-exponential-form": "d=8: quotient != exponential form at t^3: ",
     },
-    determinant_formula_off_at_top: {"determinant-closed-form": "d=8, n=3: "},
+    determinant_formula_off_at_top: {
+        "determinant-three-way": "d=8: segre 4h^3 + 9*T*h^2 + 6*T^2*h; "
+        "recurrence 4h^3 + 9*T*h^2 + 6*T^2*h; closed-form 4h^3 + 9*T*h^2 + 7*T^2*h",
+        "determinant-closed-form": "d=8, n=3: ",
+    },
     coefficient_formula_off_at_3: {
         "chern-coefficient-formula": "d=8, i=3: ",
         "determinant-closed-form": "d=8, n=3: ",

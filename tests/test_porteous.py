@@ -19,7 +19,6 @@ from trisecant.porteous import (
     METHODS,
     chern_coefficients,
     determinant_formula,
-    determinant_segre,
     porteous_class,
 )
 from trisecant.riemann_roch import bundle_characters
@@ -172,10 +171,10 @@ def test_segre_route_validates_the_source_like_the_twist(monkeypatch):
 
     monkeypatch.setattr(porteous, "_chern_triples", starting_at_2)
     with pytest.raises(ValueError, match="a total Chern series must start at 1"):
-        determinant_segre(9)
+        porteous._segre_triple(9)
 
 
-@pytest.mark.parametrize("route", [determinant_segre, porteous._division_columns])
+@pytest.mark.parametrize("route", [porteous._segre_triple, porteous._division_columns])
 def test_routes_refuse_a_target_not_starting_at_1(monkeypatch, route):
     """The quotient never reads the target's c_0, so the Segre route and the
     series division, which both divide by the target, check it where they
@@ -330,7 +329,7 @@ def test_segre_quotient_matches_recurrence_determinants():
         for m in range(d - 4):
             sign = 1 if m % 2 == 0 else -1
             assert quotient[m] * sign == dets[m], (d, m)
-        assert determinant_segre(d) == dets[d - 5]
+        assert porteous_class(d, "segre") == dets[d - 5]
 
 
 @pytest.mark.parametrize("d", (10, 60, 200))
@@ -340,7 +339,7 @@ def test_segre_reads_the_whole_quotient_coefficient(d):
     d = 8 and 9 through the banded determinants."""
     n = d - 5
     quotient = series_mul(source_series(d), series_inverse(target_series(d)))
-    assert determinant_segre(d) == quotient[n] * (-1) ** n
+    assert porteous_class(d, "segre") == quotient[n] * (-1) ** n
 
 
 def test_segre_cost_does_not_grow_with_d(monkeypatch):
@@ -362,7 +361,7 @@ def test_segre_cost_does_not_grow_with_d(monkeypatch):
     counts = []
     for d in (20, 400):
         calls.clear()
-        determinant_segre(d)
+        porteous_class(d, "segre")
         counts.append((calls.count("ring"), calls.count("kernel")))
     assert counts[0] == counts[1]
     assert counts[0][0] == 0 and counts[0][1] > 0
@@ -396,7 +395,7 @@ def _leibniz_determinant(matrix: list[list[AmbientClass]]) -> AmbientClass:
 @pytest.mark.parametrize("d", (8, 9, 10))
 def test_determinants_match_leibniz_sum(d):
     oracle = _leibniz_determinant(_band(d))
-    assert determinant_segre(d) == oracle
+    assert porteous_class(d, "segre") == oracle
     assert _determinants(d)[d - 5] == oracle
     assert determinant_formula(d - 5, d) == oracle
 
