@@ -340,12 +340,16 @@ def check_binomial_identities(d_min: int, d_max: int) -> str | None:
 
 
 def check_degree_berzolari(d: int, stage: Stage) -> str | None:
-    """Every route's class, the one ``degree`` pairs, against the classical count."""
+    """Every route's class, the one ``degree`` pairs, against the classical
+    count, then ``secant3_degree(d)``, the public entry that ``degree`` and
+    ``table`` read, which keeps that entry under the check.  It builds its
+    default route's class a second time, an O(1) solve."""
     reference = berzolari(d)
-    for method, locus in stage.routes.items():
-        degree = class_degree(locus, method)
+    degrees = {method: class_degree(locus, method) for method, locus in stage.routes.items()}
+    degrees["secant3_degree"] = secant3_degree(d)
+    for source, degree in degrees.items():
         if degree != reference:
-            return f"d={d}: {method} gave {degree}, count is {reference}"
+            return f"d={d}: {source} gave {degree}, count is {reference}"
     return None
 
 

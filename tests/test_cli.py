@@ -257,7 +257,9 @@ def test_verify_runs_one_recurrence_per_d(monkeypatch):
     """The closed-form check reads the stage's full solve, and the three-way
     and Berzolari checks the stage's class of every route, so the battery
     runs the full recurrence once per d, the recurrence route's top once per
-    d, and builds each route's class once per d."""
+    d, and builds each route's class once per d for the stage.  The Berzolari
+    check's ``secant3_degree(d)`` builds the default Segre route's class once
+    more per d, and nothing else does."""
     from collections import Counter
 
     import trisecant.cli
@@ -286,7 +288,8 @@ def test_verify_runs_one_recurrence_per_d(monkeypatch):
         monkeypatch.setattr(module, "porteous_class", counted_class)
     assert verify_checks(8, 14).passed
     assert full == tops == list(range(8, 15))
-    assert classes == {(d, m): 1 for d in range(8, 15) for m in trisecant.porteous.METHODS}
+    stage = Counter((d, m) for d in range(8, 15) for m in trisecant.porteous.METHODS)
+    assert classes == stage + Counter((d, "segre") for d in range(8, 15))
 
 
 def test_verify_builds_no_series_on_a_passing_run(monkeypatch):
