@@ -118,7 +118,10 @@ def _solve_top(columns) -> tuple:
     Row i of the sum is q_i times s_i = 2 sum_(j>=i) q_j f_(n-i-j) - q_i f_(n-2i),
     each pair i < j formed once: h graded dots of q[i:] against f reversed
     from f_(n-2i), then one dot of q with s, about half the products of
-    the full solve."""
+    the full solve.  It makes about as many dots as the full solve, each
+    shorter, so below d ~ 30, where the integers are small, it costs more
+    per call (38 us against 20 us at d = 8, in-process on a loaded 2-vCPU
+    VM); the route keeps this one path anyway, as it does not fork on d."""
     n = len(columns[0]) - 1
     if n < 1:
         raise ValueError("the Newton step needs an order n >= 1")

@@ -35,7 +35,7 @@ from ._graded import _coefficient, _difference
 from .degree import berzolari, class_degree, secant3_degree, verify_binomial_identities
 from .porteous import METHODS, chern_coefficients, determinant_formula, porteous_class
 from .riemann_roch import UpstreamClass, bundle_characters, poincare_character, pushforward_to_picard
-from .ring import AmbientClass, RingMismatchError, ThetaPoly
+from .ring import AmbientClass, RingMismatchError, ThetaPoly, _require_curve_degree
 
 __all__ = [
     "EXIT_OK",
@@ -193,20 +193,16 @@ def run_table(args: argparse.Namespace) -> int:
 @dataclass(frozen=True)
 class Stage:
     """The intermediates of one d that several checks share: the integer
-    columns of the series division and of the determinants d_0..d_(d-5), read
-    through ``porteous`` so that a rebinding takes effect, and every route's
-    class by its name in ``METHODS``, as ``degree`` computes it.  Each is
-    built on first use, so its cost falls to the check that first reads it."""
+    columns of the series division, read through ``porteous`` so that a
+    rebinding takes effect, and every route's class by its name in
+    ``METHODS``, as ``degree`` computes it.  Each is built on first use, so
+    its cost falls to the check that first reads it."""
 
     d: int
 
     @cached_property
     def division(self) -> list[list]:
         return porteous._division_columns(self.d)
-
-    @cached_property
-    def determinants(self) -> list[list]:
-        return porteous._determinant_columns(self.d)
 
     @cached_property
     def routes(self) -> dict[str, AmbientClass]:
@@ -325,10 +321,12 @@ def check_determinant_three_way(d: int, stage: Stage) -> str | None:
 
 
 def check_determinant_closed_form(d: int, stage: Stage) -> str | None:
-    """Every banded determinant of size >= 3 against the closed form."""
+    """Every banded determinant of size >= 3, from the full recurrence, against
+    the closed form."""
+    determinants = porteous._determinant_columns(d)
     for n in range(3, d - 4):
-        if porteous._closed_triple(n, d) != tuple(c[n] for c in stage.determinants):
-            closed, recurrence = determinant_formula(n, d), _coefficient(d, stage.determinants, n)
+        if porteous._closed_triple(n, d) != tuple(c[n] for c in determinants):
+            closed, recurrence = determinant_formula(n, d), _coefficient(d, determinants, n)
             return f"d={d}, n={n}: closed form != recurrence: {closed} vs {recurrence}"
     return None
 
@@ -376,12 +374,12 @@ def verify_checks(d_min: int, d_max: int) -> VerifyReport:
     """Run the battery: the whole-range checks, then one pass over d for the
     per-d checks.  A check stops at its first counterexample, which may be one
     of ``INTERNAL_ERRORS`` it raised (after ``d=<d>: `` for a per-d check);
-    its ``elapsed_s`` is its wall time summed over every d it ran on; a range
-    starting below 8, or empty, raises ``ValueError``."""
-    if d_min < 8:
-        raise ValueError("the range must start at d >= 8")
-    if d_max < d_min:
+    its ``elapsed_s`` is its wall time summed over every d it ran on; a bound
+    that is not a curve degree, or an empty range, raises ``ValueError``."""
+    _require_curve_degree(d_min)
+    if isinstance(d_max, int) and d_max < d_min:
         raise ValueError("empty range: --d-max is below --d-min")
+    _require_curve_degree(d_max)
     elapsed = dict.fromkeys((name for name, _ in CHECKS), 0.0)
     failures: dict[str, str] = {}
 

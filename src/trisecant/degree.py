@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .ring import AmbientClass
+from .ring import AmbientClass, _require_curve_degree
 
 __all__ = [
     "THETA_SELF_INTERSECTION",
@@ -81,13 +81,9 @@ def secant3_degree(d: int, method: str = "segre") -> int:
     """Degree of the third secant variety of a genus-2 curve of degree d.
 
     Evaluates the degeneracy-locus class by the requested determinant route
-    and takes its degree with :func:`class_degree`.
+    and takes its degree with :func:`class_degree`; ``porteous_class``
+    checks d first.
     """
-    if not isinstance(d, int) or d < 8:
-        raise ValueError(
-            "d must be an integer >= 8: below that the third secant variety "
-            "is not a proper subvariety of the ambient projective space"
-        )
     # Imported here: the Porteous pipeline builds on the binomial toolkit above.
     from .porteous import porteous_class
 
@@ -117,6 +113,5 @@ def class_degree(locus: AmbientClass, method: str) -> int:
 def berzolari(d: int) -> int:
     """Classical count of trisecant lines to a genus-2 space curve, used as an
     independent oracle: binomial(d-2, 3) - 2*(d-4)."""
-    if not isinstance(d, int) or d < 8:
-        raise ValueError("the trisecant count oracle is used for integer d >= 8")
+    _require_curve_degree(d)
     return binomial(d - 2, 3) - 2 * (d - 4)

@@ -51,7 +51,7 @@ from itertools import accumulate
 from . import _graded
 from .degree import binomial
 from ._graded import _ambient, _classes, _difference, _dot, _exact, _quotient, _solve, _summed
-from .ring import AmbientClass, ThetaPoly
+from .ring import AmbientClass, ThetaPoly, _require_curve_degree
 from .riemann_roch import bundle_characters
 
 __all__ = [
@@ -69,11 +69,6 @@ _ROUTES = {
     "closed-form": lambda d: _closed_triple(d - 5, d),
 }
 METHODS = tuple(_ROUTES)
-
-
-def _require_degree(d: int) -> None:
-    if not isinstance(d, int) or d < 8:
-        raise ValueError("the Porteous pipeline requires an integer d >= 8")
 
 
 def _chern_triples(character: ThetaPoly, dual: bool = False) -> list[tuple]:
@@ -230,7 +225,7 @@ def chern_coefficients(d: int) -> tuple[AmbientClass, ...]:
     mismatch means the pipeline is broken and raises rather than letting a
     wrong class flow on.
     """
-    _require_degree(d)
+    _require_curve_degree(d)
     columns = _division_columns(d)
     diff = _difference(d, columns, _formula_columns(d, d - 5))
     if diff:
@@ -291,7 +286,7 @@ def determinant_formula(n: int, d: int) -> AmbientClass:
     valid once n >= 3; smaller determinants carry extra terms: d_1 = c_1 and
     d_2 = c_1^2 - c_2, from ``chern_coefficients``.
     """
-    _require_degree(d)
+    _require_curve_degree(d)
     if not isinstance(n, int) or n < 3:
         raise ValueError("the closed determinant form starts at n = 3")
     if n > d - 5:
@@ -314,7 +309,7 @@ def porteous_class(d: int, method: str = "segre") -> AmbientClass:
     """The degeneracy-locus class of the multiplication map, homogeneous of
     total degree d - 5, by the chosen determinant route of ``METHODS``: the
     one place a route's triple becomes a class."""
-    _require_degree(d)
+    _require_curve_degree(d)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return _ambient(d, d - 5, _ROUTES[method](d))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .ring import RingMismatchError, Scalar, ThetaPoly, TruncatedClass, _is_exact, _power
+from .ring import RingMismatchError, Scalar, ThetaPoly, _Value, _is_exact, _require_curve_degree
 
 __all__ = [
     "UpstreamClass",
@@ -43,13 +43,15 @@ __all__ = [
 _GAMMA_SQUARED_OVER_F = ThetaPoly(0, -2)
 
 
-class UpstreamClass:
+class UpstreamClass(_Value):
     """Class on (curve) x (Picard surface): ``u1 + uf*f + ug*gamma`` with
     theta-ring coordinates.
 
     Multiplication applies the module relations listed at the top of this
     file; gamma never leaves this ring, because it dies both under the
-    pushforward to the Picard side and under restriction to a fiber.
+    pushforward to the Picard side and under restriction to a fiber.  A
+    theta class lifts by pullback, like a scalar; the rest of the value
+    protocol is :class:`trisecant.ring._Value`'s.
     """
 
     __slots__ = ("u1", "uf", "ug")
@@ -87,23 +89,16 @@ class UpstreamClass:
         """The theta class pulled back from the Picard factor."""
         return cls(ThetaPoly.theta())
 
-    def zero_like(self) -> UpstreamClass:
-        return UpstreamClass()
-
-    def one_like(self) -> UpstreamClass:
-        return UpstreamClass(1)
-
     def is_zero(self) -> bool:
         return self.u1.is_zero() and self.uf.is_zero() and self.ug.is_zero()
 
     @staticmethod
     def _lift(other) -> UpstreamClass:
-        """``other`` lifted as ``TruncatedClass._coerce`` lifts; a theta class by pullback."""
         if isinstance(other, UpstreamClass):
             return other
         if _is_exact(other) or isinstance(other, ThetaPoly):
             return UpstreamClass(other)
-        if isinstance(other, TruncatedClass):
+        if isinstance(other, _Value):
             raise RingMismatchError(f"UpstreamClass cannot combine with {type(other).__name__}")
         return NotImplemented
 
@@ -117,18 +112,6 @@ class UpstreamClass:
 
     def __neg__(self) -> UpstreamClass:
         return UpstreamClass(-self.u1, -self.uf, -self.ug)
-
-    def __sub__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other: ThetaPoly | Scalar) -> UpstreamClass:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return other
-        return other - self
 
     def __mul__(self, other: UpstreamClass | ThetaPoly | Scalar) -> UpstreamClass:
         other = self._lift(other)
@@ -147,17 +130,8 @@ class UpstreamClass:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> UpstreamClass:
-        return _power(self, exponent, UpstreamClass.one())
-
-    def __eq__(self, other: object) -> bool:
-        try:
-            other = self._lift(other)
-        except RingMismatchError:
-            return False
-        if other is NotImplemented:
-            return other
-        return (self.u1, self.uf, self.ug) == (other.u1, other.uf, other.ug)
+    def _key(self) -> tuple:
+        return self.u1, self.uf, self.ug
 
     def __hash__(self) -> int:
         # A class without f or gamma equals its theta part, so it hashes like it.
@@ -279,8 +253,7 @@ def bundle_characters(d: int) -> tuple[ThetaPoly, ThetaPoly]:
     characters come out of the pushforward machinery; nothing is hard-coded.
     The rank of each is its degree-zero part.
     """
-    if not isinstance(d, int) or d < 8:
-        raise ValueError("bundle characters require an integer d >= 8")
+    _require_curve_degree(d)
     sections, residual_at_0, slope = _pushforwards()
     return sections, residual_at_0 + slope * d
 

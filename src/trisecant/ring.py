@@ -17,7 +17,8 @@ mode.  Two thin subclasses name the rings of the computation:
   as its truncation.
 
 The class upstairs, ``UpstreamClass`` of :mod:`trisecant.riemann_roch`, is
-a module over ``ThetaPoly``, not a third ``TruncatedClass``.
+a module over ``ThetaPoly``, not a third ``TruncatedClass``; both share the
+value protocol of :class:`_Value`.
 
 The engine has no series type: a Chern series is computed as the integer
 columns of :mod:`trisecant._graded` and handed out as a tuple of
@@ -51,19 +52,61 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def _power(base, exponent: int, one):
-    """``base ** exponent`` by square-and-multiply, starting from the unit
-    ``one`` of the base's ring; shared by every ring type."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("ring powers need a non-negative integer exponent")
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
+def _require_curve_degree(d) -> None:
+    """The paper's curve has an integer degree d >= 8; below that the third
+    secant variety is not a proper subvariety of the ambient space."""
+    if not isinstance(d, int) or d < 8:
+        raise ValueError(f"the curve degree d must be an integer >= 8, got {d!r}")
+
+
+class _Value:
+    """The value protocol of every ring type, stated once.  A subclass gives
+    ``+``, unary ``-``, ``*``, ``_key`` (equal values, equal keys) and
+    ``_lift``: a value of its ring back as is, a scalar lifted into it, a
+    value of a ring it cannot meet :class:`RingMismatchError` (``==`` answers
+    False), and any other operand ``NotImplemented``."""
+
+    __slots__ = ()
+
+    def zero_like(self):
+        return self._lift(0)
+
+    def one_like(self):
+        return self._lift(1)
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
+        return self + -other
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
+        return other - self
+
+    def __pow__(self, exponent: int):
+        """Square-and-multiply from the unit of this ring."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("ring powers need a non-negative integer exponent")
+        result, base = self.one_like(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            other = self._lift(other)
+        except RingMismatchError:
+            return False
+        if other is NotImplemented:
+            return other
+        return self._key() == other._key()
 
 
 def _coordinate(a: int) -> property:
@@ -71,7 +114,7 @@ def _coordinate(a: int) -> property:
     return property(lambda self: Fraction(self._terms.get((a, 0), 0), self._den))
 
 
-class TruncatedClass:
+class TruncatedClass(_Value):
     """Element of ``Q[x, y]/(x^(top_a+1), y^(top_b+1))``.
 
     Stored sparsely: ``_terms`` maps each exponent pair ``(a, b)`` whose
@@ -83,10 +126,9 @@ class TruncatedClass:
     one gcd.  Constructors reduce modulo the relations, so exponents beyond
     the truncation simply vanish.
 
-    The ring of a value is its class together with its truncation.  A
-    scalar lifts into any ring, two values of one ring combine, a value of
-    another ring raises :class:`RingMismatchError` (``==`` answers False),
-    and any other operand gives ``NotImplemented``.
+    The ring of a value is its class together with its truncation; two
+    values of one ring combine, and a value of another ``TruncatedClass``
+    ring is one this ring cannot meet (:class:`_Value`).
     """
 
     __slots__ = ("_top", "_terms", "_den")
@@ -112,7 +154,7 @@ class TruncatedClass:
         self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self._den = den
 
-    def _new(self, terms: dict[tuple[int, int], int], den: int = 1) -> TruncatedClass:
+    def _new(self, terms: dict[tuple[int, int], int], den: int) -> TruncatedClass:
         """A value of this ring from in-range, nonzero integer numerators over
         ``den > 0``, brought to lowest terms; ``terms`` is taken over."""
         if den != 1:
@@ -126,9 +168,9 @@ class TruncatedClass:
         out._den = den
         return out
 
-    def _coerce(self, other) -> TruncatedClass:
-        """``other`` lifted into this ring when it is a scalar; a value of
-        another ring raises, and any other operand gives NotImplemented."""
+    def _lift(self, other) -> TruncatedClass:
+        if type(other) is type(self) and other._top == self._top:
+            return other
         if _is_exact(other):
             return self._new({(0, 0): other.numerator} if other else {}, other.denominator)
         if isinstance(other, TruncatedClass):
@@ -160,15 +202,9 @@ class TruncatedClass:
         """True when every term has total degree a + b equal to ``degree``."""
         return all(a + b == degree for a, b in self._terms)
 
-    def zero_like(self) -> TruncatedClass:
-        return self._new({})
-
-    def one_like(self) -> TruncatedClass:
-        return self._new({(0, 0): 1})
-
     def __add__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
         if type(other) is not type(self) or other._top != self._top:
-            other = self._coerce(other)
+            other = self._lift(other)
             if other is NotImplemented:
                 return other
         den = self._den
@@ -193,17 +229,9 @@ class TruncatedClass:
     def __neg__(self) -> TruncatedClass:
         return self._new({key: -c for key, c in self._terms.items()}, self._den)
 
-    def __sub__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
-        if not (isinstance(other, TruncatedClass) or _is_exact(other)):
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other: Scalar) -> TruncatedClass:
-        return (-self).__add__(other)
-
     def __mul__(self, other: TruncatedClass | Scalar) -> TruncatedClass:
         if type(other) is not type(self) or other._top != self._top:
-            other = self._coerce(other)
+            other = self._lift(other)
             if other is NotImplemented:
                 return other
         top_a, top_b = self._top
@@ -223,15 +251,8 @@ class TruncatedClass:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> TruncatedClass:
-        return _power(self, exponent, self.one_like())
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self) or other._top != self._top:
-            if not _is_exact(other):
-                return False if isinstance(other, TruncatedClass) else NotImplemented
-            other = self._coerce(other)
-        return self._den == other._den and self._terms == other._terms
+    def _key(self) -> tuple:
+        return self._den, self._terms
 
     def __hash__(self) -> int:
         # A constant equals its scalar, so it must hash like one.
@@ -316,15 +337,14 @@ class AmbientClass(TruncatedClass):
     _descending = True
 
     def __init__(self, d: int, terms: Mapping[tuple[int, int], Scalar] | None = None) -> None:
-        if not isinstance(d, int) or d < 8:
-            raise ValueError("ambient context requires an integer d >= 8")
+        _require_curve_degree(d)
         super().__init__((2, d - 2), terms)
 
     # Bound here, not inherited: the benchmark's per-layer tracer (bench/layers.py)
     # wraps only the operators found in this class's own namespace.
     __add__ = __radd__ = TruncatedClass.__add__
-    __sub__ = TruncatedClass.__sub__
-    __rsub__ = TruncatedClass.__rsub__
+    __sub__ = _Value.__sub__
+    __rsub__ = _Value.__rsub__
     __neg__ = TruncatedClass.__neg__
     __mul__ = __rmul__ = TruncatedClass.__mul__
 

@@ -254,10 +254,10 @@ def test_ring_axioms_keep_their_sample_size(monkeypatch):
 
 
 def test_verify_runs_one_recurrence_per_d(monkeypatch):
-    """The closed-form check reads the stage's full solve, and the three-way
-    and Berzolari checks the stage's class of every route, so the battery
-    runs the full recurrence once per d, the recurrence route's top once per
-    d, and builds each route's class once per d for the stage.  The Berzolari
+    """The closed-form check runs the full solve, its one reader, and the
+    three-way and Berzolari checks read the stage's class of every route, so
+    the battery runs the full recurrence once per d, the recurrence route's
+    top once per d, and builds each route's class once per d for the stage.  The Berzolari
     check's ``secant3_degree(d)`` builds the default Segre route's class once
     more per d, and nothing else does."""
     from collections import Counter
@@ -361,6 +361,16 @@ def test_verify_checks_report_shape():
     report = verify_checks(8, 8)
     assert report.passed
     assert [check.name for check in report.checks] == EXPECTED_CHECK_NAMES
+
+
+def test_verify_checks_refuses_a_bound_that_is_not_a_curve_degree():
+    """Either bound goes through the curve-degree rule, and a range that
+    ends below its start keeps its own message."""
+    for bounds in ((8.5, 10), (8, 9.5), (8, "9")):
+        with pytest.raises(ValueError, match="the curve degree d must be an integer >= 8"):
+            verify_checks(*bounds)
+    with pytest.raises(ValueError, match="empty range: --d-max is below --d-min"):
+        verify_checks(8, 7)
 
 
 CHECKOUT = Path(__file__).resolve().parents[1]

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisecant._graded import _dot, _solve, _solve_top
-from trisecant.riemann_roch import UpstreamClass
+from trisecant.cli import verify_checks
+from trisecant.degree import berzolari, secant3_degree
+from trisecant.porteous import chern_coefficients, determinant_formula, porteous_class
+from trisecant.riemann_roch import UpstreamClass, bundle_characters
 from trisecant.ring import AmbientClass, RingMismatchError, ThetaPoly
 
 from curve_ring import curve
@@ -153,6 +156,31 @@ def test_ambient_context_validation():
         AmbientClass.hyperplane(8) + AmbientClass.hyperplane(9)
     with pytest.raises(RingMismatchError):
         AmbientClass.hyperplane(8) * AmbientClass.hyperplane(9)
+
+
+# Every library entry that takes a curve degree d, as a function of d alone;
+# a bad method as well must not hide a bad d.
+CURVE_DEGREE_ENTRIES = {
+    "AmbientClass": AmbientClass,
+    "bundle_characters": bundle_characters,
+    "chern_coefficients": chern_coefficients,
+    "porteous_class": porteous_class,
+    "determinant_formula": lambda d: determinant_formula(3, d),
+    "secant3_degree": secant3_degree,
+    "secant3_degree-bad-method": lambda d: secant3_degree(d, "bogus"),
+    "berzolari": berzolari,
+    "verify_checks": lambda d: verify_checks(d, 40),
+}
+
+
+@pytest.mark.parametrize("entry", CURVE_DEGREE_ENTRIES.values(), ids=CURVE_DEGREE_ENTRIES)
+def test_every_entry_refuses_a_curve_degree_alike(entry):
+    """A d below 8, a float, a bool or a string is refused by the one rule,
+    with one text, at every entry, before any work is done."""
+    for d in (7, 8.0, True, "9"):
+        with pytest.raises(ValueError) as refused:
+            entry(d)
+        assert str(refused.value) == f"the curve degree d must be an integer >= 8, got {d!r}"
 
 
 def test_ambient_coefficient_is_range_checked():
@@ -387,10 +415,18 @@ def test_values_of_different_rings_never_combine(left, right):
     ids=["theta", "curve", "ambient", "upstream"],
 )
 def test_reflected_subtraction_reports_the_minus(value):
+    """Subtraction either way round, with an int and a Fraction; a foreign
+    operand is refused as unsupported, not as another ring; and the units."""
     name = type(value).__name__
     with pytest.raises(TypeError, match=f"for -: 'NoneType' and '{name}'"):
         None - value
-    assert 2 - value == -(value - 2)
+    with pytest.raises(TypeError, match=f"for -: '{name}' and 'str'"):
+        value - "a"
+    for s in (2, Fraction(-5, 3)):
+        assert s - value == -(value - s)
+        assert s - value + value == s
+    assert value ** 0 == value.one_like() == 1
+    assert value.zero_like() == 0
 
 
 def _truncated_convolution(a: list, b: list, top: int) -> list:
