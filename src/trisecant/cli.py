@@ -19,16 +19,14 @@ reported as one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import porteous
 from ._graded import _coefficient, _difference
@@ -83,16 +81,14 @@ def _curve_degree(text: str) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: str | None = None
     elapsed_s: float = 0.0
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     d_min: int
     d_max: int
     checks: tuple[CheckResult, ...]
@@ -169,19 +165,18 @@ def run_degree(args: argparse.Namespace) -> int:
 
 def run_table(args: argparse.Namespace) -> int:
     """CSV rows are written as each d finishes, so an internal error part-way
-    leaves the finished rows on stdout; JSON is one document, written whole."""
+    leaves the finished rows on stdout; JSON is one document, written whole.
+    Every CSV field is an int or a bare word, so none needs quoting."""
     keys = ("d", "degree_porteous", "degree_closed_form", "degree_berzolari", "match")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.format == "csv":
-        writer.writerow(keys)
+        print(*keys, sep=",")
     rows = []
     for d in range(args.d_min, args.d_max + 1):
         row = (d, secant3_degree(d, "segre"), secant3_degree(d, "closed-form"), berzolari(d))
         match = len(set(row[1:])) == 1
         rows.append(dict(zip(keys, row + (match,))))
         if args.format == "csv":
-            writer.writerow(row + ("true" if match else "false",))
-            sys.stdout.flush()
+            print(*row, "true" if match else "false", sep=",", flush=True)
     if args.format == "json":
         sys.stdout.write(json.dumps(rows, separators=(",", ":")) + "\n")
     if all(row["match"] for row in rows):
@@ -190,7 +185,6 @@ def run_table(args: argparse.Namespace) -> int:
     return EXIT_VERIFY
 
 
-@dataclass(frozen=True)
 class Stage:
     """The intermediates of one d that several checks share: the integer
     columns of the series division, read through ``porteous`` so that a
@@ -198,7 +192,8 @@ class Stage:
     ``METHODS``, as ``degree`` computes it.  Each is built on first use, so
     its cost falls to the check that first reads it."""
 
-    d: int
+    def __init__(self, d: int) -> None:
+        self.d = d
 
     @cached_property
     def division(self) -> list[list]:
@@ -416,7 +411,7 @@ def run_verify(args: argparse.Namespace) -> int:
             "d_min": report.d_min,
             "d_max": report.d_max,
             "passed": report.passed,
-            "checks": [asdict(check) for check in report.checks],
+            "checks": [check._asdict() for check in report.checks],
         }
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
     else:

@@ -17,7 +17,9 @@ f^2 = 0, so its Todd class 1 - P is read as 1 - f.
 
 The Riemann-Roch pushforwards behind the two section bundles run once per
 process: d enters only through exp(d*f) = 1 + d*f, exact because f^2 = 0,
-so the residual character is affine in d.
+so the residual character is affine in d.  Three pushforwards fix both
+characters: the sections one, and the residual's value at d = 0 and its
+slope, from two line-bundle characters in all.
 """
 
 from __future__ import annotations
@@ -229,19 +231,18 @@ def riemann_roch_pushforward(character: UpstreamClass) -> ThetaPoly:
 @cache
 def _pushforwards() -> tuple[ThetaPoly, ThetaPoly, ThetaPoly]:
     """The sections character, and the residual one at hyperplane degree 0
-    with its slope in d.  The hyperplane character exp(e*f) = 1 + e*f twisted
-    by the inverse Poincare bundle is affine in e, so e = 0 and 1 fix it."""
+    with its slope in d.  The residual is the pushforward of exp(d*f) times
+    the inverse Poincare character, and exp(d*f) = 1 + d*f as f^2 = 0; the
+    pushforward is linear, so the inverse character pushes forward to the
+    value at d = 0, and f times it to the slope."""
     c1 = poincare_first_chern()
     sections = riemann_roch_pushforward(line_bundle_character(c1))
-    at_0, at_1 = (
-        riemann_roch_pushforward(
-            line_bundle_character(UpstreamClass.fiber() * e) * line_bundle_character(-c1)
-        )
-        for e in (0, 1)
-    )
-    for character in (sections, at_0, at_1):
+    dual = line_bundle_character(-c1)
+    at_0 = riemann_roch_pushforward(dual)
+    slope = riemann_roch_pushforward(UpstreamClass.fiber() * dual)
+    for character in (sections, at_0, slope):
         _require_integer_rank(character)
-    return sections, at_0, at_1 - at_0
+    return sections, at_0, slope
 
 
 def bundle_characters(d: int) -> tuple[ThetaPoly, ThetaPoly]:

@@ -154,6 +154,53 @@ def test_table_streams_finished_rows_before_an_internal_error(monkeypatch, capsy
     assert captured.err == "error: internal inconsistency: injected at d=10\n"
 
 
+def _berzolari_high_at_9(monkeypatch):
+    """The classical count reads one high at d = 9 for the CLI alone."""
+    import trisecant.cli
+    from trisecant.degree import berzolari
+
+    monkeypatch.setattr(trisecant.cli, "berzolari", lambda d: berzolari(d) + (d == 9))
+
+
+def test_table_disagreement_exits_2_after_every_row(monkeypatch, capsys):
+    _berzolari_high_at_9(monkeypatch)
+    assert main(["table", "--d-min", "8", "--d-max", "10"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "d,degree_porteous,degree_closed_form,degree_berzolari,match",
+        "8,12,12,12,true",
+        "9,25,25,26,false",
+        "10,44,44,44,true",
+    ]
+    assert captured.err == "error: degree methods disagree somewhere in the table\n"
+
+
+def test_table_json_disagreement_marks_its_row(monkeypatch, capsys):
+    _berzolari_high_at_9(monkeypatch)
+    argv = ["table", "--d-min", "8", "--d-max", "10", "--format", "json"]
+    assert main(argv) == EXIT_VERIFY
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["d"], row["degree_berzolari"], row["match"]) for row in rows] == [
+        (8, 12, True),
+        (9, 26, False),
+        (10, 44, True),
+    ]
+
+
+def test_degree_disagreement_names_every_value(monkeypatch, capsys):
+    _berzolari_high_at_9(monkeypatch)
+    assert main(["degree", "--d", "9"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "segre: 25",
+        "recurrence: 25",
+        "closed-form: 25",
+        "berzolari: 26",
+        "error: degree methods disagree at d=9",
+    ]
+
+
 def test_table_empty_range_is_usage_error(capsys):
     assert main(["table", "--d-min", "10", "--d-max", "9"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -388,6 +435,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
+
+
+def test_cli_imports_neither_dataclasses_nor_csv():
+    """A cold process pays for no module its commands do not use.  ``-S``
+    keeps the imports of site's ``.pth`` files out of the picture."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(CHECKOUT / 'src')!r}); import trisecant.cli; "
+        "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 WALKTHROUGH = CHECKOUT / "scripts" / "pipeline_walkthrough.py"
