@@ -3,17 +3,19 @@
 There c_k is homogeneous of degree k, so it is the triple (x0, x1, X2) of its
 coefficients of h^k, T h^(k-1) and 2*T^2 h^(k-2).  With T^2 doubled, the
 pipeline's triples are ints and a product is (a0 b0, a0 b1 + a1 b0,
-a0 B2 + 2 a1 b1 + A2 b0), with no division.  The kernel forms it from five
-products, not six: the middle entry is (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
-and X2 reuses a1 b1.  A series is three columns of such entries.  One solver
-gives its quotients and its exponential, which it reads off the columns of
-t d/dt of the exponent; it divides each step by a divisor only where one is
-given, which is the exponential's, as a quotient's is 1.  Where only the last
-quotient is needed, ``_solve_top`` runs the solve to the middle and takes one
-Newton step of series inversion, about half the products.  Callers hand in
-columns and take columns back; the truncation h^(d-1) = 0 is graded, so it
-commutes with the kernel and is applied once, where a column entry becomes
-an ``AmbientClass`` term, and a series becomes the tuple of its classes.
+a0 B2 + 2 a1 b1 + A2 b0), with no division.  A series is three columns of
+such entries.  The kernel's dot product of two such series takes five
+scalar dot products, not six: the middle entry is
+(a0 + a1)(b0 + b1) - a0 b0 - a1 b1, and X2 reuses a1 b1.  One solver on the
+dot gives a series' quotients, and where only the last quotient is needed,
+``_solve_top`` runs the solve to the middle and takes one Newton step of
+series inversion, about half the products.  One stepper, with no dot, solves a first-order equation
+A y' = B y with short A and B, such as the exponential form's, in
+len A + len B - 1 triple products per entry; an exponential is its case
+A = 1, with B the exponent's derivative.  Callers hand in columns and take
+columns back; the truncation h^(d-1) = 0 is graded, so it commutes with the
+kernel and is applied once, where a column entry becomes an
+``AmbientClass`` term, and a series becomes the tuple of its classes.
 """
 
 from __future__ import annotations
@@ -76,10 +78,10 @@ def _summed(columns) -> list:
     return list(map(add, columns[0], columns[1]))
 
 
-def _solve(columns, divisor=None, numerator=((1,), (0,), (0,))) -> list[list]:
+def _solve(columns, numerator=((1,), (0,), (0,))) -> list[list]:
     """The columns of q with q_0 = n_0 and q_m = n_m + sum_(k>=1) c_k q_(m-k),
-    divided by divisor(m) where a divisor is given, to the order of c; n, by
-    default 1, reads 0 past its end, and c_0 is never read."""
+    to the order of c; n, by default 1, reads 0 past its end, and c_0 is never
+    read."""
     order = len(columns[0]) - 1
     backwards = [column[::-1] for column in columns]
     backwards01 = _summed(backwards)
@@ -91,8 +93,6 @@ def _solve(columns, divisor=None, numerator=((1,), (0,), (0,))) -> list[list]:
         start = order - m
         x0, x1, x2 = _dot([c[start:] for c in backwards], q, backwards01[start:], q01)
         x0, x1, x2 = x0 + n0[m], x1 + n1[m], x2 + n2[m]
-        if divisor:
-            x0, x1, x2 = (_exact(x, divisor(m)) for x in (x0, x1, x2))
         q0.append(x0)
         q1.append(x1)
         q2.append(x2)
@@ -146,7 +146,32 @@ def _quotient(numerator, columns) -> list[list]:
     return _solve([[-x for x in column[:size]] for column in columns], numerator=numerator)
 
 
-def _exp(columns) -> list[list]:
-    """exp(x) for a series x with zero constant term, from the columns of
-    t dx/dt = sum_k k x_k t^k, by m e_m = sum_k (k x_k) e_(m-k)."""
-    return _solve(columns, lambda m: m)
+def _first_order(a, b, order: int) -> list[list]:
+    """The columns of y to t^order with y_0 = 1 and A y' = B y, for the column
+    triples a and b of two short series A and B, A_0 = 1 (never read).  As
+    y' = B y - (A - 1) y', the t^m coefficient z_m = (m + 1) y_(m+1) of y' is
+
+        z_m = sum_(j>=0) B_j y_(m-j) - sum_(j>=1) A_j z_(m-j),
+
+    len a + len b - 1 triple products a step, whatever the order, then one
+    exact division by m + 1 (Stanley, "Differentiably finite power series",
+    Europ. J. Combin. 1, 1980).  B_j meets y_(m-j) in degree m + 1, so it is
+    read as a class of degree j + 1.  With A = 1 and B the derivative of a
+    series x with x_0 = 0, y is exp(x)."""
+    y, z = [(1, 0, 0)], []
+    # (j, coefficient, history it meets): B_j against y, -A_j against z.
+    terms = [(j, p, y) for j, p in enumerate(zip(*b))]
+    terms += [(j, [-x for x in p], z) for j, p in enumerate(zip(*a)) if j]
+    for m in range(order):
+        x0 = x1 = x2 = 0
+        for j, (p0, p1, p2), history in terms:
+            if j <= m:
+                # The graded product of ``_times``, written out: the call costs
+                # more than these products at the orders ``verify`` reads.
+                q0, q1, q2 = history[m - j]
+                x0 += p0 * q0
+                x1 += p0 * q1 + p1 * q0
+                x2 += p0 * q2 + 2 * p1 * q1 + p2 * q0
+        z.append((x0, x1, x2))
+        y.append((_exact(x0, m + 1), _exact(x1, m + 1), _exact(x2, m + 1)))
+    return [list(column) for column in zip(*y)]

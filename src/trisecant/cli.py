@@ -204,11 +204,12 @@ class Stage:
         return {method: porteous_class(self.d, method) for method in METHODS}
 
 
-def _broken_law(draw, count: int) -> tuple | None:
-    """``(law, a, b, c)`` for the first of ``count`` triples ``draw()`` that breaks
-    distributivity, associativity or commutativity; ``a*b`` and ``b*c`` formed once."""
-    for _ in range(count):
-        a, b, c = draw(), draw(), draw()
+def _broken_law(values) -> tuple | None:
+    """``(law, a, b, c)`` for the first triple of ``values``, read three at a time,
+    that breaks distributivity, associativity or commutativity; ``a*b`` and
+    ``b*c`` formed once."""
+    values = iter(values)
+    for a, b, c in zip(values, values, values):
         ab, bc = a * b, b * c
         if (a + b) * c != a * c + bc:
             return "distributivity", a, b, c
@@ -224,11 +225,14 @@ def check_ring_axioms(d_min: int, d_max: int) -> str | None:
     rings, plus the defining nilpotency relations and the last nonzero powers
     h^(d-2) and T^2, each one term with coefficient 1, which tell a generator
     from a multiple or a shift of it; the ambient ring is exercised on the
-    first five d of the range.  Values are drawn from fixed pools:
-    grid keys, and coefficients n/m, |n| <= 9, m <= 4 (theta) or 3 (ambient)."""
+    first five d of the range.  Values are drawn from fixed pools, each pool
+    in one call: the coefficients n/m, |n| <= 9, m <= 4, of 350 theta triples,
+    three to a value; then at each d the grid keys of 120 ambient triples,
+    four to a value, and as many coefficients, m <= 3."""
     rng = random.Random(271828)
     pool = [Fraction(n, m) for n in range(-9, 10) for m in range(1, 5)]
-    broken = _broken_law(lambda: ThetaPoly(*rng.choices(pool, k=3)), 350)
+    coefficients = iter(rng.choices(pool, k=3 * 3 * 350))
+    broken = _broken_law(map(ThetaPoly, coefficients, coefficients, coefficients))
     if broken:
         return "theta {}: {}; {}; {}".format(*broken)
     theta = ThetaPoly.theta()
@@ -240,9 +244,9 @@ def check_ring_axioms(d_min: int, d_max: int) -> str | None:
     pool = [Fraction(n, m) for n in range(-9, 10) for m in range(1, 4)]
     for d in range(d_min, min(d_max, d_min + 4) + 1):
         grid = [(a, b) for a in range(3) for b in range(d - 1)]
-        broken = _broken_law(
-            lambda: AmbientClass(d, dict(zip(rng.choices(grid, k=4), rng.choices(pool, k=4)))), 120
-        )
+        terms = iter(zip(rng.choices(grid, k=4 * 3 * 120), rng.choices(pool, k=4 * 3 * 120)))
+        values = (AmbientClass(d, dict(four)) for four in zip(terms, terms, terms, terms))
+        broken = _broken_law(values)
         if broken:
             return f"ambient {broken[0]} at d={d}"
         h, theta = AmbientClass.hyperplane(d), AmbientClass.theta(d)

@@ -29,10 +29,11 @@ Each c_k here is homogeneous of degree k, so every series form and the
 recurrence are the graded kernel's integer columns (x0, x1, X2): the
 division solves the target's triples over the twisted source's, the
 recurrence the formula's signed triples (``_recurrence_columns``), the
-exponential form is one exp of an exponent written down in closed form, and
-the binomial expansion sums shifted Pascal columns.  Only the division's
-columns become classes, in ``chern_coefficients``; ``trisecant verify``
-compares the columns themselves (``_<form>_columns``).  The recurrence route
+exponential form steps the first-order equation its logarithmic derivative
+gives, in O(d) (``_graded._first_order``), and the binomial expansion sums
+shifted Pascal columns.  Only the division's columns become classes, in
+``chern_coefficients``; ``trisecant verify`` compares the columns themselves
+(``_<form>_columns``).  The recurrence route
 needs one determinant, the last: it runs the recurrence to the middle and
 then one Newton step (``_graded._solve_top``), while ``verify``, which reads
 every size, runs the full recurrence (``_determinant_columns``).  The closed
@@ -149,19 +150,22 @@ def _division_columns(d: int) -> list[list]:
 def _exponential_columns(d: int) -> list[list]:
     """c_0..c_(d-5) of the same quotient in closed exponential form,
 
-        (1 - h*t)^(4-d) * exp((2*T*t - T*h*t^2) / (1 - h*t))
-            = exp((d-4) * -log(1 - h*t) + (2*T*t - T*h*t^2) / (1 - h*t)),
+        y = (1 - u)^(4-d) * exp(eps * (2u - u^2) / (1 - u)),  u = h*t, eps = T/h,
 
-    with no division by the source series: one exp on the graded kernel's
-    columns.  The exponent is (d-4) h^k / k + T h^(k-1) at each t^k, with
-    2T in place of T at t^1, so t d/dt of it has the integer columns
-    (0, d-4, d-4, ...) of h^k and (0, 2, 2, 3, 4, ..., d-5) of T h^(k-1),
-    and no T^2 part.
+    with no division by the source series and no exp taken: y solves the
+    first-order equation read off its logarithmic derivative,
+
+        (1 - u)^2 y' = ((d - 4)(1 - u) + eps * (2 - 2u + u^2)) y,
+
+    which ``_graded._first_order`` steps in O(d).  A kernel triple at t^k
+    is h^k (x0 + x1 eps + X2/2 eps^2), and dy/dt = h dy/du, so in t
+    A = (1 - u)^2 has the columns (1, -2, 1) of h^j, and B the columns
+    (d - 4, 4 - d) of h^(j+1) and (2, -2, 1) of T h^j, with no T^2 part.
     """
-    order = d - 5
-    x0, x1 = [0, *[d - 4] * order], [0, 2, *range(2, order + 1)]
-    # Through the module, so that a rebinding of ``_graded._exp`` takes effect.
-    return _graded._exp([x0, x1, [0] * (order + 1)])
+    a = ((1, -2, 1), (0, 0, 0), (0, 0, 0))
+    b = ((d - 4, 4 - d, 0), (2, -2, 1), (0, 0, 0))
+    # Through the module, so that a rebinding of ``_graded._first_order`` takes effect.
+    return _graded._first_order(a, b, d - 5)
 
 
 def _expansion_columns(d: int) -> list[list]:

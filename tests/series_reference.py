@@ -2,17 +2,17 @@
 tests.  A series is a plain tuple of ring values c_0..c_order, so its order
 is its length - 1.  Here are the product, the inverse, the exponential and
 the sum in plain ring arithmetic; a series' graded columns, and the graded
-kernel's quotient and exponential (with a product through its dot) run on
-them; a bundle's Chern series and the whole twisted series built from the
-engine's Chern triples and its one twist; the graded kernel's dot product in
-its schoolbook form; and the closed binomial formula with one ``math.comb``
-per entry."""
+kernel's quotient and exponential (its first-order stepper with A = 1, and a
+product through its dot) run on them; a bundle's Chern series and the whole
+twisted series built from the engine's Chern triples and its one twist; the
+graded kernel's dot product in its schoolbook form; and the closed binomial
+formula with one ``math.comb`` per entry."""
 
 from fractions import Fraction
 from math import comb
 from operator import mul
 
-from trisecant._graded import _ambient, _classes, _dot, _exact, _exp, _quotient, _summed
+from trisecant._graded import _ambient, _classes, _dot, _exact, _first_order, _quotient, _summed
 from trisecant.porteous import _chern_triples, _twisted_coefficients
 from trisecant.riemann_roch import bundle_characters
 from trisecant.ring import AmbientClass, RingMismatchError
@@ -95,12 +95,13 @@ def graded_quotient(numerator: tuple, series: tuple) -> tuple:
 def graded_exp_product(factor: tuple, series: tuple) -> tuple:
     """factor * exp(series) for two such ambient series of one d (or
     ``RingMismatchError``), to the smaller order: the exp by the graded
-    kernel's ``_exp`` on the columns of t d/dt series, and the product by its
-    ``_dot``; ``series`` needs constant term 0."""
+    kernel's ``_first_order`` with A = 1 and B the columns of d/dt series,
+    and the product by its ``_dot``; ``series`` needs constant term 0."""
     factor_columns, exponent = columns(factor), columns(series, 0)
     _check_ring(factor, series)
     order = min(len(factor), len(series)) - 1
-    exp = _exp([[k * x for k, x in enumerate(column)] for column in exponent])
+    derivative = [[k * x for k, x in enumerate(column)][1:] for column in exponent]
+    exp = _first_order(((1,), (0,), (0,)), derivative, len(series) - 1)
     backwards = [column[order::-1] for column in exp]
     backwards01, factor01 = _summed(backwards), _summed(factor_columns)
     triples = [

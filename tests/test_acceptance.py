@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from trisecant import porteous
-from trisecant._graded import _classes, _coefficient, _exp, _quotient
+from trisecant._graded import _classes, _coefficient, _first_order, _quotient
 from trisecant.degree import berzolari, secant3_degree, verify_binomial_identities
 from trisecant.porteous import METHODS, determinant_formula, porteous_class
 from trisecant.riemann_roch import (
@@ -189,8 +189,9 @@ def test_criterion_8_property_suites():
     # contract c * (1 / c) = 1 for ``_quotient`` on theta series to order 4,
     # whose t^k coefficient x0 + x1 T + x2 T^2 is the kernel's triple
     # (x0, x1, 2 x2); and the exponential law exp(a) exp(b) = exp(a + b) for
-    # ``_exp``, which reads t d/dt of the exponent, so that the exponent's
-    # sum is the sum of what it reads; each product by the schoolbook dot
+    # ``_first_order`` with A = 1, which reads B, the exponent's derivative,
+    # so that the exponent's sum is the sum of what it reads; each product by
+    # the schoolbook dot
     def theta_columns(size: int) -> list[list]:
         triples = [(1, 0, 0)]
         triples += [(x.c0, x.c1, 2 * x.c2) for x in (random_theta() for _ in range(size - 1))]
@@ -221,11 +222,17 @@ def test_criterion_8_property_suites():
         triples = [schoolbook_dot([column[m::-1] for column in a], b) for m in range(len(a[0]))]
         return [list(column) for column in zip(*triples)]
 
+    def exp(columns: list[list]) -> list[list]:
+        """exp of the series whose t d/dt has ``columns``: the derivative's
+        columns are those moved up one place."""
+        derivative = [column[1:] for column in columns]
+        return _first_order(((1,), (0,), (0,)), derivative, len(columns[0]) - 1)
+
     for _ in range(200):
         order = rng.randint(1, rng.randint(8, 12))
         a, b = random_graded(order), random_graded(order)
-        exp_sum = _exp([list(map(operator.add, x, y)) for x, y in zip(a, b)])
-        if product(_exp(a), _exp(b)) != exp_sum:
+        exp_sum = exp([list(map(operator.add, x, y)) for x, y in zip(a, b)])
+        if product(exp(a), exp(b)) != exp_sum:
             failures.append("series-exp")
             break
 

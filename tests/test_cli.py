@@ -300,6 +300,28 @@ def test_ring_axioms_keep_their_sample_size(monkeypatch):
     assert built == {(2, 0): 3 * 350 + 1, **{(2, d - 2): 3 * 120 + 2 for d in range(8, 13)}}
 
 
+@pytest.mark.parametrize("d_max, ambient_ds", [(40, 5), (9, 2)])
+def test_ring_axioms_draw_every_value_from_its_pools(monkeypatch, d_max, ambient_ds):
+    """The check's seeded stream gives 3 * 3 * 350 theta coefficients, then
+    at each ambient d 4 * 3 * 120 keys and as many coefficients, one
+    ``random()`` each: a value drawn from fewer keys or coefficients than
+    that would change the count, which the values built do not show."""
+    import random
+
+    from trisecant.cli import check_ring_axioms
+
+    draws = []
+
+    class Counting(random.Random):
+        def random(self):
+            draws.append(None)
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", Counting)
+    assert check_ring_axioms(8, d_max) is None
+    assert len(draws) == 3 * 3 * 350 + ambient_ds * 8 * 3 * 120
+
+
 def test_verify_runs_one_recurrence_per_d(monkeypatch):
     """The closed-form check runs the full solve, its one reader, and the
     three-way and Berzolari checks read the stage's class of every route, so

@@ -11,11 +11,11 @@ count; a wrong negative-upper binomial only by ``binomial-identities``; a
 wrong top coefficient of the binomial expansion or of the exponential form
 only by that form's own check, ``series-binomial-expansion`` or
 ``series-exponential-form``; a lost T^2 column in the graded kernel's
-exponential only by ``series-exponential-form``, the one check that runs it;
-a faulty sum or theta product on operands no pipeline value has only by
-``ring-axioms``, whose random draws have them; a doubled hyperplane class only
-by ``ring-axioms``, through h^(d-2); and a Kunneth class shifted by f only by
-``kunneth-relations``, through pi_* gamma = 0.
+first-order stepper only by ``series-exponential-form``, the one check that
+runs it; a faulty sum or theta product on operands no pipeline value has
+only by ``ring-axioms``, whose random draws have them; a doubled hyperplane
+class only by ``ring-axioms``, through h^(d-2); and a Kunneth class shifted
+by f only by ``kunneth-relations``, through pi_* gamma = 0.
 
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
@@ -216,13 +216,14 @@ def segre_sign_flipped(monkeypatch):
 
 
 def graded_exp_t_squared_zeroed(monkeypatch):
-    original = _graded._exp
+    """The X2 column of the kernel's first-order stepper zeroed past t^0."""
+    original = _graded._first_order
 
-    def exp(columns):
-        e0, e1, e2 = original(columns)
-        return e0, e1, [e2[0]] + [0] * (len(e2) - 1)
+    def first_order(a, b, order):
+        y0, y1, y2 = original(a, b, order)
+        return y0, y1, [y2[0]] + [0] * (len(y2) - 1)
 
-    monkeypatch.setattr(_graded, "_exp", exp)
+    monkeypatch.setattr(_graded, "_first_order", first_order)
 
 
 def graded_dot_cross_term_lost(monkeypatch):

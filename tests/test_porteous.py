@@ -262,6 +262,14 @@ def test_virtual_series_three_forms_agree(d):
     assert division == _graded._classes(d, porteous._expansion_columns(d))
 
 
+@pytest.mark.parametrize("d", (400, 800))
+def test_exponential_form_is_the_binomial_expansion_at_large_d(d):
+    """The exponential form's O(d) steps against the binomial expansion, also
+    O(d), at d the O(d^2) division test above does not reach; the columns
+    are compared, not built as classes, so this stays a few milliseconds."""
+    assert porteous._exponential_columns(d) == porteous._expansion_columns(d)
+
+
 def test_first_coefficients_golden_d8():
     c = chern_coefficients(8)
     assert c[0] == AmbientClass(8, {(0, 1): 4, (1, 0): 2})

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisecant._graded import _dot, _solve, _solve_top
+from trisecant._graded import _dot, _first_order, _solve, _solve_top
 from trisecant.cli import verify_checks
 from trisecant.degree import berzolari, secant3_degree
 from trisecant.porteous import chern_coefficients, determinant_formula, porteous_class
@@ -542,7 +542,8 @@ def test_series_exp_group_law(a, b):
 # ------------------------------------------------------------ graded kernel
 # The kernel takes and gives integer columns.  ``graded_quotient`` and
 # ``graded_exp_product`` of ``series_reference`` run its ``_quotient``, and its
-# ``_exp`` and ``_dot``, on the columns of a series, which they validate first.
+# ``_first_order`` and ``_dot``, on the columns of a series, which they
+# validate first.
 
 
 @st.composite
@@ -649,22 +650,39 @@ def test_graded_dot_matches_schoolbook_dot(data, size, extra, longer_first):
     assert _dot(a, b, _summed_by_hand(a), _summed_by_hand(b)) == schoolbook_dot(a, b)
 
 
-@pytest.mark.parametrize("divisor", [None, lambda m: m + 1], ids=["undivided", "divided"])
 @given(data=st.data(), order=st.integers(0, 10), size=st.integers(1, 13))
-def test_graded_solve_meets_its_recurrence(divisor, data, order, size):
-    """q_0 = n_0 and divisor(m) q_m = n_m + sum_(k>=1) c_k q_(m-k), checked
-    through the schoolbook dot, for a numerator shorter or longer than the
-    order whose x1 is nonzero from index 0 on."""
+def test_graded_solve_meets_its_recurrence(data, order, size):
+    """q_0 = n_0 and q_m = n_m + sum_(k>=1) c_k q_(m-k), checked through the
+    schoolbook dot, for a numerator shorter or longer than the order whose
+    x1 is nonzero from index 0 on."""
     columns = data.draw(column_triples(order + 1))
     numerator = data.draw(column_triples(size))
-    q = _solve(columns, divisor, numerator)
+    q = _solve(columns, numerator)
     assert [len(column) for column in q] == [order + 1] * 3
     assert [column[0] for column in q] == [column[0] for column in numerator]
     for m in range(1, order + 1):
         dot = schoolbook_dot([column[m:0:-1] for column in columns], [column[:m] for column in q])
         n = [column[m] if m < size else 0 for column in numerator]
-        scale = divisor(m) if divisor else 1
-        assert [scale * column[m] for column in q] == [x + y for x, y in zip(dot, n)]
+        assert [column[m] for column in q] == [x + y for x, y in zip(dot, n)]
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 12))
+def test_first_order_meets_its_equation(data, length_a, length_b, order):
+    """y_0 = 1 and every t^m coefficient of A y' - B y is zero, checked
+    through the schoolbook dot, for a random short A with A_0 = 1 and a random
+    B; y' reads y_(m+1), so m runs below the order.  The steps' exact
+    division by m + 1 meets entries it does not divide, and gives Fractions."""
+    drawn = data.draw(column_triples(length_a, 99))
+    a = [[first, *column[1:]] for first, column in zip((1, 0, 0), drawn)]
+    b = data.draw(column_triples(length_b, 99))
+    y = _first_order(a, b, order)
+    assert [len(column) for column in y] == [order + 1] * 3
+    assert [column[0] for column in y] == [1, 0, 0]
+    derivative = [[(k + 1) * x for k, x in enumerate(column[1:])] for column in y]
+    for m in range(order):
+        left = schoolbook_dot(a, [column[m::-1] for column in derivative])
+        right = schoolbook_dot(b, [column[m::-1] for column in y])
+        assert left == right, m
 
 
 @settings(max_examples=20)
