@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .ring import AmbientClass, _require_curve_degree
+from .ring import AmbientClass, _is_int, _require_curve_degree
 
 __all__ = [
     "THETA_SELF_INTERSECTION",
@@ -32,7 +32,7 @@ def binomial(n: int, k: int) -> int:
     it satisfies the upper-negation identity
     binomial(n, k) = (-1)^k * binomial(-n+k-1, k); for k < 0 it is zero.
     """
-    if not isinstance(n, int) or not isinstance(k, int):
+    if not (_is_int(n) and _is_int(k)):
         raise TypeError("binomial arguments must be integers")
     if k < 0:
         return 0

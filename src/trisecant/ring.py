@@ -3,8 +3,9 @@
 Every ring is served by one sparse class, :class:`TruncatedClass`, whose
 values are elements of ``Q[x, y]/(x^(top_a+1), y^(top_b+1))`` that carry
 their truncation ``(top_a, top_b)``.  A value stores integer numerators over
-one common denominator and hands every coefficient out as an exact
-``fractions.Fraction``, always reduced, so Todd and exponential terms keep
+one common denominator, read from each scalar's ratio once and cleared of
+zeros and common factors in one pass, and hands every coefficient out as an
+exact, reduced ``fractions.Fraction``, so Todd and exponential terms keep
 their denominators 2, 6 and 12 exactly; the engine has no floating-point
 mode.  Two thin subclasses name the rings of the computation:
 
@@ -47,9 +48,14 @@ class RingMismatchError(TypeError):
     """Raised when combining ring elements from incompatible contexts."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: what an exponent, a power or a binomial argument must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_exact(value) -> bool:
     """An int that is not a bool, or a Fraction: both carry ``numerator`` and ``denominator``."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return _is_int(value) or isinstance(value, Fraction)
 
 
 def _require_curve_degree(d) -> None:
@@ -88,7 +94,7 @@ class _Value:
 
     def __pow__(self, exponent: int):
         """Square-and-multiply from the unit of this ring."""
-        if not isinstance(exponent, int) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise ValueError("ring powers need a non-negative integer exponent")
         result, base = self.one_like(), self
         while exponent:
@@ -124,7 +130,9 @@ class TruncatedClass(_Value):
     store equal data.  Every operation costs time in the number of nonzero
     terms, not in the truncation; a product is one integer convolution and
     one gcd.  Constructors reduce modulo the relations, so exponents beyond
-    the truncation simply vanish.
+    the truncation simply vanish, and read each coefficient's ratio once.
+    Every result goes through :meth:`_new`, which drops zero numerators and
+    divides out the common factor in one pass.
 
     The ring of a value is its class together with its truncation; two
     values of one ring combine, and a value of another ``TruncatedClass``
@@ -139,29 +147,35 @@ class TruncatedClass(_Value):
 
     def __init__(self, top: tuple[int, int], terms: Mapping | None = None) -> None:
         top_a, top_b = top
-        coeffs: dict[tuple[int, int], Scalar] = {}
+        numerators: dict[tuple[int, int], int] = {}
+        denominators: dict[tuple[int, int], int] = {}  # only those other than 1
         for (a, b), value in (terms or {}).items():
             if not (type(a) is type(b) is int and a >= 0 and b >= 0):
                 raise ValueError(f"exponents must be non-negative integers, got ({a}, {b})")
-            if type(value) is not int and type(value) is not Fraction and not _is_exact(value):
-                kind = type(value).__name__
-                raise TypeError(f"exact rational coefficient required, got {kind}")
-            if a <= top_a and b <= top_b and value:
-                coeffs[(a, b)] = value
+            kind = type(value)
+            if kind is not int and kind is not Fraction and not _is_exact(value):
+                raise TypeError(f"exact rational coefficient required, got {kind.__name__}")
+            p, q = value.as_integer_ratio()
+            if p and a <= top_a and b <= top_b:
+                numerators[(a, b)] = p
+                if q != 1:
+                    denominators[(a, b)] = q
         # Over the lcm of reduced denominators the numerators share no factor with it.
-        den = lcm(*[c.denominator for c in coeffs.values()])
+        den = lcm(*denominators.values())
+        if denominators:
+            for key, p in numerators.items():
+                numerators[key] = p * (den // denominators.get(key, 1))
         self._top = top
-        self._terms = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._terms = numerators
         self._den = den
 
     def _new(self, terms: dict[tuple[int, int], int], den: int) -> TruncatedClass:
-        """A value of this ring from in-range, nonzero integer numerators over
-        ``den > 0``, brought to lowest terms; ``terms`` is taken over."""
-        if den != 1:
-            common = gcd(den, *terms.values())
-            if common != 1:
-                terms = {key: c // common for key, c in terms.items()}
-                den //= common
+        """A value of this ring from in-range integer numerators over ``den > 0``; one
+        pass drops the zeros and divides out the common factor.  ``terms`` is taken over."""
+        common = gcd(den, *terms.values()) if den != 1 else 1
+        if common != 1 or 0 in terms.values():
+            terms = {key: c // common for key, c in terms.items() if c}
+            den //= common
         out = object.__new__(type(self))
         out._top = self._top
         out._terms = terms
@@ -181,10 +195,10 @@ class TruncatedClass(_Value):
         return NotImplemented
 
     def coefficient(self, a: int, b: int = 0) -> Fraction:
-        """Coefficient of ``x^a * y^b``, zero when the term is absent;
-        exponents are range-checked, not reduced."""
+        """Coefficient of ``x^a * y^b``, zero when the term is absent; the
+        exponents are ints, not bools, range-checked, not reduced."""
         top_a, top_b = self._top
-        if not (0 <= a <= top_a and 0 <= b <= top_b):
+        if not (_is_int(a) and _is_int(b) and 0 <= a <= top_a and 0 <= b <= top_b):
             raise IndexError(f"exponents ({a}, {b}) out of range for truncation {self._top}")
         return Fraction(self._terms.get((a, b), 0), self._den)
 
@@ -220,8 +234,6 @@ class TruncatedClass(_Value):
             get = acc.get
             for key, c in other._terms.items():
                 acc[key] = get(key, 0) + c * right_scale
-        if 0 in acc.values():
-            acc = {key: c for key, c in acc.items() if c}
         return self._new(acc, den)
 
     __radd__ = __add__
@@ -245,8 +257,6 @@ class TruncatedClass(_Value):
                 if a2 <= room_a and b2 <= room_b:
                     key = (a1 + a2, b1 + b2)
                     acc[key] = get(key, 0) + c1 * c2
-        if 0 in acc.values():
-            acc = {key: c for key, c in acc.items() if c}
         return self._new(acc, self._den * other._den)
 
     __rmul__ = __mul__

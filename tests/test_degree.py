@@ -41,10 +41,10 @@ def test_binomial_negative_k_is_zero():
 
 
 def test_binomial_rejects_non_integers():
-    with pytest.raises(TypeError):
-        binomial(2.5, 1)
-    with pytest.raises(TypeError):
-        binomial(4, "2")
+    """A bool is no integer argument: ``binomial(5, True)`` must not read as binomial(5, 1)."""
+    for n, k in ((2.5, 1), (4, "2"), (5, True), (True, 0), (False, False)):
+        with pytest.raises(TypeError, match="binomial arguments must be integers"):
+            binomial(n, k)
 
 
 @given(st.integers(0, 10), st.integers(0, 10))

@@ -2,9 +2,11 @@
 arithmetic on tuples of ring values."""
 
 import operator
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,13 @@ from series_reference import (
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 theta_polys = st.builds(ThetaPoly, small_fractions, small_fractions, small_fractions)
+
+
+class _Level(IntEnum):
+    """An int subclass: an exact coefficient and an exponent, as its value."""
+
+    ONE = 1
+    FOUR = 4
 
 
 @st.composite
@@ -84,8 +93,12 @@ def test_theta_scalar_lifting():
 
 
 def test_theta_power_requires_nonnegative_int():
-    with pytest.raises(ValueError):
-        ThetaPoly.theta() ** -1
+    """A bool is no exponent either (``h ** True`` is not h); an int subclass is."""
+    for value in (ThetaPoly(1, 2), AmbientClass.hyperplane(8), UpstreamClass(1, 2)):
+        for exponent in (-1, 1.0, True, False):
+            with pytest.raises(ValueError, match="ring powers need a non-negative integer"):
+                value ** exponent
+        assert value ** _Level.ONE == value
 
 
 def test_theta_str():
@@ -184,11 +197,13 @@ def test_every_entry_refuses_a_curve_degree_alike(entry):
 
 
 def test_ambient_coefficient_is_range_checked():
-    x = AmbientClass.one(8)
-    with pytest.raises(IndexError):
-        x.coefficient(3, 0)
-    with pytest.raises(IndexError):
-        x.coefficient(0, 7)
+    """A bool or a float is no exponent: ``coefficient(True, 0)`` must not read
+    the T coefficient; an int subclass is one."""
+    x = AmbientClass(8, {(1, 0): 2, (1, 1): 3})
+    for a, b in ((3, 0), (0, 7), (True, 0), (1, True), (1.0, 0)):
+        with pytest.raises(IndexError, match=rf"exponents \({a}, {b}\) out of range"):
+            x.coefficient(a, b)
+    assert x.coefficient(_Level.ONE, _Level.ONE) == 3
 
 
 def test_ambient_homogeneity():
@@ -371,6 +386,59 @@ def test_reduced_constant_hashes_like_its_fraction():
     half = AmbientClass(8, {(1, 1): Fraction(1, 2)})
     assert (half + half)._den == 1
     assert hash(AmbientClass.one(8) * Fraction(1, 2) * 2) == hash(1)
+    # zeros and a common factor at once: the raw numerators are 2, 0 and -2 over 2
+    product = ThetaPoly(Fraction(1, 2), Fraction(1, 2)) * ThetaPoly(2, -2)
+    assert (product._terms, product._den) == ({(0, 0): 1, (2, 0): -1}, 1)
+    assert product == ThetaPoly(1, 0, -1)
+
+
+class _Ratio(Fraction):
+    """An exact subclass of Fraction, which inherits its ``as_integer_ratio()``."""
+
+
+_exact_scalars = st.one_of(
+    st.integers(-12, 12),
+    small_fractions,
+    st.sampled_from(list(_Level)),
+    small_fractions.map(lambda q: _Ratio(q.numerator, q.denominator)),
+)
+
+
+@given(
+    st.integers(8, 10),
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 10)), _exact_scalars, max_size=8),
+)
+def test_constructor_stores_the_reduced_ratio_of_each_scalar(d, terms):
+    """Any mix of ints, Fractions and their exact subclasses, zeros and
+    exponents beyond the truncation included, is stored as the plain
+    Fraction reference: integer numerators over the lcm of the reduced
+    denominators of the in-range nonzero coefficients."""
+    kept = {(a, b): Fraction(c) for (a, b), c in terms.items() if a <= 2 and b <= d - 2 and c}
+    den = lcm(*[c.denominator for c in kept.values()])
+    x = AmbientClass(d, terms)
+    assert (x._terms, x._den) == ({key: int(c * den) for key, c in kept.items()}, den)
+    _assert_canonical(x)
+    theta = ThetaPoly(*[terms.get((a, 0), 0) for a in range(3)])
+    assert [theta.coefficient(a) for a in range(3)] == [x.coefficient(a, 0) for a in range(3)]
+    _assert_canonical(theta)
+
+
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        ({(9, 0): True}, TypeError, "exact rational coefficient required, got bool"),
+        ({(0, 0): 0.0}, TypeError, "exact rational coefficient required, got float"),
+        ({(9, 0): Decimal(1)}, TypeError, "exact rational coefficient required, got Decimal"),
+        ({(1, 1): 1j}, TypeError, "exact rational coefficient required, got complex"),
+        ({(-1, 0): 1}, ValueError, r"exponents must be non-negative integers, got \(-1, 0\)"),
+        ({(0, False): 0}, ValueError, r"exponents must be non-negative integers, got \(0, False\)"),
+        ({(1.0, 0): 1}, ValueError, r"exponents must be non-negative integers, got \(1.0, 0\)"),
+    ],
+)
+def test_constructor_refuses_what_is_not_exact(terms, error, message):
+    """Zero, out-of-range or not, a bad scalar or exponent is refused."""
+    with pytest.raises(error, match=message):
+        AmbientClass(8, terms)
 
 
 @given(theta_polys, ambient_triples())
