@@ -7,15 +7,14 @@ a0 B2 + 2 a1 b1 + A2 b0), with no division.  A series is three columns of
 such entries.  The kernel's dot product of two such series takes five
 scalar dot products, not six: the middle entry is
 (a0 + a1)(b0 + b1) - a0 b0 - a1 b1, and X2 reuses a1 b1.  One solver on the
-dot gives a series' quotients, and where only the last quotient is needed,
-``_solve_top`` runs the solve to the middle and takes one Newton step of
-series inversion, about half the products.  One stepper, with no dot, solves a first-order equation
-A y' = B y with short A and B, such as the exponential form's, in
-len A + len B - 1 triple products per entry; an exponential is its case
-A = 1, with B the exponent's derivative.  Callers hand in columns and take
-columns back; the truncation h^(d-1) = 0 is graded, so it commutes with the
-kernel and is applied once, where a column entry becomes an
-``AmbientClass`` term, and a series becomes the tuple of its classes.
+dot gives a series' quotients.  One stepper, with no dot, solves a
+first-order equation A y' = B y with short A and B, such as those of the
+exponential form and of the banded determinants, in len A + len B - 1
+triple products per entry; an exponential is its case A = 1, with B the
+exponent's derivative.  Callers hand in columns and take columns back; the
+truncation h^(d-1) = 0 is graded, so it commutes with the kernel and is
+applied once, where a column entry becomes an ``AmbientClass`` term, and a
+series becomes the tuple of its classes.
 """
 
 from __future__ import annotations
@@ -78,14 +77,13 @@ def _summed(columns) -> list:
     return list(map(add, columns[0], columns[1]))
 
 
-def _solve(columns, numerator=((1,), (0,), (0,))) -> list[list]:
+def _solve(columns, numerator) -> list[list]:
     """The columns of q with q_0 = n_0 and q_m = n_m + sum_(k>=1) c_k q_(m-k),
-    to the order of c; n, by default 1, reads 0 past its end, and c_0 is never
-    read."""
+    to the order of c, for n at least as long as c; c_0 is never read."""
     order = len(columns[0]) - 1
     backwards = [column[::-1] for column in columns]
     backwards01 = _summed(backwards)
-    n0, n1, n2 = ([*column, *[0] * order] for column in numerator)
+    n0, n1, n2 = numerator
     q0, q1, q2 = q = [[n0[0]], [n1[0]], [n2[0]]]
     q01 = [n0[0] + n1[0]]
     for m in range(1, order + 1):
@@ -100,50 +98,10 @@ def _solve(columns, numerator=((1,), (0,), (0,))) -> list[list]:
     return q
 
 
-def _times(a, b) -> tuple:
-    """The graded product of two triples: (a0 b0, a0 b1 + a1 b0, a0 B2 + 2 a1 b1 + A2 b0)."""
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + 2 * a1 * b1 + a2 * b0
-
-
-def _solve_top(columns) -> tuple:
-    """The last entry q_n of ``_solve(columns)``, n >= 1 the order of c, from
-    half the recurrence and one Newton step of series inversion (Brent and
-    Kung, J. ACM 25, 1978).  q is 1/g for g = 1 - sum_(k>=1) c_k t^k, and
-    ``_solve`` to h = n // 2 + 1 terms gives Q = q mod t^h.  As g Q = 1 + O(t^h),
-    Q (2 - g Q) = q mod t^(2h), and h <= n < 2h, so
-
-        q_n = sum_(i,j<h) q_i q_j f_(n-i-j),   f = -g = -1 + sum_(k>=1) c_k t^k.
-
-    Row i of the sum is q_i times s_i = 2 sum_(j>=i) q_j f_(n-i-j) - q_i f_(n-2i),
-    each pair i < j formed once: h graded dots of q[i:] against f reversed
-    from f_(n-2i), then one dot of q with s, about half the products of
-    the full solve.  It makes about as many dots as the full solve, each
-    shorter, so below d ~ 30, where the integers are small, it costs more
-    per call (38 us against 20 us at d = 8, in-process on a loaded 2-vCPU
-    VM); the route keeps this one path anyway, as it does not fork on d."""
-    n = len(columns[0]) - 1
-    if n < 1:
-        raise ValueError("the Newton step needs an order n >= 1")
-    h = n // 2 + 1
-    q = _solve([column[:h] for column in columns])
-    q01 = _summed(q)
-    # backwards[.][m] is f_(n-m): c_n, ..., c_1, then f_0 = -1.
-    backwards = [[*column[:0:-1], x] for column, x in zip(columns, (-1, 0, 0))]
-    backwards01 = _summed(backwards)
-    s = [[], [], []]
-    for i in range(h):
-        row = _dot([c[i:] for c in q], [c[2 * i:] for c in backwards], q01[i:], backwards01[2 * i:])
-        diagonal = _times([c[i] for c in q], [c[2 * i] for c in backwards])
-        for column, x, y in zip(s, row, diagonal):
-            column.append(2 * x - y)
-    return _dot(q, s, q01, _summed(s))
-
-
 def _quotient(numerator, columns) -> list[list]:
     """The columns of numerator / series from both columns, to the smaller order; c_0 is 1."""
     size = min(len(numerator[0]), len(columns[0]))
-    return _solve([[-x for x in column[:size]] for column in columns], numerator=numerator)
+    return _solve([[-x for x in column[:size]] for column in columns], numerator)
 
 
 def _first_order(a, b, order: int) -> list[list]:
@@ -166,8 +124,9 @@ def _first_order(a, b, order: int) -> list[list]:
         x0 = x1 = x2 = 0
         for j, (p0, p1, p2), history in terms:
             if j <= m:
-                # The graded product of ``_times``, written out: the call costs
-                # more than these products at the orders ``verify`` reads.
+                # The graded product of p and q, written out: a call per
+                # product costs more than the products at the orders
+                # ``verify`` reads.
                 q0, q1, q2 = history[m - j]
                 x0 += p0 * q0
                 x1 += p0 * q1 + p1 * q0

@@ -311,18 +311,20 @@ def check_series_binomial_expansion(d: int, stage: Stage) -> str | None:
 
 
 def check_determinant_three_way(d: int, stage: Stage) -> str | None:
-    """Every route must produce the same class.  The recurrence route reads
-    the formula's coefficients, which ``chern-coefficient-formula`` holds
-    equal to the division's."""
+    """Every route must produce the same class.  The recurrence route steps
+    D(t) = 1/c(-t) on the closed exponential form of c, which
+    ``series-exponential-form`` holds equal to the division's; it reads no
+    c_i."""
     if len(set(stage.routes.values())) > 1:
         return f"d={d}: " + "; ".join(f"{m} {c}" for m, c in stage.routes.items())
     return None
 
 
 def check_determinant_closed_form(d: int, stage: Stage) -> str | None:
-    """Every banded determinant of size >= 3, from the full recurrence, against
-    the closed form."""
-    determinants = porteous._determinant_columns(d)
+    """Every banded determinant of size >= 3 against the closed form, in O(d):
+    the determinants are stepped as the recurrence route steps them, from
+    the exponential form and D(t) * c(-t) = 1."""
+    determinants = porteous._stepped_determinants(d)
     for n in range(3, d - 4):
         if porteous._closed_triple(n, d) != tuple(c[n] for c in determinants):
             closed, recurrence = determinant_formula(n, d), _coefficient(d, determinants, n)

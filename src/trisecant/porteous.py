@@ -10,8 +10,8 @@ banded determinant of the virtual quotient series c_t(target - source).
 Read as a Segre class (Fulton, Intersection Theory, Thm. 14.4), the same
 class is (-1)^(d-5) [t^(d-5)] c_t(source) / c_t(target).  Every stage below
 is computed along at least two independent routes (series division against
-closed binomial formulas; the Segre quotient, the determinant recurrence
-and its closed form) and the routes are compared, never trusted singly.
+closed binomial formulas; the Segre quotient, the stepped determinants
+and their closed form) and the routes are compared, never trusted singly.
 The determinant routes are the one table ``_ROUTES``: each gives the integer
 triple (x0, x1, X2) of d_(d-5), and ``porteous_class`` alone makes it a class.
 
@@ -26,18 +26,16 @@ target's inverse at order 2: O(1) integer operations per d, and one class
 built.
 
 Each c_k here is homogeneous of degree k, so every series form and the
-recurrence are the graded kernel's integer columns (x0, x1, X2): the
+determinants are the graded kernel's integer columns (x0, x1, X2): the
 division solves the target's triples over the twisted source's, the
-recurrence the formula's signed triples (``_recurrence_columns``), the
-exponential form steps the first-order equation its logarithmic derivative
-gives, in O(d) (``_graded._first_order``), and the binomial expansion sums
-shifted Pascal columns.  Only the division's columns become classes, in
-``chern_coefficients``; ``trisecant verify`` compares the columns themselves
-(``_<form>_columns``).  The recurrence route
-needs one determinant, the last: it runs the recurrence to the middle and
-then one Newton step (``_graded._solve_top``), while ``verify``, which reads
-every size, runs the full recurrence (``_determinant_columns``).  The closed
-determinant form has one home, the integer triple ``_closed_triple``.
+exponential form and the determinants each step the first-order equation
+that their logarithmic derivative gives, in O(d) (``_graded._first_order``),
+and the binomial expansion sums shifted Pascal columns.  Only the division's
+columns become classes, in ``chern_coefficients``; ``trisecant verify``
+compares the columns themselves (``_<form>_columns``).  The determinants
+D(t) = 1/c(-t) are stepped once for every size (``_stepped_determinants``):
+the recurrence route takes the last, and ``verify`` reads them all.  The
+closed determinant form has one home, the integer triple ``_closed_triple``.
 
 The closed binomial formula for c_i (``_formula_columns``) and the
 expansion's binomial tail read three columns of Pascal's triangle, built per
@@ -51,7 +49,7 @@ from itertools import accumulate
 
 from . import _graded
 from .degree import binomial
-from ._graded import _ambient, _classes, _difference, _dot, _exact, _quotient, _solve, _summed
+from ._graded import _ambient, _classes, _difference, _dot, _exact, _quotient, _summed
 from .ring import AmbientClass, ThetaPoly, _require_curve_degree
 from .riemann_roch import bundle_characters
 
@@ -66,7 +64,7 @@ __all__ = [
 # The helpers are looked up when a route runs, so that a rebinding takes effect.
 _ROUTES = {
     "segre": lambda d: _segre_triple(d),
-    "recurrence": lambda d: _graded._solve_top(_recurrence_columns(d)),
+    "recurrence": lambda d: [column[-1] for column in _stepped_determinants(d)],
     "closed-form": lambda d: _closed_triple(d - 5, d),
 }
 METHODS = tuple(_ROUTES)
@@ -263,21 +261,28 @@ def _segre_triple(d: int) -> list:
     return [x * (-1) ** n for x in triple]
 
 
-def _recurrence_columns(d: int) -> list[list]:
-    """The c the determinants' recurrence solves: the closed formula's
-    columns of c_0..c_(d-5) with the sign (-1)^(i-1) put on those of c_i,
-    the one sign convention of the full solve and of the route's top."""
-    columns = _formula_columns(d, d - 5)
-    return [[x if i % 2 else -x for i, x in enumerate(column)] for column in columns]
+def _stepped_determinants(d: int) -> list[list]:
+    """All banded determinants d_0..d_(d-5) as the graded kernel's columns.
+    The band's recurrence reads D(t) * c(-t) = 1 for D = sum_n d_n t^n, so
+    with c in the closed exponential form of ``_exponential_columns``,
 
+        D = (1 + u)^(d-4) * exp(eps * (2u + u^2) / (1 + u)),  u = h*t, eps = T/h,
 
-def _determinant_columns(d: int) -> list[list]:
-    """All banded determinants d_0..d_(d-5) through the alternating
-    recurrence d_m = sum_i (-1)^(i-1) c_i d_(m-i), which the graded integer
-    kernel solves in full on the closed binomial formula's triples, never
-    built as classes and independent of the series division.  The recurrence
-    route's class is the last of them, reached by ``_graded._solve_top``."""
-    return _solve(_recurrence_columns(d))
+    whose logarithmic derivative gives the first-order equation
+
+        (1 + u)^2 D' = ((d - 4)(1 + u) + eps * (2 + 2u + u^2)) D,
+
+    the exponential form's with u for -u.  ``_graded._first_order`` steps it
+    in O(d), five triple products a step: A = (1 + u)^2 has the columns
+    (1, 2, 1) of h^j, and B the columns (d - 4, d - 4) of h^(j+1) and
+    (2, 2, 1) of T h^j, with no T^2 part.  No c_i is read: the stepped
+    determinants rest on the exponential form, which
+    ``series-exponential-form`` holds equal to the division.
+    """
+    a = ((1, 2, 1), (0, 0, 0), (0, 0, 0))
+    b = ((d - 4, d - 4, 0), (2, 2, 1), (0, 0, 0))
+    # Through the module, so that a rebinding of ``_graded._first_order`` takes effect.
+    return _graded._first_order(a, b, d - 5)
 
 
 def determinant_formula(n: int, d: int) -> AmbientClass:

@@ -72,15 +72,15 @@ def test_criterion_2_riemann_roch_constants():
 
 
 def test_criterion_3_determinant_three_way_agreement(divisions):
-    """The recurrence reads the formula's c_i; they equal the division's at
-    every index, so a recurrence on the divided c_i would give the same class."""
+    """The formula's c_i equal the division's at every index, and the Segre,
+    recurrence and closed-form routes give one class."""
     failures = []
     for d in range(8, 61):
         formula = _classes(d, porteous._formula_columns(d, d - 5))
         if divisions[d][1:] != formula[1:]:
             failures.append((d, "divided c_i != formula c_i"))
         segre = porteous_class(d, "segre")
-        recurrence = _classes(d, porteous._determinant_columns(d))[d - 5]
+        recurrence = porteous_class(d, "recurrence")
         closed = determinant_formula(d - 5, d)
         if not (segre == recurrence == closed):
             failures.append((d, "determinants"))

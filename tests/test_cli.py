@@ -323,40 +323,34 @@ def test_ring_axioms_draw_every_value_from_its_pools(monkeypatch, d_max, ambient
 
 
 def test_verify_runs_one_recurrence_per_d(monkeypatch):
-    """The closed-form check runs the full solve, its one reader, and the
-    three-way and Berzolari checks read the stage's class of every route, so
-    the battery runs the full recurrence once per d, the recurrence route's
-    top once per d, and builds each route's class once per d for the stage.  The Berzolari
-    check's ``secant3_degree(d)`` builds the default Segre route's class once
-    more per d, and nothing else does."""
+    """The battery steps one recurrence, D(t) = 1/c(-t), in O(d), and reads
+    it twice per d: the three-way and Berzolari checks read the stage's class
+    of every route, the recurrence route's stepped once, and the closed-form
+    check steps every size itself.  Each route's class is built once per d
+    for the stage; the Berzolari check's ``secant3_degree(d)`` builds the
+    default Segre route's class once more per d, and nothing else does."""
     from collections import Counter
 
     import trisecant.cli
     import trisecant.porteous
-    from trisecant import _graded
 
-    full, tops, classes = [], [], Counter()
-    original, top = trisecant.porteous._determinant_columns, _graded._solve_top
+    stepped, classes = [], Counter()
+    original = trisecant.porteous._stepped_determinants
     route_class = trisecant.porteous.porteous_class
 
     def counted(d):
-        full.append(d)
+        stepped.append(d)
         return original(d)
-
-    def counted_top(columns):
-        tops.append(len(columns[0]) + 4)  # the columns run c_0..c_(d-5)
-        return top(columns)
 
     def counted_class(d, method="segre"):
         classes[d, method] += 1
         return route_class(d, method)
 
-    monkeypatch.setattr(trisecant.porteous, "_determinant_columns", counted)
-    monkeypatch.setattr(_graded, "_solve_top", counted_top)
+    monkeypatch.setattr(trisecant.porteous, "_stepped_determinants", counted)
     for module in (trisecant.porteous, trisecant.cli):
         monkeypatch.setattr(module, "porteous_class", counted_class)
     assert verify_checks(8, 14).passed
-    assert full == tops == list(range(8, 15))
+    assert stepped == [d for d in range(8, 15) for _ in range(2)]
     stage = Counter((d, m) for d in range(8, 15) for m in trisecant.porteous.METHODS)
     assert classes == stage + Counter((d, "segre") for d in range(8, 15))
 

@@ -147,3 +147,9 @@ def test_all_routes_match_the_classical_count(d):
     assert secant3_degree(d, method="segre") == reference
     assert secant3_degree(d, method="recurrence") == reference
     assert secant3_degree(d, method="closed-form") == reference
+
+
+def test_recurrence_route_reaches_d_1600():
+    """The route steps its determinants in O(d), so d = 1600, where a route
+    of O(d^2) products of d-bit integers took seconds, stays a unit test."""
+    assert secant3_degree(1600, method="recurrence") == berzolari(1600) == 678830404

@@ -4,18 +4,19 @@ Each row applies one fault with ``monkeypatch`` and asserts the exact set of
 checks of ``verify_checks(8, 14)`` that fail, so a later loss of detection
 power shows up as a changed set.  Each per-d counterexample must name d = 8,
 and a fault in one coefficient must name its t^k, i or n there too
-(``LOCATED``).  Ten faults are caught by one check alone:
+(``LOCATED``).  Eleven faults are caught by one check alone:
 a wrong theta self-intersection, and a pairing that reads past the
 truncation and raises ``IndexError``, only by ``degree-berzolari``, the quoted
 count; a wrong negative-upper binomial only by ``binomial-identities``; a
 wrong top coefficient of the binomial expansion or of the exponential form
 only by that form's own check, ``series-binomial-expansion`` or
-``series-exponential-form``; a lost T^2 column in the graded kernel's
-first-order stepper only by ``series-exponential-form``, the one check that
-runs it; a faulty sum or theta product on operands no pipeline value has
-only by ``ring-axioms``, whose random draws have them; a doubled hyperplane
-class only by ``ring-axioms``, through h^(d-2); and a Kunneth class shifted
-by f only by ``kunneth-relations``, through pi_* gamma = 0.
+``series-exponential-form``; a wrong c_3 in the closed binomial formula, or
+in the Pascal column it reads, only by ``chern-coefficient-formula``, the one
+check that reads the formula; a faulty sum or theta product on operands no
+pipeline value has only by ``ring-axioms``, whose random draws have them; a
+doubled hyperplane class only by ``ring-axioms``, through h^(d-2); and a
+Kunneth class shifted by f only by ``kunneth-relations``, through
+pi_* gamma = 0.
 
 A patched function is rebound in every loaded ``trisecant`` module, because
 ``porteous`` and ``cli`` import names directly.  ``riemann_roch._pushforwards``
@@ -136,22 +137,24 @@ def negative_binomial_off_at_k2(monkeypatch):
 
 
 def c2_bumped_into_recurrence(monkeypatch):
-    """c_2 + T^2 in the recurrence alone.  Both its full solve and the
-    route's top read the formula's columns signed by (-1)^(i-1), so c_2's
-    doubled T^2 part X2 goes in negated, and lowering it by 2 raises c_2 by T^2."""
-    original = porteous._recurrence_columns
+    """The stepped determinants' equation with B's d - 4 read as d - 3, so
+    D(t) = 1/c(-t) steps with (1 + u)^(d-3): the c it inverts is off from
+    c_1 on, c_2 among them, in the recurrence alone.  The fault goes in at
+    the stepper, on the call whose A is (1 + u)^2, the route's; the
+    exponential form's A is (1 - u)^2."""
+    original = _graded._first_order
 
-    def bumped(d):
-        x0, x1, x2 = original(d)
-        return [x0, x1, [*x2[:2], x2[2] - 2, *x2[3:]]]
+    def first_order(a, b, order):
+        if a[0][1] == 2:
+            b = [[x + 1 if j < 2 else x for j, x in enumerate(b[0])], *b[1:]]
+        return original(a, b, order)
 
-    monkeypatch.setattr(porteous, "_recurrence_columns", bumped)
+    monkeypatch.setattr(_graded, "_first_order", first_order)
 
 
 def coefficient_formula_off_at_3(monkeypatch):
-    """c_3 + T^2 h in the closed formula's columns, which both the
-    ``chern-coefficient-formula`` check and the recurrence read (X2 is twice
-    the T^2 part)."""
+    """c_3 + T^2 h in the closed formula's columns (X2 is twice the T^2
+    part), which only the ``chern-coefficient-formula`` check reads."""
     original = porteous._formula_columns
 
     def formula(d, order):
@@ -163,9 +166,8 @@ def coefficient_formula_off_at_3(monkeypatch):
 
 def pascal_first_column_off_at_3(monkeypatch):
     """binomial(d - 2, 3) + 1 at t^3 of the first Pascal column alone, which
-    only the closed formula now reads: c_3 + h^3 there, so in the recurrence
-    too.  The degree reads the class's T^2 part alone, which first moves at
-    d = 10."""
+    only the closed formula reads: c_3 + h^3 there, which only the
+    ``chern-coefficient-formula`` check reads."""
     original = porteous._pascal_columns
 
     def pascal(d, order):
@@ -216,7 +218,8 @@ def segre_sign_flipped(monkeypatch):
 
 
 def graded_exp_t_squared_zeroed(monkeypatch):
-    """The X2 column of the kernel's first-order stepper zeroed past t^0."""
+    """The X2 column of the kernel's first-order stepper zeroed past t^0: the
+    exponential form and the stepped determinants both run it."""
     original = _graded._first_order
 
     def first_order(a, b, order):
@@ -228,8 +231,8 @@ def graded_exp_t_squared_zeroed(monkeypatch):
 
 def graded_dot_cross_term_lost(monkeypatch):
     """The 2 a1 b1 term of X2 in the kernel's dot product dropped, though a1 b1
-    still comes off the middle entry: it feeds the division, the recurrence
-    and the exponential form alike."""
+    still comes off the middle entry: the division and the Segre route read
+    it, the stepped determinants and the exponential form do not."""
     original = _graded._dot
 
     def dot(a, b, a01, b01):
@@ -237,15 +240,6 @@ def graded_dot_cross_term_lost(monkeypatch):
         return x0, x1, x2 - 2 * sum(map(mul, a[1], b[1]))
 
     monkeypatch.setattr(_graded, "_dot", dot)
-
-
-def newton_diagonal_kept(monkeypatch):
-    """The Newton step of the recurrence route's top forms each pair i < j
-    once, doubled, and takes the diagonal term q_i q_i f_(n-2i) off once; here
-    it is not taken off, so it counts twice.  Only the route reads the step,
-    and ``determinant-three-way`` and ``degree-berzolari`` both read the
-    route's class; ``determinant-closed-form`` reads the full solve."""
-    monkeypatch.setattr(_graded, "_times", lambda a, b: (0, 0, 0))
 
 
 def hyperplane_doubled(monkeypatch):
@@ -321,18 +315,14 @@ FAULTS = [
     (theta_self_intersection_one, {"degree-berzolari"}),
     (negative_binomial_off_at_k2, {"binomial-identities"}),
     (c2_bumped_into_recurrence, RECURRENCE_THREE),
-    (
-        coefficient_formula_off_at_3,
-        {"chern-coefficient-formula"} | RECURRENCE_THREE,
-    ),
-    (pascal_first_column_off_at_3, {"chern-coefficient-formula"} | RECURRENCE_THREE),
+    (coefficient_formula_off_at_3, {"chern-coefficient-formula"}),
+    (pascal_first_column_off_at_3, {"chern-coefficient-formula"}),
     (determinant_formula_off_at_top, RECURRENCE_THREE),
     (segre_sign_flipped, {"determinant-three-way", "degree-berzolari"}),
     (expansion_top_bumped, {"series-binomial-expansion"}),
     (exponential_form_top_bumped, {"series-exponential-form"}),
-    (graded_exp_t_squared_zeroed, {"series-exponential-form"}),
-    (graded_dot_cross_term_lost, SERIES_FIVE | {"determinant-closed-form"}),
-    (newton_diagonal_kept, {"determinant-three-way", "degree-berzolari"}),
+    (graded_exp_t_squared_zeroed, {"series-exponential-form"} | RECURRENCE_THREE),
+    (graded_dot_cross_term_lost, SERIES_FIVE),
     (hyperplane_doubled, {"ring-axioms"}),
     (sum_drops_a_term_of_four, {"ring-axioms"}),
     (theta_product_drops_t_squared, {"ring-axioms"}),
@@ -359,15 +349,8 @@ LOCATED = {
         "recurrence 4h^3 + 9*T*h^2 + 6*T^2*h; closed-form 4h^3 + 9*T*h^2 + 7*T^2*h",
         "determinant-closed-form": "d=8, n=3: ",
     },
-    coefficient_formula_off_at_3: {
-        "chern-coefficient-formula": "d=8, i=3: ",
-        "determinant-closed-form": "d=8, n=3: ",
-    },
-    pascal_first_column_off_at_3: {
-        "chern-coefficient-formula": "d=8, i=3: ",
-        "determinant-closed-form": "d=8, n=3: ",
-        "degree-berzolari": "d=10: ",
-    },
+    coefficient_formula_off_at_3: {"chern-coefficient-formula": "d=8, i=3: "},
+    pascal_first_column_off_at_3: {"chern-coefficient-formula": "d=8, i=3: "},
 }
 
 

@@ -40,8 +40,8 @@ from series_reference import (
 
 
 def _determinants(d):
-    """d_0..d_(d-5) as classes, from the full solve of the recurrence."""
-    return _graded._classes(d, porteous._determinant_columns(d))
+    """d_0..d_(d-5) as classes, stepped from D(t) = 1/c(-t)."""
+    return _graded._classes(d, porteous._stepped_determinants(d))
 
 
 def _repeated_product(series, n):
@@ -315,8 +315,8 @@ def test_formula_columns_match_comb_at_every_order():
 
 @pytest.mark.parametrize("d", [20, 200])
 def test_recurrence_route_calls_no_binomial(monkeypatch, d):
-    """The recurrence route reads the formula off Pascal columns built in
-    integer steps, with no binomial coefficient computed per entry."""
+    """The recurrence route steps its determinants from the constants of
+    their first-order equation, with no binomial coefficient computed."""
     calls = []
     original = porteous.binomial
 
@@ -476,16 +476,16 @@ def _ambient_recurrence(d: int, coefficients) -> tuple[AmbientClass, ...]:
 
 @pytest.mark.parametrize("d", (8, 13, 30))
 def test_recurrence_kernel_matches_ambient_double_loop(d):
-    """The kernel's solve on the formula's integer triples against the
-    recurrence run term by term on the formula's classes."""
+    """The stepped determinants against the banded recurrence run term by
+    term on the closed formula's classes, which the stepper never reads."""
     coefficients = _graded._classes(d, porteous._formula_columns(d, d - 5))[1:]
     assert _determinants(d) == _ambient_recurrence(d, coefficients)
 
 
 @pytest.mark.parametrize("d", (8, 9, 60, 200))
 def test_recurrence_route_is_the_top_determinant(d):
-    """The route solves the recurrence on the formula's integer columns and
-    builds d_(d-5) alone; it is the last of the d - 4 determinants."""
+    """The route builds d_(d-5) alone; it is the last of the d - 4 stepped
+    determinants."""
     dets = _determinants(d)
     assert len(dets) == d - 4
     assert porteous_class(d, "recurrence") == dets[d - 5]
@@ -493,7 +493,7 @@ def test_recurrence_route_is_the_top_determinant(d):
 
 def test_recurrence_route_cost_does_not_grow_with_d(monkeypatch):
     """The recurrence route builds as many ring values at d = 200 as at
-    d = 20: its O(d^2) solve runs on integer columns, not on classes."""
+    d = 20: its O(d) steps run on integer columns, not on classes."""
     built = []
     construct, new = TruncatedClass.__init__, TruncatedClass._new
 
@@ -515,6 +515,38 @@ def test_recurrence_route_cost_does_not_grow_with_d(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("d", [20, 60])
+def test_recurrence_solve_makes_five_products_per_entry_and_step(monkeypatch, d):
+    """The route steps D(t) = 1/c(-t) with three terms of B and two of A past
+    the unread A_0: five triple products a step from step m = 2 on, where
+    every term has a history entry to meet, and one and three at steps 0
+    and 1, so 5 (d - 5) - 6 in all, O(d).  A triple product is six scalar
+    products with an entry of A or B as a factor, counted here by an int
+    type that the route's constants are handed to the stepper as."""
+    products = 0
+
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal products
+            products += 1
+            return int(self) * other
+
+        __rmul__ = __mul__
+
+        def __neg__(self):
+            return Counted(-int(self))
+
+    original = _graded._first_order
+
+    def counted(a, b, order):
+        a, b = ([[Counted(x) for x in column] for column in series] for series in (a, b))
+        return original(a, b, order)
+
+    monkeypatch.setattr(_graded, "_first_order", counted)
+    porteous_class(d, "recurrence")
+    assert products == 6 * (5 * (d - 5) - 6)
+
+
 def _products(monkeypatch, call) -> int:
     """The scalar products the graded kernel's dots make during ``call()``."""
     products = 0
@@ -529,31 +561,40 @@ def _products(monkeypatch, call) -> int:
     return products
 
 
-@pytest.mark.parametrize("d", [20, 60])
-def test_recurrence_solve_makes_five_products_per_entry_and_step(monkeypatch, d):
-    """Step m of the determinants' full solve makes five scalar dot products
-    of m entries each, one fewer than the six cross terms of the graded
-    product, so d_1..d_n, n = d - 5, cost 5 n (n + 1) / 2 integer products in all."""
-    n = d - 5
-    assert _products(monkeypatch, lambda: porteous._determinant_columns(d)) == 5 * n * (n + 1) // 2
-
-
 @pytest.mark.parametrize("d, count", [(20, 360), (60, 4060)])
 def test_recurrence_route_makes_half_the_products(monkeypatch, d, count):
-    """The route's top solves to h = n // 2 + 1 terms, 5 (h - 1) h / 2
-    products, then dots q[i:] against the reversed series for each i < h,
-    5 h (h + 1) / 2, and q against the rows, 5 h: 5 h (h + 1) in all, about
-    half the full solve's 5 n (n + 1) / 2 (600 and 7700 here)."""
-    h = (d - 5) // 2 + 1
+    """A product in the kernel's dots multiplies two series entries, integers
+    that grow with d.  The full series division on the closed formula's c_i
+    makes 5 n (n + 1) / 2 of them, n = d - 5 (600 and 7700 here): five
+    scalar dot products of m entries at step m.  The route once solved to
+    the middle and took one Newton step, ``count`` = 5 h (h + 1) of them,
+    h = n // 2 + 1, about half; stepped, it makes none, as each of its
+    products has a constant of A or B as a factor."""
+    n = d - 5
+    columns = porteous._formula_columns(d, n)
+    flipped = [[-x if k % 2 else x for k, x in enumerate(column)] for column in columns]
+    one = [[1, *[0] * n], [0] * (n + 1), [0] * (n + 1)]
+    full = _products(monkeypatch, lambda: _graded._quotient(one, flipped))
     made = _products(monkeypatch, lambda: porteous_class(d, "recurrence"))
-    assert made == count == 5 * h * (h + 1)
+    assert made == 0 < count < full == 5 * n * (n + 1) // 2 < 2 * count
 
 
 def test_recurrence_route_top_is_the_full_solve_s_last_entry():
-    """The route's top, from half the recurrence and one Newton step, against
-    the last entry of the full solve on the same signed formula columns, for
-    every d in [8, 160] and at d = 200, 300 and 400: the full solves for
-    every d in [161, 400] would add about 20 s."""
+    """The route's stepped top against the last entry of D(t) = 1/c(-t) by
+    the kernel's full series division on the closed formula's c_i: another
+    algorithm on another source of the c_i.  Every d in [8, 160] and
+    d = 200, 300 and 400; the division is O(d^2) products of d-bit integers,
+    so every d up to 400 would cost seconds."""
     for d in [*range(8, 161), 200, 300, 400]:
-        columns = porteous._recurrence_columns(d)
-        assert _graded._solve_top(columns) == tuple(c[-1] for c in _graded._solve(columns)), d
+        n = d - 5
+        columns = porteous._formula_columns(d, n)
+        flipped = [[-x if k % 2 else x for k, x in enumerate(column)] for column in columns]
+        one = [[1, *[0] * n], [0] * (n + 1), [0] * (n + 1)]
+        top = tuple(column[-1] for column in _graded._quotient(one, flipped))
+        assert tuple(porteous._ROUTES["recurrence"](d)) == top, d
+
+
+def test_recurrence_route_is_the_closed_triple_to_d_400():
+    """The route's triple against the closed form's at every d in [8, 400]."""
+    for d in range(8, 401):
+        assert tuple(porteous._ROUTES["recurrence"](d)) == porteous._closed_triple(d - 5, d), d
