@@ -13,10 +13,12 @@ comparing each degree with binomial(d-2, 3) - 2(d-4).  A mutant is
   survived  otherwise; each survivor is listed with its line.
 
 One count line is printed per module, then that module's survivors.
+``--module`` (repeatable) sweeps only the modules it names, by file stem;
+without it every module above is swept.
 
 Standard library only.  Usage:
 
-    python3 scripts/mutation_sweep.py [--root CHECKOUT]
+    python3 scripts/mutation_sweep.py [--root CHECKOUT] [--module NAME ...]
 """
 
 import argparse
@@ -111,13 +113,18 @@ def main() -> int:
         "--root", type=Path, default=Path(__file__).resolve().parents[1],
         help="checkout whose src/ is mutated (default: this one)",
     )
+    parser.add_argument(
+        "--module", action="append", choices=[module.stem for module in MODULES],
+        help="sweep only this module, e.g. _graded (repeatable; default: all)",
+    )
     args = parser.parse_args()
+    modules = [module for module in MODULES if not args.module or module.stem in args.module]
     src = args.root / "src"
     if run(src) != "survived":
         print("the unmutated modules do not pass; nothing to measure", file=sys.stderr)
         return 1
-    sources = {module: (args.root / module).read_text() for module in MODULES}
-    mutants = [(module, site) for module in MODULES for site in sites(ast.parse(sources[module]))]
+    sources = {module: (args.root / module).read_text() for module in modules}
+    mutants = [(module, site) for module in modules for site in sites(ast.parse(sources[module]))]
 
     def one(mutant):
         module, (index, _) = mutant
@@ -127,7 +134,7 @@ def main() -> int:
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         outcomes = list(pool.map(one, mutants))
 
-    for module in MODULES:
+    for module in modules:
         source = sources[module]
         lines = source.splitlines()
         functions = owners(ast.parse(source))

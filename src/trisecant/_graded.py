@@ -9,10 +9,10 @@ scalar dot products, not six: the middle entry is
 (a0 + a1)(b0 + b1) - a0 b0 - a1 b1, and X2 reuses a1 b1.  One solver on the
 dot gives a series' quotients.  One stepper, with no dot, solves a
 first-order equation A y' = B y with short A and B, such as those of the
-exponential form and of the banded determinants, in len A + len B - 1
-triple products per entry; an exponential is its case A = 1, with B the
-exponent's derivative.  Callers hand in columns and take columns back; the
-truncation h^(d-1) = 0 is graded, so it commutes with the kernel and is
+exponential form and of the banded determinants, one triple product a lag,
+max(len B, len A - 1) per entry; an exponential is its case A = 1, with B
+the exponent's derivative.  Callers hand in columns and take columns back;
+the truncation h^(d-1) = 0 is graded, so it commutes with the kernel and is
 applied once, where a column entry becomes an ``AmbientClass`` term, and a
 series becomes the tuple of its classes.
 """
@@ -20,6 +20,7 @@ series becomes the tuple of its classes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from operator import add, eq, mul
 
 from .ring import AmbientClass
@@ -106,31 +107,30 @@ def _quotient(numerator, columns) -> list[list]:
 
 def _first_order(a, b, order: int) -> list[list]:
     """The columns of y to t^order with y_0 = 1 and A y' = B y, for the column
-    triples a and b of two short series A and B, A_0 = 1 (never read).  As
-    y' = B y - (A - 1) y', the t^m coefficient z_m = (m + 1) y_(m+1) of y' is
+    triples a and b of two short series A and B, A_0 = 1 (never read).  The
+    t^m coefficient of A y' is sum_j A_j (m - j + 1) y_(m-j+1), so with
+    j = L + 1 each A_(L+1) meets the y_(m-L) that B_L meets, and
 
-        z_m = sum_(j>=0) B_j y_(m-j) - sum_(j>=1) A_j z_(m-j),
+        (m + 1) y_(m+1) = sum_(L>=0) (B_L - (m - L) A_(L+1)) y_(m-L):
 
-    len a + len b - 1 triple products a step, whatever the order, then one
-    exact division by m + 1 (Stanley, "Differentiably finite power series",
-    Europ. J. Combin. 1, 1980).  B_j meets y_(m-j) in degree m + 1, so it is
-    read as a class of degree j + 1.  With A = 1 and B the derivative of a
-    series x with x_0 = 0, y is exp(x)."""
-    y, z = [(1, 0, 0)], []
-    # (j, coefficient, history it meets): B_j against y, -A_j against z.
-    terms = [(j, p, y) for j, p in enumerate(zip(*b))]
-    terms += [(j, [-x for x in p], z) for j, p in enumerate(zip(*a)) if j]
+    max(len b, len a - 1) triple products a step, the shorter side padded
+    with zeros, then one exact division by m + 1 (Stanley, "Differentiably
+    finite power series", Europ. J. Combin. 1, 1980).  The lag-L coefficient
+    meets y_(m-L) in degree m + 1, so it is read as a class of degree L + 1.
+    With A = 1 and B the derivative of x, x_0 = 0, y is exp(x)."""
+    lags = list(zip_longest(zip(*b), list(zip(*a))[1:], fillvalue=(0, 0, 0)))
+    y = [(1, 0, 0)]
     for m in range(order):
         x0 = x1 = x2 = 0
-        for j, (p0, p1, p2), history in terms:
-            if j <= m:
-                # The graded product of p and q, written out: a call per
-                # product costs more than the products at the orders
-                # ``verify`` reads.
-                q0, q1, q2 = history[m - j]
-                x0 += p0 * q0
-                x1 += p0 * q1 + p1 * q0
-                x2 += p0 * q2 + 2 * p1 * q1 + p2 * q0
-        z.append((x0, x1, x2))
+        s = m
+        for (b0, b1, b2), (a0, a1, a2) in lags[: m + 1]:
+            p0, p1, p2 = b0 - s * a0, b1 - s * a1, b2 - s * a2
+            # The graded product of p and y_s, written out: a call per product
+            # costs more than the products at the orders ``verify`` reads.
+            q0, q1, q2 = y[s]
+            x0 += p0 * q0
+            x1 += p0 * q1 + p1 * q0
+            x2 += p0 * q2 + 2 * p1 * q1 + p2 * q0
+            s -= 1
         y.append((_exact(x0, m + 1), _exact(x1, m + 1), _exact(x2, m + 1)))
     return [list(column) for column in zip(*y)]

@@ -132,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _intermediates(d: int) -> dict[str, str]:
+def _intermediates(d: int, method: str) -> dict[str, str]:
     sections, residual = bundle_characters(d)
     entries = {"ch_sections": sections, "ch_residual": residual}
     entries.update((f"c_{i}", c) for i, c in enumerate(chern_coefficients(d), start=1))
-    entries["secant_class"] = porteous_class(d)
+    entries["secant_class"] = porteous_class(d, method)
     return {name: str(value) for name, value in entries.items()}
 
 
@@ -152,7 +152,7 @@ def run_degree(args: argparse.Namespace) -> int:
         print(f"error: degree methods disagree at d={d}", file=sys.stderr)
         return EXIT_VERIFY
     degree = values[methods[0]]
-    intermediates = _intermediates(d) if args.verbose else {}
+    intermediates = _intermediates(d, methods[0]) if args.verbose else {}
     if args.format == "json":
         payload = {"d": d, "degree": degree, "method": args.method, "intermediates": intermediates}
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")

@@ -273,11 +273,11 @@ def _stepped_determinants(d: int) -> list[list]:
         (1 + u)^2 D' = ((d - 4)(1 + u) + eps * (2 + 2u + u^2)) D,
 
     the exponential form's with u for -u.  ``_graded._first_order`` steps it
-    in O(d), five triple products a step: A = (1 + u)^2 has the columns
-    (1, 2, 1) of h^j, and B the columns (d - 4, d - 4) of h^(j+1) and
-    (2, 2, 1) of T h^j, with no T^2 part.  No c_i is read: the stepped
-    determinants rest on the exponential form, which
-    ``series-exponential-form`` holds equal to the division.
+    in O(d), three triple products a step (B's three terms, A's two past A_0):
+    A = (1 + u)^2 has the columns (1, 2, 1) of h^j, and B the columns
+    (d - 4, d - 4) of h^(j+1) and (2, 2, 1) of T h^j, with no T^2 part.  No
+    c_i is read: the stepped determinants rest on the exponential form,
+    which ``series-exponential-form`` holds equal to the division.
     """
     a = ((1, 2, 1), (0, 0, 0), (0, 0, 0))
     b = ((d - 4, d - 4, 0), (2, 2, 1), (0, 0, 0))

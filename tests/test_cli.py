@@ -72,6 +72,27 @@ def test_degree_verbose_json(capsys):
     assert inter["secant_class"] == "4h^3 + 9*T*h^2 + 6*T^2*h"
 
 
+def test_degree_verbose_reports_the_requested_route_s_class(monkeypatch, capsys):
+    """``--verbose`` prints the secant class of the route asked for.  A fault
+    that moves only the recurrence route's x0 leaves every degree right, as
+    the degree reads X2 alone, so the printed class is where it shows."""
+    import trisecant.porteous
+
+    original = trisecant.porteous._ROUTES["recurrence"]
+
+    def x0_moved(d):
+        x0, x1, x2 = original(d)
+        return [x0 + 1, x1, x2]
+
+    monkeypatch.setitem(trisecant.porteous._ROUTES, "recurrence", x0_moved)
+    assert main(["degree", "--d", "8", "--method", "recurrence", "--verbose"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "secant_class = 5h^3 + 9*T*h^2 + 6*T^2*h" in lines
+    assert lines[-1] == "12"
+    assert main(["degree", "--d", "8", "--verbose"]) == EXIT_OK
+    assert "secant_class = 4h^3 + 9*T*h^2 + 6*T^2*h" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

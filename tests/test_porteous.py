@@ -516,13 +516,17 @@ def test_recurrence_route_cost_does_not_grow_with_d(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [20, 60])
-def test_recurrence_solve_makes_five_products_per_entry_and_step(monkeypatch, d):
+def test_recurrence_route_makes_three_triple_products_a_step(monkeypatch, d):
     """The route steps D(t) = 1/c(-t) with three terms of B and two of A past
-    the unread A_0: five triple products a step from step m = 2 on, where
-    every term has a history entry to meet, and one and three at steps 0
-    and 1, so 5 (d - 5) - 6 in all, O(d).  A triple product is six scalar
-    products with an entry of A or B as a factor, counted here by an int
-    type that the route's constants are handed to the stepper as."""
+    the unread A_0, so three lags: one triple product at step 0, two at
+    step 1 and three a step from m = 2 on, where every lag has a history
+    entry to meet, so 3 (d - 5) - 3 in all, O(d).  The scalar products with
+    an entry of A or B as a factor are counted by an int type that the
+    route's constants are handed to the stepper as, and that each lag's
+    coefficient B_L - (m - L) A_(L+1) keeps: six a triple product, and three
+    a scaling of A_1 or A_2 by m - L, on (d - 5) + (d - 6) steps (A_3 is a
+    zero the stepper pads with).  A fourth triple product a step on a term
+    of A or B would add six a step."""
     products = 0
 
     class Counted(int):
@@ -533,8 +537,8 @@ def test_recurrence_solve_makes_five_products_per_entry_and_step(monkeypatch, d)
 
         __rmul__ = __mul__
 
-        def __neg__(self):
-            return Counted(-int(self))
+        def __sub__(self, other):
+            return Counted(int(self) - other)
 
     original = _graded._first_order
 
@@ -544,7 +548,9 @@ def test_recurrence_solve_makes_five_products_per_entry_and_step(monkeypatch, d)
 
     monkeypatch.setattr(_graded, "_first_order", counted)
     porteous_class(d, "recurrence")
-    assert products == 6 * (5 * (d - 5) - 6)
+    n = d - 5
+    triple_products, scalings = 3 * n - 3, 2 * n - 1
+    assert products == 6 * triple_products + 3 * scalings
 
 
 def _products(monkeypatch, call) -> int:
@@ -592,6 +598,19 @@ def test_recurrence_route_top_is_the_full_solve_s_last_entry():
         one = [[1, *[0] * n], [0] * (n + 1), [0] * (n + 1)]
         top = tuple(column[-1] for column in _graded._quotient(one, flipped))
         assert tuple(porteous._ROUTES["recurrence"](d)) == top, d
+
+
+def test_stepped_columns_past_verify_s_range():
+    """Beyond ``verify``'s d <= 40 both stepped equations' whole columns:
+    every determinant d_n, n in [3, d - 5], against its closed form for
+    every d in [8, 200], and the exponential form against the series
+    division for every d in [41, 80]."""
+    for d in range(8, 201):
+        columns = porteous._stepped_determinants(d)
+        for n in range(3, d - 4):
+            assert tuple(column[n] for column in columns) == porteous._closed_triple(n, d), (d, n)
+    for d in range(41, 81):
+        assert porteous._exponential_columns(d) == porteous._division_columns(d), d
 
 
 def test_recurrence_route_is_the_closed_triple_to_d_400():

@@ -742,6 +742,25 @@ def test_first_order_meets_its_equation(data, length_a, length_b, order):
     drawn = data.draw(column_triples(length_a, 99))
     a = [[first, *column[1:]] for first, column in zip((1, 0, 0), drawn)]
     b = data.draw(column_triples(length_b, 99))
+    _assert_first_order_meets_its_equation(a, b, order)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (((1, 3, 3, 1), (0, 0, 0, 0), (0, 0, 0, 0)), ((5,), (-2,), (0,))),
+        (((1,), (0,), (0,)), ((1, 2, 3), (2, -1, 0), (0, 1, 4))),
+    ],
+    ids=["a-longer", "b-longer"],
+)
+def test_first_order_pads_the_shorter_side(a, b):
+    """The stepper pairs B_L with A_(L+1), so it pads one side with zeros:
+    B where len A - 1 > len B, here A = (1 + u)^3 with B constant, and A
+    where len B > len A - 1, here A = 1, the exponential's case."""
+    _assert_first_order_meets_its_equation(a, b, 12)
+
+
+def _assert_first_order_meets_its_equation(a, b, order):
     y = _first_order(a, b, order)
     assert [len(column) for column in y] == [order + 1] * 3
     assert [column[0] for column in y] == [1, 0, 0]
